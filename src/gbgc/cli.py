@@ -46,7 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gbgc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_input: bool = True):
+    def add_common(
+        p: argparse.ArgumentParser,
+        with_input: bool = True,
+        with_jobs: bool = True,
+        with_skip_sd: bool = True,
+    ):
         if with_input:
             p.add_argument("--input", required=True, help="dataset directory or edge-list file")
             p.add_argument(
@@ -60,8 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--laplacian", choices=["combinatorial", "normalized"], default="combinatorial"
         )
         p.add_argument("--sd-mode", choices=["projected", "unweighted"], default="projected")
-        p.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel workers")
-        p.add_argument("--skip-sd", action="store_true", help="skip spectral evaluation")
+        if with_jobs:
+            p.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel workers")
+        if with_skip_sd:
+            p.add_argument("--skip-sd", action="store_true", help="skip spectral evaluation")
 
     p_coarsen = sub.add_parser("coarsen", help="coarsen every graph in the input")
     add_common(p_coarsen)
@@ -72,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_eval = sub.add_parser("evaluate", help="re-evaluate an existing mapping.jsonl")
-    add_common(p_eval)
+    add_common(p_eval, with_jobs=False, with_skip_sd=False)
 
     p_bench = sub.add_parser("bench", help="synthetic scaling benchmark")
-    add_common(p_bench, with_input=False)
+    add_common(p_bench, with_input=False, with_jobs=False)
     return parser
 
 

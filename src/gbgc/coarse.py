@@ -1,19 +1,29 @@
 """Coarsened-graph construction: projection map, superedges, projected Laplacian.
 
-The projected Laplacian is the congruence transform of the original
-combinatorial Laplacian by the binary node-to-supernode projection matrix,
-accumulated in integer arithmetic so row sums are exactly zero.
+The coarse graph is kept sparse: its superedges plus, for each, the number of
+original edges that cross between the two balls. The projected Laplacian,
+the congruence transform of the original combinatorial Laplacian by the
+binary node-to-supernode projection matrix, is built densely from those
+integer multiplicities only when it is read, so row sums are exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .engine import Partition
 from .errors import GraphValidationError
 from .graph import Graph
+
+
+def pair_endpoints(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """First and second ends of a sequence of int pairs as two int64 arrays."""
+    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    return ends[0::2], ends[1::2]
 
 
 @dataclass
@@ -30,17 +40,27 @@ class ProjectionMap:
             sizes[c] += 1
         return sizes
 
-    def indicator_matrix(self) -> np.ndarray:
-        c = np.zeros((self.rows, self.cols))
-        c[np.arange(self.rows), self.column_of] = 1.0
-        return c
-
 
 @dataclass
 class CoarsenedGraph:
     supernode_count: int
-    superedges: list[tuple[int, int]]  # unordered pairs stored (a, b) with a < b
-    projected_laplacian: np.ndarray  # symmetric, float entries of exact integers
+    superedges: list[tuple[int, int]]  # unordered pairs stored (a, b) with a < b, sorted
+    weights: np.ndarray  # int64 crossing-edge count of each superedge, aligned
+
+    @property
+    def projected_laplacian(self) -> np.ndarray:
+        """Dense t x t C^T L C, built anew on every read.
+
+        Symmetric, float entries of exact integers: off-diagonals are minus
+        the superedge multiplicities, diagonals the balls' crossing degrees.
+        """
+        t = self.supernode_count
+        lap = np.zeros((t, t))
+        a, b = pair_endpoints(self.superedges)
+        lap[a, b] = -self.weights
+        lap[b, a] = -self.weights
+        np.fill_diagonal(lap, -lap.sum(axis=1))  # integer sums, exact in float64
+        return lap
 
 
 def build_projection(p: Partition, n: int) -> ProjectionMap:
@@ -57,37 +77,24 @@ def build_projection(p: Partition, n: int) -> ProjectionMap:
 
 
 def build_coarse_graph(g: Graph, c: ProjectionMap) -> CoarsenedGraph:
-    """Superedges plus the exactly-projected Laplacian.
+    """Superedges with their multiplicities, in O(n + m) memory.
 
     A superedge (a, b) exists iff some original edge crosses from ball a to
-    ball b. Off-diagonal Laplacian entries count cross edges negatively;
-    diagonals make every row sum to zero.
+    ball b; its weight counts those crossing edges.
     """
     if c.rows != g.n:
         raise GraphValidationError(f"projection has {c.rows} rows, graph has {g.n} nodes")
     t = c.cols
-    col = c.column_of
-    cross: dict[tuple[int, int], int] = {}
-    cross_degree = [0] * t
-    for u, v in g.edges:
-        a, b = col[u], col[v]
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        cross[(a, b)] = cross.get((a, b), 0) + 1
-        cross_degree[a] += 1
-        cross_degree[b] += 1
-    lap = np.zeros((t, t), dtype=np.int64)
-    for (a, b), mult in cross.items():
-        lap[a, b] = -mult
-        lap[b, a] = -mult
-    for a in range(t):
-        lap[a, a] = cross_degree[a]
+    col = np.asarray(c.column_of, dtype=np.int64)
+    u, v = pair_endpoints(g.edges)
+    a, b = col[u], col[v]
+    crossing = a != b
+    a, b = a[crossing], b[crossing]
+    keys, weights = np.unique(np.minimum(a, b) * t + np.maximum(a, b), return_counts=True)
     return CoarsenedGraph(
         supernode_count=t,
-        superedges=sorted(cross),
-        projected_laplacian=lap.astype(float),
+        superedges=list(zip((keys // t).tolist(), (keys % t).tolist())),
+        weights=weights.astype(np.int64, copy=False),
     )
 
 

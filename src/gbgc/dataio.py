@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,9 +180,25 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+@contextmanager
+def _replacing(path: str | Path):
+    """Open a fresh temporary file beside `path` for writing and move it
+    over `path` only once the block completes, so readers see either the
+    old file or the whole new one. The temporary file is removed on failure."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_report_csv(records: list[CoarsenRecord], path: str | Path) -> None:
     """Fixed-schema per-graph report; reals carry six fractional digits."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(REPORT_HEADER + "\n")
         for rec in records:
             fh.write(
@@ -191,11 +209,12 @@ def write_report_csv(records: list[CoarsenRecord], path: str | Path) -> None:
 
 
 def write_results(records: list[CoarsenRecord], out_dir: str | Path) -> None:
-    """Emit mapping.jsonl, coarse_edges.txt, and report.csv under out_dir."""
+    """Emit mapping.jsonl, coarse_edges.txt, and report.csv under out_dir,
+    each replaced whole."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        with open(out_dir / "mapping.jsonl", "w") as fh:
+        with _replacing(out_dir / "mapping.jsonl") as fh:
             for rec in records:
                 obj = {
                     "graph_index": rec.graph_index,
@@ -203,7 +222,7 @@ def write_results(records: list[CoarsenRecord], out_dir: str | Path) -> None:
                     "supernode_count": rec.supernode_count,
                 }
                 fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        with open(out_dir / "coarse_edges.txt", "w") as fh:
+        with _replacing(out_dir / "coarse_edges.txt") as fh:
             for rec in records:
                 fh.write(f"graph {rec.graph_index}\n")
                 for a, b in rec.superedges:
@@ -213,8 +232,30 @@ def write_results(records: list[CoarsenRecord], out_dir: str | Path) -> None:
         raise DatasetFormatError(f"failed writing results: {exc}", out_dir) from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _mapping_row_problem(obj) -> str | None:
+    """What is wrong with one decoded mapping.jsonl row, or None."""
+    if not isinstance(obj, dict):
+        return f"row must be a JSON object, got {type(obj).__name__}"
+    for key in ("graph_index", "assignment", "supernode_count"):
+        if key not in obj:
+            return f"missing key {key!r}"
+    index, assignment, count = obj["graph_index"], obj["assignment"], obj["supernode_count"]
+    if not _is_int(index) or index < 0:
+        return f"graph_index must be an integer >= 0, got {index!r}"
+    if not isinstance(assignment, list) or not all(_is_int(a) for a in assignment):
+        return "assignment must be a list of integers"
+    if not _is_int(count) or count < 1:
+        return f"supernode_count must be an integer >= 1, got {count!r}"
+    return None
+
+
 def read_mapping(path: str | Path) -> list[dict]:
-    """Load mapping.jsonl rows (graph_index, assignment, supernode_count)."""
+    """Load mapping.jsonl rows (graph_index, assignment, supernode_count),
+    checking the shape and types of each row."""
     path = Path(path)
     rows = []
     with open(path) as fh:
@@ -226,8 +267,8 @@ def read_mapping(path: str | Path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 raise DatasetFormatError("invalid JSON", path, lineno) from None
-            for key in ("graph_index", "assignment", "supernode_count"):
-                if key not in obj:
-                    raise DatasetFormatError(f"missing key {key!r}", path, lineno)
+            problem = _mapping_row_problem(obj)
+            if problem is not None:
+                raise DatasetFormatError(problem, path, lineno)
             rows.append(obj)
     return rows

@@ -13,7 +13,13 @@ from typing import Literal
 
 import numpy as np
 
-from .coarse import CoarsenedGraph, ProjectionMap, build_projection, superedge_graph
+from .coarse import (
+    CoarsenedGraph,
+    ProjectionMap,
+    build_projection,
+    pair_endpoints,
+    superedge_graph,
+)
 from .engine import Partition, achieved_ratio
 from .errors import GraphValidationError
 from .graph import Graph
@@ -95,9 +101,7 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def project_vector(c: ProjectionMap, x: np.ndarray) -> np.ndarray:
     """C^T x: per-supernode sums of the node vector x."""
-    out = np.zeros(c.cols)
-    np.add.at(out, c.column_of, x)
-    return out
+    return np.bincount(c.column_of, weights=x, minlength=c.cols)
 
 
 def lift_vector(c: ProjectionMap, y: np.ndarray) -> np.ndarray:
@@ -125,14 +129,41 @@ def rayleigh_pair(
     return r_o, r_c
 
 
-def _rayleigh_test_vectors(cg: CoarsenedGraph, c: ProjectionMap, k: int) -> list[np.ndarray]:
-    """Up to k deterministic probes: lifted coarse eigenvectors first, then
-    indicators of the largest balls."""
-    vectors: list[np.ndarray] = []
-    if cg.supernode_count:
-        _, eigvecs = np.linalg.eigh(cg.projected_laplacian)
-        for i in range(min(k, eigvecs.shape[1])):
-            vectors.append(lift_vector(c, eigvecs[:, i]))
+def projected_normalized_laplacian(g: Graph, c: ProjectionMap) -> np.ndarray:
+    """C^T L_norm C accumulated edge by edge into t x t, no n x t indicator.
+
+    Each ball's diagonal gets +1 per member of non-zero degree; each edge
+    (u, v) adds -1/sqrt(d_u d_v) at (col u, col v) and (col v, col u), so an
+    edge inside a ball adds twice that to its diagonal.
+    """
+    t = c.cols
+    col = np.asarray(c.column_of, dtype=np.int64)
+    u, v = pair_endpoints(g.edges)
+    deg = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    a, b = col[u], col[v]
+    upper = np.bincount(
+        np.minimum(a, b) * t + np.maximum(a, b),
+        weights=-1.0 / np.sqrt(deg[u] * deg[v]),
+        minlength=t * t,
+    ).reshape(t, t)
+    lap = upper + upper.T
+    lap[np.diag_indices(t)] += np.bincount(col[deg > 0], minlength=t)
+    return lap
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and matching eigenvectors of a symmetric matrix."""
+    m = np.asarray(m, dtype=float)
+    _check_symmetric(m)
+    if m.size == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    return np.linalg.eigh(m)
+
+
+def _rayleigh_test_vectors(c: ProjectionMap, eigvecs: np.ndarray, k: int) -> list[np.ndarray]:
+    """Up to k deterministic probes: lifted coarse eigenvectors (columns of
+    eigvecs, ascending eigenvalue) first, then indicators of the largest balls."""
+    vectors = [lift_vector(c, eigvecs[:, i]) for i in range(min(k, eigvecs.shape[1]))]
     if len(vectors) < k:
         sizes = c.ball_sizes()
         by_size = sorted(range(len(sizes)), key=lambda a: (-sizes[a], a))
@@ -153,7 +184,10 @@ def evaluate(
     sd_mode "projected" compares against the projected Laplacian of the
     chosen kind; "unweighted" builds that kind's Laplacian on the
     superedge graph instead. Rayleigh quotients always use the
-    combinatorial pair (original Laplacian, projected Laplacian).
+    combinatorial pair (original Laplacian, projected Laplacian). The dense
+    projected Laplacian is built and factored once: its eigenvectors are
+    the probes, and in combinatorial projected mode its eigenvalues are the
+    coarse spectrum.
     """
     cfg = cfg or EvalConfig()
     c = build_projection(p, g.n)
@@ -161,23 +195,23 @@ def evaluate(
         raise GraphValidationError(
             f"partition has {c.cols} balls but coarse graph has {cg.supernode_count} supernodes"
         )
-    lap_orig = laplacian(g, cfg.laplacian_kind)
-    if cfg.sd_mode == "projected":
-        if cfg.laplacian_kind == "combinatorial":
-            lap_coarse = cg.projected_laplacian
-        else:
-            ind = c.indicator_matrix()
-            lap_coarse = ind.T @ lap_orig @ ind
-    elif cfg.sd_mode == "unweighted":
-        lap_coarse = laplacian(superedge_graph(cg), cfg.laplacian_kind)
-    else:
+    if cfg.sd_mode not in ("projected", "unweighted"):
         raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
-    sd = spectral_distance(eigenvalues_symmetric(lap_orig), eigenvalues_symmetric(lap_coarse))
+    lap_orig = laplacian(g, cfg.laplacian_kind)
+    lap_proj = cg.projected_laplacian
+    proj_eigvals, proj_eigvecs = _eigh(lap_proj)
+    if cfg.sd_mode == "unweighted":
+        coarse_eigvals = eigenvalues_symmetric(laplacian(superedge_graph(cg), cfg.laplacian_kind))
+    elif cfg.laplacian_kind == "combinatorial":
+        coarse_eigvals = proj_eigvals
+    else:
+        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, c))
+    sd = spectral_distance(eigenvalues_symmetric(lap_orig), coarse_eigvals)
 
     lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else laplacian(g)
     samples = []
-    for x in _rayleigh_test_vectors(cg, c, cfg.rayleigh_vectors):
-        r_o, r_c = rayleigh_pair(lap_comb, cg.projected_laplacian, c, x)
+    for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
+        r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
         scale = max(abs(r_o), abs(r_c))
         gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
         samples.append((r_o, r_c, gap))

@@ -6,6 +6,8 @@ adjacency matrices as plain nested lists, triple loops, no shared kernels.
 
 from itertools import combinations
 
+import numpy as np
+
 from gbgc import Graph, from_edge_list
 
 
@@ -106,3 +108,36 @@ def charpoly_eigenvalues(m):
     coeffs = faddeev_charpoly(m)
     poly = sympy.Poly(coeffs, sympy.Symbol("x"))
     return sorted(float(r.evalf(30)) for r in poly.real_roots())
+
+
+def indicator_matrix(c):
+    """Dense n x t binary projection matrix C of a ProjectionMap."""
+    ind = np.zeros((c.rows, c.cols))
+    ind[np.arange(c.rows), c.column_of] = 1.0
+    return ind
+
+
+def reference_coarse_graph(g, c):
+    """Dict-and-dense coarse-graph build: (superedges, weights, projected
+    Laplacian), the Laplacian accumulated in a t x t int64 matrix."""
+    t = c.cols
+    col = c.column_of
+    cross = {}
+    cross_degree = [0] * t
+    for u, v in g.edges:
+        a, b = col[u], col[v]
+        if a == b:
+            continue
+        if a > b:
+            a, b = b, a
+        cross[(a, b)] = cross.get((a, b), 0) + 1
+        cross_degree[a] += 1
+        cross_degree[b] += 1
+    lap = np.zeros((t, t), dtype=np.int64)
+    for (a, b), mult in cross.items():
+        lap[a, b] = -mult
+        lap[b, a] = -mult
+    for a in range(t):
+        lap[a, a] = cross_degree[a]
+    superedges = sorted(cross)
+    return superedges, [cross[e] for e in superedges], lap.astype(float)

@@ -42,6 +42,7 @@ from gbgc.errors import DatasetFormatError, GraphValidationError
 
 from conftest import BARBELL_EDGES
 from helpers import brute_connected, brute_quality, enumerate_graphs, adjacency_matrix
+import tests_support
 from tests_support import write_synthetic_tud, write_tiny_tud
 
 
@@ -64,12 +65,7 @@ def fixture_graphs():
 @pytest.fixture(scope="module")
 def er_suite():
     """200 deterministic random graphs, n in [10, 200], mean degree in [2, 8]."""
-    suite = []
-    for i in range(200):
-        n = 10 + (190 * i) // 199
-        mean_degree = 2.0 + 6.0 * (i % 13) / 12.0
-        suite.append(erdos_renyi(n, mean_degree, seed=i))
-    return suite
+    return tests_support.er_suite()
 
 
 @pytest.fixture(scope="module")

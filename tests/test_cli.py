@@ -137,3 +137,34 @@ def test_bench_deterministic_counts(tmp_path, monkeypatch):
     first = [line.split(",")[:4] for line in (out1 / "bench.csv").read_text().splitlines()]
     second = [line.split(",")[:4] for line in (out2 / "bench.csv").read_text().splitlines()]
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["5", "null", '{"graph_index": 0, "assignment": ["0", 0, 0], "supernode_count": 1}'],
+)
+def test_evaluate_malformed_mapping_row_exit_1(tmp_path, capsys, row):
+    k3 = tmp_path / "k3.txt"
+    k3.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    good = json.dumps({"graph_index": 0, "assignment": [0, 0, 0], "supernode_count": 1})
+    (out / "mapping.jsonl").write_text(f"{good}\n{row}\n")
+    assert run(["evaluate", "--input", str(k3), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "mapping.jsonl:2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--skip-sd"], ["--jobs", "2"]])
+def test_evaluate_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--input", str(tmp_path / "g.txt"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bench_rejects_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--jobs", "2"])
+    assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,17 @@ from gbgc import (
     adaptive_coarsen,
     build_coarse_graph,
     build_projection,
+    coarsen,
     erdos_renyi,
+    from_edge_list,
     laplacian,
+    random_partition,
 )
-from gbgc.coarse import superedge_graph
+from gbgc.coarse import ProjectionMap, superedge_graph
+from gbgc.spectral import projected_normalized_laplacian
+
+from helpers import indicator_matrix, reference_coarse_graph
+from tests_support import er_suite
 
 
 def identity_partition(g):
@@ -29,7 +38,7 @@ def test_projection_one_ball(k3):
     c = build_projection(part, 3)
     assert c.column_of == [0, 0, 0]
     assert c.ball_sizes() == [3]
-    ind = c.indicator_matrix()
+    ind = indicator_matrix(c)
     assert (ind.T @ ind).tolist() == [[3.0]]
 
 
@@ -104,7 +113,7 @@ def test_coarse_matches_dense_congruence(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
     c = build_projection(part, 6)
     cg = build_coarse_graph(barbell, c)
-    ind = c.indicator_matrix()
+    ind = indicator_matrix(c)
     dense = ind.T @ laplacian(barbell) @ ind
     assert np.allclose(cg.projected_laplacian, dense, atol=0)
 
@@ -114,3 +123,69 @@ def test_superedge_graph(barbell):
     cg = build_coarse_graph(barbell, build_projection(part, 6))
     g2 = superedge_graph(cg)
     assert g2.n == 2 and g2.edges == ((0, 1),)
+
+
+def partitions_to_check(g):
+    """Partitions of g from every producer: adaptive, both ablations, ratio
+    mode, the random control, plus identity and one ball."""
+    yield identity_partition(g)
+    yield Partition.from_member_groups(g, [range(g.n)])
+    adaptive = coarsen(g, CoarsenConfig())
+    yield adaptive
+    yield coarsen(g, CoarsenConfig(ablation="no_init"))
+    yield coarsen(g, CoarsenConfig(ablation="no_split"))
+    yield coarsen(g, CoarsenConfig(mode="ratio", ratio=0.3))
+    yield random_partition(g, adaptive.ball_count, seed=g.n)
+
+
+def assert_matches_reference(g, part):
+    c = build_projection(part, g.n)
+    cg = build_coarse_graph(g, c)
+    superedges, weights, lap = reference_coarse_graph(g, c)
+    assert cg.supernode_count == c.cols
+    assert cg.superedges == superedges
+    assert all(type(a) is int and type(b) is int for a, b in cg.superedges)
+    assert cg.weights.dtype == np.int64
+    assert cg.weights.tolist() == weights
+    assert np.array_equal(cg.projected_laplacian, lap)
+    ind = indicator_matrix(c)
+    dense = ind.T @ laplacian(g, "normalized") @ ind
+    assert np.allclose(projected_normalized_laplacian(g, c), dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["k2", "k3", "p3", "star3", "barbell"])
+def test_sparse_build_matches_reference_fixtures(name, request):
+    g = request.getfixturevalue(name)
+    for part in partitions_to_check(g):
+        assert_matches_reference(g, part)
+
+
+def test_sparse_build_matches_reference_er_suite():
+    for g in er_suite():
+        for part in partitions_to_check(g):
+            assert_matches_reference(g, part)
+
+
+def test_normalized_projection_isolated_nodes():
+    g = from_edge_list(6, [(0, 1), (1, 2), (4, 5)])  # node 3 is isolated
+    part = Partition.from_member_groups(g, [[0, 3], [1, 2], [4, 5]])
+    c = build_projection(part, g.n)
+    ind = indicator_matrix(c)
+    dense = ind.T @ laplacian(g, "normalized") @ ind
+    assert np.allclose(projected_normalized_laplacian(g, c), dense, rtol=0, atol=1e-12)
+
+
+def test_sparse_build_scale_identity_path():
+    # A dense t x t Laplacian here would take 80 GB.
+    n = 100_000
+    g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+    c = ProjectionMap(rows=n, cols=n, column_of=list(range(n)))
+    tracemalloc.start()
+    try:
+        cg = build_coarse_graph(g, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cg.superedges == list(g.edges)
+    assert cg.weights.tolist() == [1] * (n - 1)
+    assert peak < 64 * 2**20

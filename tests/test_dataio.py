@@ -11,7 +11,8 @@ from gbgc import (
     parse_tudataset,
     write_results,
 )
-from gbgc.dataio import read_mapping, write_edge_list
+import gbgc.dataio as dataio
+from gbgc.dataio import read_mapping, write_edge_list, write_report_csv
 
 
 def write_tud_fixture(tmp_path, name="tiny", labels=True):
@@ -150,3 +151,79 @@ def test_report_csv_parse_back(tmp_path):
         fields = line.split(",")
         assert float(fields[5]) == float(f"{rec.r_a:.6f}")
         assert float(fields[6]) == float(f"{rec.sd:.6f}")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "5",
+        "null",
+        '[0, 1]',
+        '{"graph_index": 0, "assignment": ["0", 0, 0], "supernode_count": 1}',
+        '{"graph_index": 0, "assignment": [0, 0.0, 0], "supernode_count": 1}',
+        '{"graph_index": 0, "assignment": [true, 0, 0], "supernode_count": 1}',
+        '{"graph_index": 0, "assignment": null, "supernode_count": 1}',
+        '{"graph_index": -1, "assignment": [0, 0, 0], "supernode_count": 1}',
+        '{"graph_index": false, "assignment": [0, 0, 0], "supernode_count": 1}',
+        '{"graph_index": "0", "assignment": [0, 0, 0], "supernode_count": 1}',
+        '{"graph_index": 0, "assignment": [0, 0, 0], "supernode_count": 0}',
+        '{"graph_index": 0, "assignment": [0, 0, 0], "supernode_count": true}',
+        '{"graph_index": 0, "assignment": [0, 0, 0], "supernode_count": 1.0}',
+        '{"graph_index": 0, "assignment": [0, 0, 0]}',
+    ],
+)
+def test_read_mapping_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "mapping.jsonl"
+    good = '{"graph_index": 0, "assignment": [0, 0, 0], "supernode_count": 1}'
+    path.write_text(f"{good}\n\n{row}\n")
+    with pytest.raises(DatasetFormatError) as exc:
+        read_mapping(path)
+    assert exc.value.line == 3
+    assert "mapping.jsonl:3: " in str(exc.value)
+
+
+def make_record(index, sd=0.5):
+    return CoarsenRecord(
+        graph_index=index,
+        assignment=[0, 0, 1],
+        supernode_count=2,
+        superedges=[(0, 1)],
+        sd=sd,
+        r_a=2 / 3,
+        elapsed_micros=1,
+        edge_count=2,
+    )
+
+
+def test_write_results_failure_keeps_previous_files(tmp_path, monkeypatch):
+    write_results([make_record(0), make_record(1)], tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_dumps = json.dumps
+    calls = []
+
+    def failing_dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(dataio.json, "dumps", failing_dumps)
+    with pytest.raises(DatasetFormatError, match="no space left"):
+        write_results([make_record(5), make_record(6)], tmp_path)
+    assert len(calls) == 2  # failed partway through mapping.jsonl
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_write_report_csv_failure_keeps_previous_report(tmp_path):
+    class FailingFormat(float):
+        def __format__(self, spec):
+            raise OSError("no space left on device")
+
+    path = tmp_path / "report.csv"
+    write_report_csv([make_record(0)], path)
+    before = path.read_bytes()
+    with pytest.raises(OSError):
+        write_report_csv([make_record(0), make_record(1, sd=FailingFormat(1.0))], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+

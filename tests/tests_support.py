@@ -22,6 +22,16 @@ def write_tiny_tud(directory: Path) -> Path:
     return directory
 
 
+def er_suite():
+    """200 deterministic random graphs, n in [10, 200], mean degree in [2, 8]."""
+    suite = []
+    for i in range(200):
+        n = 10 + (190 * i) // 199
+        mean_degree = 2.0 + 6.0 * (i % 13) / 12.0
+        suite.append(erdos_renyi(n, mean_degree, seed=i))
+    return suite
+
+
 def write_synthetic_tud(directory: Path, graph_count: int, seed_base: int = 0) -> Path:
     """Many small deterministic random graphs in the multi-graph text layout."""
     directory.mkdir(parents=True, exist_ok=True)
