@@ -31,15 +31,7 @@ from .engine import (
 )
 from .errors import DatasetFormatError, GbgcError, GraphValidationError
 from .generators import erdos_renyi, random_partition
-from .graph import (
-    BfsLayering,
-    Graph,
-    bfs_layers,
-    connected_components,
-    count_ordered_triangles_and_wedges,
-    from_edge_list,
-    induced_subgraph,
-)
+from .graph import Graph, from_edge_list
 from .spectral import (
     EvalConfig,
     SpectralReport,
@@ -53,7 +45,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BfsLayering",
     "CoarsenConfig",
     "CoarsenRecord",
     "CoarsenedGraph",
@@ -71,18 +62,14 @@ __all__ = [
     "achieved_ratio",
     "adaptive_coarsen",
     "ball_quality",
-    "bfs_layers",
     "build_coarse_graph",
     "build_projection",
     "coarsen",
-    "connected_components",
-    "count_ordered_triangles_and_wedges",
     "default_init_target",
     "eigenvalues_symmetric",
     "erdos_renyi",
     "evaluate",
     "from_edge_list",
-    "induced_subgraph",
     "init_balls",
     "laplacian",
     "make_ball",

@@ -191,8 +191,8 @@ def run_evaluate(args) -> int:
             print(f"graph {i}: no mapping row", file=sys.stderr)
             return 1
         try:
-            part = _partition_from_assignment(g, row["assignment"], row["supernode_count"])
             t0 = time.perf_counter()
+            part = _partition_from_assignment(g, row["assignment"], row["supernode_count"])
             c = build_projection(part, g.n)
             cg = build_coarse_graph(g, c)
             report = evaluate(g, cg, part, eval_cfg)

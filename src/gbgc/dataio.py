@@ -73,6 +73,8 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
             raise DatasetFormatError("mandatory file missing", mandatory)
 
     graph_of_node: list[int] = []  # 0-based graph id per 1-based global node
+    graph_count = 0
+    graph_count_line = 0  # where the largest id first appears
     with open(ind_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -86,16 +88,31 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
                 ) from None
             if gid < 1:
                 raise DatasetFormatError(f"graph id {gid} must be >= 1", ind_path, lineno)
+            if gid > graph_count:
+                graph_count, graph_count_line = gid, lineno
             graph_of_node.append(gid - 1)
     if not graph_of_node:
         raise DatasetFormatError("indicator file is empty", ind_path)
+    # every graph has a node, so ids are bounded by the node count; checked
+    # before anything is sized by an id
+    if graph_count > len(graph_of_node):
+        raise DatasetFormatError(
+            f"graph id {graph_count} exceeds the {len(graph_of_node)} indicator lines",
+            ind_path,
+            graph_count_line,
+        )
 
-    graph_count = max(graph_of_node) + 1
     local_index: list[int] = [0] * len(graph_of_node)
     node_counts = [0] * graph_count
     for node, gid in enumerate(graph_of_node):
         local_index[node] = node_counts[gid]
         node_counts[gid] += 1
+    if 0 in node_counts:
+        missing = node_counts.index(0) + 1
+        raise DatasetFormatError(
+            f"graph id {missing} has no nodes (ids must run 1..{graph_count} without gaps)",
+            ind_path,
+        )
 
     edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(graph_count)]
     with open(a_path) as fh:

@@ -4,7 +4,9 @@ A granular-ball is a node subset scored by quality = average induced degree
 plus induced transitivity. Coarsening first grows coarse initial balls by
 degree-ranked BFS, then refines each ball by binary splitting around its two
 highest-degree members, keeping a split only when the children's combined
-quality strictly beats the parent's.
+quality strictly beats the parent's. Refinement reads the graph once per
+initial ball: every child inherits its share of the parent's induced
+adjacency and triangles.
 
 All tie-breaks resolve to the lowest node index, so results are fully
 deterministic with no random seed.
@@ -15,12 +17,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .errors import GraphValidationError
 from .graph import Graph
 
 Ablation = Literal["none", "no_split", "no_init"]
+Adjacency = dict[int, frozenset[int]]  # member -> its neighbours inside the ball
+Triangle = tuple[int, int, int]
+# What refinement carries per ball: (members, quality, internal edge count,
+# induced adjacency, triangles); the last two are None until first needed.
+BallState = tuple
 
 
 @dataclass(frozen=True)
@@ -110,44 +118,56 @@ def default_init_target(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _ball_stats(g: Graph, member_set: frozenset[int]) -> tuple[int, float]:
-    """(internal edge count, quality) of the subgraph induced by member_set.
+def _induced(g: Graph, members: Sequence[int]) -> tuple[Adjacency, list[Triangle]]:
+    """Induced adjacency and triangles of the ball on `members` (ascending).
+
+    Returns (inside, triangles): inside maps each member, in the order of
+    `members`, to its neighbours within the ball; triangles lists every
+    triangle of the ball once, as an ascending triple.
+    """
+    member_set = frozenset(members)
+    neighbor_set = g.neighbor_set
+    inside = {v: neighbor_set(v) & member_set for v in members}
+    triangles: list[Triangle] = []
+    for v, near in inside.items():
+        for w in near:
+            if w > v and not near.isdisjoint(inside[w]):
+                for x in near & inside[w]:
+                    if x > w:
+                        triangles.append((v, w, x))
+    return inside, triangles
+
+
+def _state(
+    inside: Adjacency, triangles: list[Triangle], degree_total: int, degree_squares: int
+) -> BallState:
+    """A ball's refinement state from its adjacency, triangles and degree sums.
 
     Quality = E/N + ordered_triangles/ordered_wedges on the induced
-    subgraph, with the second term 0 when no wedges exist.
+    subgraph, with the second term 0 when no wedges exist; the ordered
+    counts are 6 * triangles and sum(d * (d - 1)) = sum(d^2) - sum(d).
     """
-    degree_total = 0
-    wedges = 0
-    closed = 0  # per-edge common-neighbor counts; sums to 3 * triangles
-    for v in member_set:
-        inside = g.neighbor_set(v) & member_set
-        d = len(inside)
-        degree_total += d
-        wedges += d * (d - 1)
-        for w in inside:
-            if w > v:
-                closed += len(inside & g.neighbor_set(w))
+    wedges = degree_squares - degree_total
     edges = degree_total // 2
-    quality = edges / len(member_set)
+    quality = edges / len(inside)
     if wedges:
-        quality += (2 * closed) / wedges
-    return edges, quality
+        quality += (2 * (3 * len(triangles))) / wedges
+    return tuple(inside), quality, edges, inside, triangles
 
 
 def ball_quality(g: Graph, members: Iterable[int]) -> float:
     """Quality of the ball induced by `members` (must be nonempty)."""
-    member_set = frozenset(members)
-    if not member_set:
-        raise GraphValidationError("ball members must be nonempty")
-    return _ball_stats(g, member_set)[1]
+    return make_ball(g, members).quality
 
 
 def make_ball(g: Graph, members: Iterable[int]) -> GranularBall:
     member_tuple = tuple(sorted(set(members)))
     if not member_tuple:
         raise GraphValidationError("ball members must be nonempty")
-    edges, quality = _ball_stats(g, frozenset(member_tuple))
-    return GranularBall(members=member_tuple, quality=quality, internal_edge_count=edges)
+    inside, triangles = _induced(g, member_tuple)
+    degrees = list(map(len, inside.values()))
+    state = _state(inside, triangles, sum(degrees), sum(map(mul, degrees, degrees)))
+    return GranularBall(*state[:3])
 
 
 def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
@@ -211,47 +231,79 @@ def split_ball(g: Graph, ball: GranularBall) -> tuple[GranularBall, GranularBall
     """
     if ball.size < 2:
         raise GraphValidationError("cannot split a singleton ball")
-    member_set = frozenset(ball.members)
-    induced_degree = {v: len(g.neighbor_set(v) & member_set) for v in ball.members}
-
-    def argmax_degree(exclude: int | None) -> int:
-        best, best_d = -1, -1
-        for v in ball.members:  # ascending, so ties keep the lowest index
-            if v == exclude:
-                continue
-            d = induced_degree[v]
-            if d > best_d:
-                best, best_d = v, d
-        return best
-
-    v_a = argmax_degree(None)
-    v_b = argmax_degree(v_a)
-    dist_a = _bfs_distances(g, v_a, member_set)
-    dist_b = _bfs_distances(g, v_b, member_set)
-    inf = float("inf")
-    group_a, group_b = [], []
-    for v in ball.members:
-        if dist_b.get(v, inf) < dist_a.get(v, inf):
-            group_b.append(v)
-        else:
-            group_a.append(v)
-    return make_ball(g, group_a), make_ball(g, group_b)
+    child_a, child_b = _split(ball.members, *_induced(g, ball.members))
+    return GranularBall(*child_a[:3]), GranularBall(*child_b[:3])
 
 
-def _bfs_distances(g: Graph, source: int, allowed: frozenset[int]) -> dict[int, int]:
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
+def _split(
+    members: tuple[int, ...], inside: Adjacency, triangles: list[Triangle]
+) -> tuple[BallState, BallState]:
+    """Children of a ball with at least two members, from its carried state.
+
+    One two-source BFS decides ownership: each level first expands the first
+    center's frontier, then the second's, and a node belongs to whichever
+    reaches it first. A node at level d is reached from the first frontier
+    exactly when its distance to the first center is d, so the second child
+    gets precisely the nodes strictly closer to the second center; nodes
+    that neither center reaches stay with the first. The children's
+    adjacency is the parent's restricted to each side, and each triangle
+    goes to the child holding all three of its corners.
+    """
+    degrees = list(map(len, inside.values()))
+    i_a = degrees.index(max(degrees))  # first maximum: ties keep the lowest index
+    degrees[i_a] = -1
+    v_a, v_b = members[i_a], members[degrees.index(max(degrees))]
+
+    size = len(members)
+    seen = {v_a, v_b}
+    owned_b = {v_b}
+    frontier_a = [v_a]
+    frontier_b = [v_b]
+    # once the second frontier dies out, or every node is reached, no owner changes
+    while frontier_b and len(seen) < size:
         nxt = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if w in allowed and w not in dist:
-                    dist[w] = d
+        for v in frontier_a:
+            for w in inside[v]:
+                if w not in seen:
+                    seen.add(w)
                     nxt.append(w)
-        frontier = nxt
-    return dist
+        frontier_a = nxt
+        nxt = []
+        for v in frontier_b:
+            for w in inside[v]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        owned_b.update(nxt)
+        frontier_b = nxt
+
+    inside_a: Adjacency = {}
+    inside_b: Adjacency = {}
+    total_a = squares_a = total_b = squares_b = 0
+    for v, near in inside.items():  # ascending, so both children stay sorted
+        if v in owned_b:
+            near = inside_b[v] = near & owned_b
+            d = len(near)
+            total_b += d
+            squares_b += d * d
+        else:
+            near = inside_a[v] = near - owned_b
+            d = len(near)
+            total_a += d
+            squares_a += d * d
+    triangles_a: list[Triangle] = []
+    triangles_b: list[Triangle] = []
+    for tri in triangles:
+        x, y, z = tri
+        if x in owned_b:
+            if y in owned_b and z in owned_b:
+                triangles_b.append(tri)
+        elif y not in owned_b and z not in owned_b:
+            triangles_a.append(tri)
+    return (
+        _state(inside_a, triangles_a, total_a, squares_a),
+        _state(inside_b, triangles_b, total_b, squares_b),
+    )
 
 
 def _refine(
@@ -259,23 +311,32 @@ def _refine(
     start: Sequence[GranularBall],
     decisions: list[SplitDecision] | None,
 ) -> list[GranularBall]:
-    """Recursive quality-gated splitting; returns final balls in preorder."""
+    """Recursive quality-gated splitting; returns final balls in preorder.
+
+    A start ball's induced adjacency and triangles are computed when it is
+    popped; every child carries its share of its parent's.
+    """
     final: list[GranularBall] = []
-    stack = list(reversed(start))
+    stack: list[BallState] = [
+        (ball.members, ball.quality, ball.internal_edge_count, None, None)
+        for ball in reversed(start)
+    ]
     while stack:
-        ball = stack.pop()
-        if ball.size < 2:
-            final.append(ball)
+        members, quality, edges, inside, triangles = stack.pop()
+        if len(members) < 2:
+            final.append(GranularBall(members, quality, edges))
             continue
-        child_a, child_b = split_ball(g, ball)
-        accepted = child_a.quality + child_b.quality > ball.quality
+        if inside is None:
+            inside, triangles = _induced(g, members)
+        child_a, child_b = _split(members, inside, triangles)
+        accepted = child_a[1] + child_b[1] > quality
         if decisions is not None:
             decisions.append(
                 SplitDecision(
-                    parent_size=ball.size,
-                    parent_quality=ball.quality,
-                    child_a_quality=child_a.quality,
-                    child_b_quality=child_b.quality,
+                    parent_size=len(members),
+                    parent_quality=quality,
+                    child_a_quality=child_a[1],
+                    child_b_quality=child_b[1],
                     accepted=accepted,
                 )
             )
@@ -283,7 +344,7 @@ def _refine(
             stack.append(child_b)
             stack.append(child_a)
         else:
-            final.append(ball)
+            final.append(GranularBall(members, quality, edges))
     return final
 
 
@@ -331,23 +392,26 @@ def ratio_coarsen(g: Graph, r: float) -> Partition:
 
     heap: list[tuple] = []
 
-    def push(ball: GranularBall):
+    def push(ball: GranularBall, inside, triangles):
         if ball.size < 2:
             return
-        child_a, child_b = split_ball(g, ball)
-        gain = child_a.quality + child_b.quality - ball.quality
+        if inside is None:
+            inside, triangles = _induced(g, ball.members)
+        child_a, child_b = _split(ball.members, inside, triangles)
+        gain = child_a[1] + child_b[1] - ball.quality
         # min member is unique across live balls, making the key total
         heapq.heappush(heap, (-gain, -ball.size, ball.members[0], ball, child_a, child_b))
 
     for ball in part.balls:
-        push(ball)
+        push(ball, None, None)
     children: dict[int, tuple[GranularBall, GranularBall]] = {}
     while count < k and heap:
-        _, _, _, parent, child_a, child_b = heapq.heappop(heap)
+        _, _, _, parent, state_a, state_b = heapq.heappop(heap)
+        child_a, child_b = GranularBall(*state_a[:3]), GranularBall(*state_b[:3])
         children[id(parent)] = (child_a, child_b)
         count += 1
-        push(child_a)
-        push(child_b)
+        push(child_a, *state_a[3:])
+        push(child_b, *state_b[3:])
 
     final: list[GranularBall] = []
     stack = list(reversed(part.balls))

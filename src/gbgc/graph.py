@@ -1,4 +1,4 @@
-"""Immutable undirected simple graph plus the traversal and counting kernels.
+"""Immutable undirected simple graph.
 
 Adjacency lists are kept sorted ascending and every iteration order derives
 from them, so everything downstream is deterministic without a random seed.
@@ -6,8 +6,6 @@ from them, so everything downstream is deterministic without a random seed.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GraphValidationError
@@ -39,18 +37,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @property
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._adj_sets[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -60,15 +51,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-@dataclass
-class BfsLayering:
-    """Layer-by-layer BFS result; layers[0] == [source], layers sorted within."""
-
-    source: int
-    layers: list[list[int]]
-    visited: set[int] = field(default_factory=set)
 
 
 def from_edge_list(node_count: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -89,88 +71,3 @@ def from_edge_list(node_count: int, edge_pairs: Iterable[tuple[int, int]]) -> Gr
             continue
         seen.add((u, v) if u < v else (v, u))
     return Graph(node_count, sorted(seen))
-
-
-def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph on `nodes` with local indices assigned in ascending global order.
-
-    Returns (subgraph, mapping) where mapping[local] == global index.
-    """
-    mapping = sorted(set(nodes))
-    for v in mapping:
-        if not (0 <= v < g.n):
-            raise GraphValidationError(f"node {v} out of range for graph with n={g.n}")
-    local = {v: i for i, v in enumerate(mapping)}
-    node_set = local.keys()
-    edges = []
-    for v in mapping:
-        lv = local[v]
-        for w in g.adj[v]:
-            if w > v and w in node_set:
-                edges.append((lv, local[w]))
-    return Graph(len(mapping), sorted(edges)), mapping
-
-
-def bfs_layers(g: Graph, source: int, allowed: set[int] | None = None) -> BfsLayering:
-    """BFS from `source`, optionally restricted to `allowed` nodes.
-
-    Nodes within a layer appear in ascending index order; allowed nodes
-    unreachable from the source are simply absent.
-    """
-    if not (0 <= source < g.n):
-        raise GraphValidationError(f"source {source} out of range")
-    if allowed is not None and source not in allowed:
-        raise GraphValidationError(f"source {source} not in allowed set")
-    visited = {source}
-    layers = [[source]]
-    frontier = [source]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if w in visited:
-                    continue
-                if allowed is not None and w not in allowed:
-                    continue
-                visited.add(w)
-                nxt.append(w)
-        if not nxt:
-            break
-        nxt.sort()
-        layers.append(nxt)
-        frontier = nxt
-    return BfsLayering(source=source, layers=layers, visited=visited)
-
-
-def count_ordered_triangles_and_wedges(g: Graph) -> tuple[int, int]:
-    """Counts over ordered distinct triples: (6 * triangles, sum_v deg(v)(deg(v)-1)).
-
-    Triangles come from common-neighbor intersections per edge, which counts
-    each unordered triangle three times.
-    """
-    closed3 = 0
-    for u, v in g.edges:
-        closed3 += len(g._adj_sets[u] & g._adj_sets[v])
-    wedges = sum(d * (d - 1) for d in (len(a) for a in g.adj))
-    return 2 * closed3, wedges
-
-
-def connected_components(g: Graph) -> list[set[int]]:
-    """Maximal connected node sets, ordered by smallest member."""
-    seen = [False] * g.n
-    comps: list[set[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps

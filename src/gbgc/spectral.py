@@ -72,15 +72,12 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise GraphValidationError("matrix is not symmetric")
 
 
-def eigenvalues_symmetric(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
     Backed by LAPACK's symmetric solver, which comfortably meets the 1e-8
-    accuracy contract on the dense graph Laplacians this toolkit produces;
-    tol is validated for interface compatibility with iterative solvers.
+    accuracy contract on the dense graph Laplacians this toolkit produces.
     """
-    if tol <= 0:
-        raise GraphValidationError("tol must be positive")
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
     if m.size == 0:

@@ -1,14 +1,33 @@
-"""Brute-force oracles and small-graph enumeration shared by the tests.
+"""Brute-force oracles, reference kernels and small-graph enumeration shared
+by the tests.
 
 Everything here is deliberately independent of the package internals:
 adjacency matrices as plain nested lists, triple loops, no shared kernels.
+The graph kernels below (induced subgraphs, BFS layers, components,
+triangle and wedge counts) are used only by the tests, and the reference
+engine keeps the recursive refinement as first written, recomputing every
+ball from the graph, as the oracle for the carry-forward engine.
 """
 
+import heapq
+import math
+from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from gbgc import Graph, from_edge_list
+from gbgc import (
+    CoarsenConfig,
+    GranularBall,
+    Graph,
+    GraphValidationError,
+    Partition,
+    SplitDecision,
+    default_init_target,
+    from_edge_list,
+    init_balls,
+)
 
 
 def all_pairs(n):
@@ -141,3 +160,254 @@ def reference_coarse_graph(g, c):
         lap[a, a] = cross_degree[a]
     superedges = sorted(cross)
     return superedges, [cross[e] for e in superedges], lap.astype(float)
+
+
+@dataclass
+class BfsLayering:
+    """Layer-by-layer BFS result; layers[0] == [source], layers sorted within."""
+
+    source: int
+    layers: list
+    visited: set = field(default_factory=set)
+
+
+def induced_subgraph(g: Graph, nodes):
+    """Subgraph on `nodes` with local indices assigned in ascending global order.
+
+    Returns (subgraph, mapping) where mapping[local] == global index.
+    """
+    mapping = sorted(set(nodes))
+    for v in mapping:
+        if not (0 <= v < g.n):
+            raise GraphValidationError(f"node {v} out of range for graph with n={g.n}")
+    local = {v: i for i, v in enumerate(mapping)}
+    edges = []
+    for v in mapping:
+        for w in g.adj[v]:
+            if w > v and w in local:
+                edges.append((local[v], local[w]))
+    return Graph(len(mapping), sorted(edges)), mapping
+
+
+def bfs_layers(g: Graph, source: int, allowed=None) -> BfsLayering:
+    """BFS from `source`, optionally restricted to `allowed` nodes.
+
+    Nodes within a layer appear in ascending index order; allowed nodes
+    unreachable from the source are simply absent.
+    """
+    if not (0 <= source < g.n):
+        raise GraphValidationError(f"source {source} out of range")
+    if allowed is not None and source not in allowed:
+        raise GraphValidationError(f"source {source} not in allowed set")
+    visited = {source}
+    layers = [[source]]
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if w in visited:
+                    continue
+                if allowed is not None and w not in allowed:
+                    continue
+                visited.add(w)
+                nxt.append(w)
+        if not nxt:
+            break
+        nxt.sort()
+        layers.append(nxt)
+        frontier = nxt
+    return BfsLayering(source=source, layers=layers, visited=visited)
+
+
+def count_ordered_triangles_and_wedges(g: Graph):
+    """Counts over ordered distinct triples: (6 * triangles, sum_v deg(v)(deg(v)-1)).
+
+    Triangles come from common-neighbor intersections per edge, which counts
+    each unordered triangle three times.
+    """
+    closed3 = 0
+    for u, v in g.edges:
+        closed3 += len(g.neighbor_set(u) & g.neighbor_set(v))
+    wedges = sum(d * (d - 1) for d in (len(a) for a in g.adj))
+    return 2 * closed3, wedges
+
+
+def connected_components(g: Graph):
+    """Maximal connected node sets, ordered by smallest member."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = {s}
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _ball_stats(g, member_set):
+    """(internal edge count, quality) of the subgraph induced by member_set,
+    with the triangles recounted by set intersection on every edge."""
+    degree_total = 0
+    wedges = 0
+    closed = 0  # per-edge common-neighbor counts; sums to 3 * triangles
+    for v in member_set:
+        inside = g.neighbor_set(v) & member_set
+        d = len(inside)
+        degree_total += d
+        wedges += d * (d - 1)
+        for w in inside:
+            if w > v:
+                closed += len(inside & g.neighbor_set(w))
+    edges = degree_total // 2
+    quality = edges / len(member_set)
+    if wedges:
+        quality += (2 * closed) / wedges
+    return edges, quality
+
+
+def reference_make_ball(g, members):
+    member_tuple = tuple(sorted(set(members)))
+    edges, quality = _ball_stats(g, frozenset(member_tuple))
+    return GranularBall(members=member_tuple, quality=quality, internal_edge_count=edges)
+
+
+def _bfs_distances(g, source, allowed):
+    dist = {source: 0}
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if w in allowed and w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def reference_split_ball(g, ball):
+    """Split around the two highest induced degrees; a node goes to the
+    second center's child iff it is strictly closer to that center, from two
+    separate BFS passes; both children are rebuilt from the graph."""
+    member_set = frozenset(ball.members)
+    induced_degree = {v: len(g.neighbor_set(v) & member_set) for v in ball.members}
+
+    def argmax_degree(exclude):
+        best, best_d = -1, -1
+        for v in ball.members:  # ascending, so ties keep the lowest index
+            if v == exclude:
+                continue
+            d = induced_degree[v]
+            if d > best_d:
+                best, best_d = v, d
+        return best
+
+    v_a = argmax_degree(None)
+    v_b = argmax_degree(v_a)
+    dist_a = _bfs_distances(g, v_a, member_set)
+    dist_b = _bfs_distances(g, v_b, member_set)
+    inf = float("inf")
+    group_a, group_b = [], []
+    for v in ball.members:
+        if dist_b.get(v, inf) < dist_a.get(v, inf):
+            group_b.append(v)
+        else:
+            group_a.append(v)
+    return reference_make_ball(g, group_a), reference_make_ball(g, group_b)
+
+
+def reference_refine(g, start, decisions):
+    final = []
+    stack = list(reversed(start))
+    while stack:
+        ball = stack.pop()
+        if ball.size < 2:
+            final.append(ball)
+            continue
+        child_a, child_b = reference_split_ball(g, ball)
+        accepted = child_a.quality + child_b.quality > ball.quality
+        if decisions is not None:
+            decisions.append(
+                SplitDecision(
+                    parent_size=ball.size,
+                    parent_quality=ball.quality,
+                    child_a_quality=child_a.quality,
+                    child_b_quality=child_b.quality,
+                    accepted=accepted,
+                )
+            )
+        if accepted:
+            stack.append(child_b)
+            stack.append(child_a)
+        else:
+            final.append(ball)
+    return final
+
+
+def _reference_init(g):
+    part = init_balls(g, default_init_target(g.n))
+    return [reference_make_ball(g, ball.members) for ball in part.balls]
+
+
+def reference_ratio_coarsen(g, r):
+    k = max(1, math.ceil(r * g.n))
+    start = _reference_init(g)
+    count = len(start)
+    if count >= k:
+        return Partition.from_balls(g.n, start)
+
+    heap = []
+
+    def push(ball):
+        if ball.size < 2:
+            return
+        child_a, child_b = reference_split_ball(g, ball)
+        gain = child_a.quality + child_b.quality - ball.quality
+        heapq.heappush(heap, (-gain, -ball.size, ball.members[0], ball, child_a, child_b))
+
+    for ball in start:
+        push(ball)
+    children = {}
+    while count < k and heap:
+        _, _, _, parent, child_a, child_b = heapq.heappop(heap)
+        children[id(parent)] = (child_a, child_b)
+        count += 1
+        push(child_a)
+        push(child_b)
+
+    final = []
+    stack = list(reversed(start))
+    while stack:
+        ball = stack.pop()
+        split = children.get(id(ball))
+        if split is None:
+            final.append(ball)
+        else:
+            stack.append(split[1])
+            stack.append(split[0])
+    return Partition.from_balls(g.n, final)
+
+
+def reference_coarsen(g, cfg: CoarsenConfig, decisions=None):
+    """The reference engine behind gbgc.coarsen: same modes and ablations."""
+    if cfg.mode == "ratio":
+        return reference_ratio_coarsen(g, cfg.ratio)
+    if cfg.ablation == "no_init":
+        start = [reference_make_ball(g, range(g.n))]
+    else:
+        start = _reference_init(g)
+        if cfg.ablation == "no_split":
+            return Partition.from_balls(g.n, start)
+    return Partition.from_balls(g.n, reference_refine(g, start, decisions))

@@ -19,7 +19,6 @@ from gbgc import (
     Partition,
     adaptive_coarsen,
     ball_quality,
-    bfs_layers,
     build_coarse_graph,
     build_projection,
     default_init_target,
@@ -41,7 +40,7 @@ from gbgc.dataio import write_edge_list
 from gbgc.errors import DatasetFormatError, GraphValidationError
 
 from conftest import BARBELL_EDGES
-from helpers import brute_connected, brute_quality, enumerate_graphs, adjacency_matrix
+from helpers import adjacency_matrix, bfs_layers, brute_connected, brute_quality, enumerate_graphs
 import tests_support
 from tests_support import write_synthetic_tud, write_tiny_tud
 
@@ -184,7 +183,7 @@ def test_criterion_05_coarse_laplacian_identities(adaptive_runs):
         lap = cg.projected_laplacian
         if not np.all(lap.sum(axis=1) == 0.0):
             bad += 1
-        degrees = g.degrees
+        degrees = [g.degree(v) for v in range(g.n)]
         for a, ball in enumerate(part.balls):
             expected = sum(degrees[v] for v in ball.members) - 2 * ball.internal_edge_count
             if lap[a, a] != expected:

@@ -55,6 +55,16 @@ def test_coarsen_tudataset_fixture(tmp_path):
     assert len(read_report(out)) == 2
 
 
+def test_coarsen_graph_id_gap_exit_1_without_output(tmp_path, capsys):
+    data = write_tiny_tud(tmp_path / "tiny")
+    (data / "tiny_graph_indicator.txt").write_text("1\n1\n1\n3\n3\n")
+    (data / "tiny_graph_labels.txt").unlink()
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out)]) == 1
+    assert "graph id 2 has no nodes" in capsys.readouterr().err
+    assert not (out / "mapping.jsonl").exists()
+
+
 def test_coarsen_parse_error_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 x\n")

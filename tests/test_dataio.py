@@ -58,6 +58,26 @@ def test_parse_tudataset_malformed_line(tmp_path):
         parse_tudataset(tmp_path, "tiny")
 
 
+def test_parse_tudataset_graph_id_beyond_node_count(tmp_path):
+    # rejected before any list is sized by the id
+    write_tud_fixture(tmp_path, labels=False)
+    (tmp_path / "tiny_graph_indicator.txt").write_text(f"1\n1\n1\n2\n{10**12}\n")
+    with pytest.raises(
+        DatasetFormatError, match=r"tiny_graph_indicator\.txt:5: graph id 1000000000000 exceeds"
+    ):
+        parse_tudataset(tmp_path, "tiny")
+
+
+def test_parse_tudataset_graph_id_gap(tmp_path):
+    write_tud_fixture(tmp_path, labels=False)
+    (tmp_path / "tiny_graph_indicator.txt").write_text("1\n1\n3\n3\n3\n")
+    (tmp_path / "tiny_A.txt").write_text("1, 2\n3, 4\n")
+    with pytest.raises(
+        DatasetFormatError, match=r"tiny_graph_indicator\.txt: graph id 2 has no nodes"
+    ):
+        parse_tudataset(tmp_path, "tiny")
+
+
 def test_parse_edge_list_k3(tmp_path):
     path = tmp_path / "k3.txt"
     path.write_text("0 1\n1 2\n2 0\n")

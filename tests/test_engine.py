@@ -7,7 +7,6 @@ from gbgc import (
     achieved_ratio,
     adaptive_coarsen,
     ball_quality,
-    bfs_layers,
     default_init_target,
     erdos_renyi,
     from_edge_list,
@@ -16,6 +15,8 @@ from gbgc import (
     ratio_coarsen,
     split_ball,
 )
+
+from helpers import bfs_layers
 
 
 def assert_valid_partition(part, n):

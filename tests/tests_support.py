@@ -32,16 +32,23 @@ def er_suite():
     return suite
 
 
+def synthetic_graphs(graph_count: int, seed_base: int = 0):
+    """Many small deterministic random graphs, n in [10, 50], mean degree in [2, 6]."""
+    return [
+        erdos_renyi(10 + (i * 7) % 41, 2.0 + (i % 5), seed=seed_base + i)
+        for i in range(graph_count)
+    ]
+
+
 def write_synthetic_tud(directory: Path, graph_count: int, seed_base: int = 0) -> Path:
-    """Many small deterministic random graphs in the multi-graph text layout."""
+    """synthetic_graphs() in the multi-graph text layout."""
     directory.mkdir(parents=True, exist_ok=True)
     name = directory.name
     indicator_lines = []
     edge_lines = []
     offset = 0
-    for i in range(graph_count):
-        n = 10 + (i * 7) % 41
-        g = erdos_renyi(n, 2.0 + (i % 5), seed=seed_base + i)
+    for i, g in enumerate(synthetic_graphs(graph_count, seed_base)):
+        n = g.n
         indicator_lines.extend([str(i + 1)] * n)
         for u, v in g.edges:
             edge_lines.append(f"{offset + u + 1}, {offset + v + 1}")
