@@ -138,7 +138,10 @@ def run_coarsen(args) -> int:
         ratio=args.ratio,
         ablation=args.ablation.replace("-", "_"),
     )
-    eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
+    # coarsen writes only the SD, so no Rayleigh probes are computed
+    eval_cfg = EvalConfig(
+        laplacian_kind=args.laplacian, sd_mode=args.sd_mode, rayleigh_vectors=0
+    )
     bundle = _load_bundle(args)
     t0 = time.perf_counter()
     tasks = [(i, g, cfg, eval_cfg, args.skip_sd) for i, g in enumerate(bundle.graphs)]
@@ -241,7 +244,9 @@ def run_bench(args) -> int:
         n = BENCH_SIZES[0]
         g = erdos_renyi(n, BENCH_MEAN_DEGREE, seed=n)
         part = coarsen(g, CoarsenConfig())
-        eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
+        eval_cfg = EvalConfig(
+            laplacian_kind=args.laplacian, sd_mode=args.sd_mode, rayleigh_vectors=0
+        )
         gbgc_sd = evaluate(g, build_coarse_graph(g, build_projection(part, g.n)), part, eval_cfg).sd
         control = random_partition(g, part.ball_count, seed=n)
         random_sd = evaluate(

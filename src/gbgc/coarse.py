@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
 from .engine import Partition
 from .errors import GraphValidationError
-from .graph import Graph
-
-
-def pair_endpoints(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """First and second ends of a sequence of int pairs as two int64 arrays."""
-    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    return ends[0::2], ends[1::2]
+from .graph import Graph, from_edge_list
 
 
 @dataclass
@@ -56,7 +49,10 @@ class CoarsenedGraph:
         """
         t = self.supernode_count
         lap = np.zeros((t, t))
-        a, b = pair_endpoints(self.superedges)
+        ends = np.fromiter(
+            chain.from_iterable(self.superedges), dtype=np.int64, count=2 * len(self.superedges)
+        )
+        a, b = ends[0::2], ends[1::2]
         lap[a, b] = -self.weights
         lap[b, a] = -self.weights
         np.fill_diagonal(lap, -lap.sum(axis=1))  # integer sums, exact in float64
@@ -86,7 +82,7 @@ def build_coarse_graph(g: Graph, c: ProjectionMap) -> CoarsenedGraph:
         raise GraphValidationError(f"projection has {c.rows} rows, graph has {g.n} nodes")
     t = c.cols
     col = np.asarray(c.column_of, dtype=np.int64)
-    u, v = pair_endpoints(g.edges)
+    u, v = g.edge_arrays()
     a, b = col[u], col[v]
     crossing = a != b
     a, b = a[crossing], b[crossing]
@@ -100,4 +96,4 @@ def build_coarse_graph(g: Graph, c: ProjectionMap) -> CoarsenedGraph:
 
 def superedge_graph(cg: CoarsenedGraph) -> Graph:
     """The unweighted coarse graph over supernodes."""
-    return Graph(cg.supernode_count, cg.superedges)
+    return from_edge_list(cg.supernode_count, cg.superedges)

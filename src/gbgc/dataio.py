@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DatasetFormatError
+import numpy as np
+
+from .errors import DatasetFormatError, GbgcError
 from .graph import Graph, from_edge_list
 
 log = logging.getLogger(__name__)
@@ -48,14 +51,221 @@ class CoarsenRecord:
         return len(self.assignment)
 
 
-def _read_int_pair(line: str, sep: str, path: Path, lineno: int) -> tuple[int, int]:
+# Input grammar, shared by the vectorized pass and the per-line reader: a
+# token is an ASCII decimal integer with an optional sign, [+-]?[0-9]+; lines
+# end in \n, \r\n or \r; blanks are space, tab, \v and \f.
+_TOKEN = re.compile(rb"[+-]?[0-9]+")
+_BLANK, _NEWLINE, _SEP, _SIGN, _DIGIT, _OTHER = range(6)  # byte classes
+# What a line holds, in order: tokens (a token's first byte, class _SIGN or
+# _DIGIT, counts as _SIGN), separators and line ends.
+_NEWLINE_EVENT, _SEP_EVENT, _TOKEN_EVENT = _NEWLINE, _SEP, _SIGN
+_MAX_DIGITS = 18  # longer tokens may not fit int64; the per-line reader takes them
+_CHUNK = 1 << 20  # bytes classified at once, which bounds the temporaries
+
+
+def _byte_classes(sep: bytes | None) -> np.ndarray:
+    classes = np.full(256, _OTHER, dtype=np.uint8)
+    classes[list(b" \t\x0b\x0c")] = _BLANK
+    classes[ord("\n")] = _NEWLINE
+    classes[list(b"+-")] = _SIGN
+    classes[ord("0") : ord("9") + 1] = _DIGIT
+    if sep is not None:
+        classes[ord(sep)] = _SEP
+    return classes
+
+
+_PLAIN_CLASSES = _byte_classes(None)
+_COMMA_CLASSES = _byte_classes(b",")
+
+
+def _read_text(path: Path) -> bytes:
+    """File bytes with \r\n and \r line ends turned into \n."""
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _blank_comment_lines(chunk: np.ndarray, cls: np.ndarray) -> None:
+    """Reclassify as blank every line whose first non-blank byte is '#'."""
+    hashes = np.flatnonzero(chunk == ord("#"))
+    if not len(hashes):
+        return
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    line_start = np.concatenate(([0], newlines + 1))[np.searchsorted(newlines, hashes)]
+    solid = np.flatnonzero(cls > _NEWLINE)
+    heads = hashes[solid[np.searchsorted(solid, line_start)] == hashes]
+    line_end = np.concatenate((newlines, [len(chunk)]))[np.searchsorted(newlines, heads)]
+    mark = np.zeros(len(chunk) + 1, dtype=np.int8)
+    mark[heads] = 1
+    mark[line_end] = -1
+    cls[np.cumsum(mark[:-1], dtype=np.int8) > 0] = _BLANK
+
+
+def _scan_chunk(
+    chunk: np.ndarray, row: tuple[int, ...], classes: np.ndarray, comments: bool
+) -> np.ndarray | None:
+    """Token values of whole lines, or None if a line breaks the grammar."""
+    cls = np.take(classes, chunk)
+    if comments:
+        _blank_comment_lines(chunk, cls)
+    if (cls == _OTHER).any():
+        return None
+    in_token = (cls >= _SIGN).view(np.int8)
+    step = np.diff(in_token, prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    signed = cls[starts] == _SIGN
+    digits = ends - starts - signed
+    if len(starts) and (
+        np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed)  # a sign inside a token
+        or digits.min() < 1
+        or digits.max() > _MAX_DIGITS
+    ):
+        return None
+    # the sequence of tokens, separators and line ends must repeat `row` per line
+    marks = (cls == _NEWLINE) | (cls == _SEP)
+    marks[starts] = True
+    events = np.minimum(cls[marks], _TOKEN_EVENT)
+    line_ends = np.flatnonzero(events == _NEWLINE_EVENT)
+    per_line = np.diff(line_ends, prepend=-1, append=len(events)) - 1
+    if ((per_line != 0) & (per_line != len(row))).any():
+        return None
+    if (events[events != _NEWLINE_EVENT].reshape(-1, len(row)) != row).any():
+        return None
+    first = starts + signed
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(int(digits.max()) if len(starts) else 0, 0, -1):
+        at = ends - k  # k-th digit from the right, if the token has one
+        values *= 10
+        values += np.where(at >= first, np.take(chunk, at, mode="clip") - ord("0"), 0)
+    return np.where(chunk[starts] == ord("-"), -values, values)
+
+
+def _scan(
+    data: bytes,
+    row: tuple[int, ...],
+    classes: np.ndarray,
+    offset: int = 0,
+    comments: bool = False,
+) -> np.ndarray | None:
+    """All tokens of data[offset:] in one vectorized pass, one int64 row per
+    non-blank line.
+
+    Every non-blank line must show the events in `row` (_TOKEN_EVENT,
+    _SEP_EVENT); with `comments`, lines starting with '#' count as blank.
+    Returns None when a line breaks the grammar or a token has more than
+    _MAX_DIGITS digits; the per-line reader then names that line.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    parts = []
+    start = offset
+    while start < len(buf):
+        stop = len(buf)
+        if start + _CHUNK < len(buf):  # cut after a line end
+            stop = data.rfind(b"\n", start, start + _CHUNK) + 1
+            if stop <= start:
+                stop = data.find(b"\n", start + _CHUNK) + 1 or len(buf)
+        values = _scan_chunk(buf[start:stop], row, classes, comments)
+        if values is None:
+            return None
+        parts.append(values)
+        start = stop
+    width = row.count(_TOKEN_EVENT)
+    return np.concatenate(parts or [np.zeros(0, dtype=np.int64)]).reshape(-1, width)
+
+
+def _lines(data: bytes):
+    """(line number, stripped line) of every non-blank line."""
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _int(token: bytes) -> int | None:
+    token = token.strip()
+    return int(token) if _TOKEN.fullmatch(token) else None
+
+
+def _show(line: bytes) -> str:
+    return repr(line.decode(errors="replace"))
+
+
+def _read_int_pair(line: bytes, sep: bytes | None, path: Path, lineno: int) -> tuple[int, int]:
     parts = line.split(sep)
     if len(parts) != 2:
-        raise DatasetFormatError(f"expected two fields, got {line!r}", path, lineno)
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DatasetFormatError(f"non-integer token in {line!r}", path, lineno) from None
+        raise DatasetFormatError(f"expected two fields, got {_show(line)}", path, lineno)
+    u, v = _int(parts[0]), _int(parts[1])
+    if u is None or v is None:
+        raise DatasetFormatError(f"non-integer token in {_show(line)}", path, lineno)
+    return u, v
+
+
+def _indicator_by_line(data: bytes, path: Path) -> list[int]:
+    """Graph ids read line by line; raises DatasetFormatError at the first bad line."""
+    ids: list[int] = []
+    graph_count = 0
+    graph_count_line = 0  # where the largest id first appears
+    for lineno, line in _lines(data):
+        gid = _int(line)
+        if gid is None:
+            raise DatasetFormatError(f"non-integer graph id {_show(line)}", path, lineno)
+        if gid < 1:
+            raise DatasetFormatError(f"graph id {gid} must be >= 1", path, lineno)
+        if gid > graph_count:
+            graph_count, graph_count_line = gid, lineno
+        ids.append(gid)
+    if not ids:
+        raise DatasetFormatError("indicator file is empty", path)
+    # every graph has a node, so ids are bounded by the node count; checked
+    # before anything is sized by an id
+    if graph_count > len(ids):
+        raise DatasetFormatError(
+            f"graph id {graph_count} exceeds the {len(ids)} indicator lines",
+            path,
+            graph_count_line,
+        )
+    return ids
+
+
+def _tu_edges_by_line(data: bytes, path: Path, graph_of_node: list[int]) -> list[tuple[int, int]]:
+    """1-based edge pairs read line by line; raises DatasetFormatError at the
+    first bad line (malformed, out of range, or across two graphs)."""
+    pairs = []
+    for lineno, line in _lines(data):
+        u, v = _read_int_pair(line, b",", path, lineno)
+        if not (1 <= u <= len(graph_of_node)) or not (1 <= v <= len(graph_of_node)):
+            raise DatasetFormatError(f"node index out of range in edge ({u}, {v})", path, lineno)
+        gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
+        if gu != gv:
+            raise DatasetFormatError(
+                f"edge ({u}, {v}) spans graphs {gu + 1} and {gv + 1}", path, lineno
+            )
+        pairs.append((u, v))
+    return pairs
+
+
+def _labels_by_line(data: bytes, path: Path) -> list[int]:
+    labels = []
+    for lineno, line in _lines(data):
+        label = _int(line)
+        if label is None:
+            raise DatasetFormatError(f"non-integer label {_show(line)}", path, lineno)
+        labels.append(label)
+    return labels
+
+
+def _within(values: np.ndarray, low: int, high: int | None) -> bool:
+    """Whether every value lies in [low, high), with no upper bound for None."""
+    return not len(values) or (values.min() >= low and (high is None or values.max() < high))
+
+
+def _in_one_graph(pairs: np.ndarray, graph_of_node: np.ndarray) -> bool:
+    """Whether 1-based pairs all name existing nodes of one graph each."""
+    return _within(pairs, 1, len(graph_of_node) + 1) and bool(
+        (graph_of_node[pairs[:, 0] - 1] == graph_of_node[pairs[:, 1] - 1]).all()
+    )
 
 
 def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
@@ -63,7 +273,9 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
 
     Nodes are renumbered per graph following indicator order; edges are
     deduplicated and symmetrized; an edge across two graph ids is a format
-    error. Known optional files are skipped with a logged notice.
+    error. Known optional files are skipped with a logged notice. Each file
+    is read in one vectorized pass; only a file that pass rejects is read
+    again line by line, to name the first bad line.
     """
     directory = Path(directory)
     a_path = directory / f"{name}_A.txt"
@@ -72,81 +284,38 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
         if not mandatory.is_file():
             raise DatasetFormatError("mandatory file missing", mandatory)
 
-    graph_of_node: list[int] = []  # 0-based graph id per 1-based global node
-    graph_count = 0
-    graph_count_line = 0  # where the largest id first appears
-    with open(ind_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                gid = int(line)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"non-integer graph id {line!r}", ind_path, lineno
-                ) from None
-            if gid < 1:
-                raise DatasetFormatError(f"graph id {gid} must be >= 1", ind_path, lineno)
-            if gid > graph_count:
-                graph_count, graph_count_line = gid, lineno
-            graph_of_node.append(gid - 1)
-    if not graph_of_node:
-        raise DatasetFormatError("indicator file is empty", ind_path)
-    # every graph has a node, so ids are bounded by the node count; checked
-    # before anything is sized by an id
-    if graph_count > len(graph_of_node):
-        raise DatasetFormatError(
-            f"graph id {graph_count} exceeds the {len(graph_of_node)} indicator lines",
-            ind_path,
-            graph_count_line,
-        )
-
-    local_index: list[int] = [0] * len(graph_of_node)
-    node_counts = [0] * graph_count
-    for node, gid in enumerate(graph_of_node):
-        local_index[node] = node_counts[gid]
-        node_counts[gid] += 1
-    if 0 in node_counts:
-        missing = node_counts.index(0) + 1
+    data = _read_text(ind_path)
+    ids = _scan(data, (_TOKEN_EVENT,), _PLAIN_CLASSES)
+    if ids is None or not len(ids) or not _within(ids, 1, len(ids) + 1):
+        ids = np.array(_indicator_by_line(data, ind_path), dtype=np.int64)
+    graph_of_node = ids.reshape(-1) - 1  # 0-based graph id per 0-based global node
+    graph_count = int(graph_of_node.max()) + 1
+    node_counts = np.bincount(graph_of_node, minlength=graph_count)
+    if not node_counts.all():
+        missing = int(np.argmin(node_counts)) + 1
         raise DatasetFormatError(
             f"graph id {missing} has no nodes (ids must run 1..{graph_count} without gaps)",
             ind_path,
         )
+    # local index: rank of the node among its graph's nodes, in file order
+    by_graph = np.argsort(graph_of_node, kind="stable")
+    first_node = np.cumsum(node_counts) - node_counts
+    local_index = np.empty_like(graph_of_node)
+    local_index[by_graph] = np.arange(len(by_graph)) - first_node[graph_of_node[by_graph]]
 
-    edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(graph_count)]
-    with open(a_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            u, v = _read_int_pair(line, ",", a_path, lineno)
-            if not (1 <= u <= len(graph_of_node)) or not (1 <= v <= len(graph_of_node)):
-                raise DatasetFormatError(
-                    f"node index out of range in edge ({u}, {v})", a_path, lineno
-                )
-            gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
-            if gu != gv:
-                raise DatasetFormatError(
-                    f"edge ({u}, {v}) spans graphs {gu + 1} and {gv + 1}", a_path, lineno
-                )
-            edge_lists[gu].append((local_index[u - 1], local_index[v - 1]))
+    data = _read_text(a_path)
+    pairs = _scan(data, (_TOKEN_EVENT, _SEP_EVENT, _TOKEN_EVENT), _COMMA_CLASSES)
+    if pairs is None or not _in_one_graph(pairs, graph_of_node):
+        pairs = np.array(
+            _tu_edges_by_line(data, a_path, graph_of_node.tolist()), dtype=np.int64
+        ).reshape(-1, 2)
 
     labels: list[int] | None = None
     label_path = directory / f"{name}_graph_labels.txt"
     if label_path.is_file():
-        labels = []
-        with open(label_path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    labels.append(int(line))
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"non-integer label {line!r}", label_path, lineno
-                    ) from None
+        data = _read_text(label_path)
+        values = _scan(data, (_TOKEN_EVENT,), _PLAIN_CLASSES)
+        labels = _labels_by_line(data, label_path) if values is None else values.ravel().tolist()
         if len(labels) != graph_count:
             raise DatasetFormatError(
                 f"{len(labels)} labels for {graph_count} graphs", label_path
@@ -157,35 +326,87 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
         if extra.is_file():
             log.info("ignoring optional file %s (structure-only pipeline)", extra.name)
 
-    graphs = [from_edge_list(node_counts[i], edge_lists[i]) for i in range(graph_count)]
+    ends = pairs - 1
+    edge_graph = graph_of_node[ends[:, 0]]
+    by_graph = np.argsort(edge_graph, kind="stable")
+    local_pairs = local_index[ends[by_graph]]
+    bounds = [0, *np.cumsum(np.bincount(edge_graph, minlength=graph_count)).tolist()]
+    counts = node_counts.tolist()
+    graphs = [
+        from_edge_list(counts[i], local_pairs[bounds[i] : bounds[i + 1]])
+        for i in range(graph_count)
+    ]
     return DatasetBundle(name=name, graphs=graphs, graph_labels=labels)
+
+
+def _edge_list_header(data: bytes) -> tuple[int | None, int] | None:
+    """(node count, offset past the header) if the first non-blank,
+    non-comment line is a well-formed 'n <count>' header; (None, offset of
+    that line) if it is no header; None if it is a malformed one."""
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start) + 1 or len(data)
+        line = data[start:stop].strip()
+        if line and not line.startswith(b"#"):
+            if not line.startswith(b"n "):
+                return None, start
+            count = _int(line.split()[1])
+            return None if count is None or count < 0 else (count, stop)
+        start = stop
+    return None, start
+
+
+def _edge_list_by_line(data: bytes, path: Path) -> tuple[int | None, list[tuple[int, int]]]:
+    """(header node count, pairs) read line by line; raises
+    DatasetFormatError at the first bad line, negative or out-of-range
+    indices included."""
+    node_count: int | None = None
+    pairs: list[tuple[int, int]] = []
+    for lineno, line in _lines(data):
+        if line.startswith(b"#"):
+            continue
+        if node_count is None and not pairs and line.startswith(b"n "):
+            node_count = _int(line.split()[1])
+            if node_count is None:
+                raise DatasetFormatError(f"bad header {_show(line)}", path, lineno)
+            if node_count < 0:
+                raise DatasetFormatError(
+                    f"node_count must be nonnegative, got {node_count}", path, lineno
+                )
+            continue
+        u, v = _read_int_pair(line, None, path, lineno)
+        if node_count is None and min(u, v) < 0:
+            raise DatasetFormatError(f"negative node index in edge ({u}, {v})", path, lineno)
+        if node_count is not None and not (0 <= min(u, v) and max(u, v) < node_count):
+            raise DatasetFormatError(
+                f"edge ({u}, {v}) out of range for node_count={node_count}", path, lineno
+            )
+        pairs.append((u, v))
+    return node_count, pairs
 
 
 def parse_edge_list(path: str | Path) -> Graph:
     """Whitespace 'u v' pairs, 0-indexed; optional 'n <count>' header;
-    '#' starts a comment line."""
+    '#' starts a comment line.
+
+    The file is read in one vectorized pass; only a file that pass rejects
+    is read again line by line, to name the first bad line.
+    """
     path = Path(path)
-    node_count: int | None = None
-    pairs: list[tuple[int, int]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if node_count is None and not pairs and line.startswith("n "):
-                try:
-                    node_count = int(line.split()[1])
-                except (IndexError, ValueError):
-                    raise DatasetFormatError(
-                        f"bad header {line!r}", path, lineno
-                    ) from None
-                continue
-            pairs.append(_read_int_pair(line, None, path, lineno))
-    if node_count is None:
-        node_count = max((max(u, v) for u, v in pairs), default=-1) + 1
+    data = _read_text(path)
+    header = _edge_list_header(data)
+    pairs = None
+    if header is not None:
+        node_count, offset = header
+        pairs = _scan(data, (_TOKEN_EVENT, _TOKEN_EVENT), _PLAIN_CLASSES, offset, comments=True)
+    if pairs is None or not _within(pairs, 0, node_count):
+        node_count, pairs = _edge_list_by_line(data, path)
     try:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if node_count is None:
+            node_count = int(pairs.max()) + 1 if len(pairs) else 0
         return from_edge_list(node_count, pairs)
-    except Exception as exc:
+    except (GbgcError, ValueError, OverflowError, MemoryError) as exc:
         raise DatasetFormatError(str(exc), path) from exc
 
 

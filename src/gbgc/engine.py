@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from .errors import GraphValidationError
 from .graph import Graph
 
@@ -126,8 +128,8 @@ def _induced(g: Graph, members: Sequence[int]) -> tuple[Adjacency, list[Triangle
     triangle of the ball once, as an ascending triple.
     """
     member_set = frozenset(members)
-    neighbor_set = g.neighbor_set
-    inside = {v: neighbor_set(v) & member_set for v in members}
+    adj = g.adj
+    inside = {v: member_set.intersection(adj[v]) for v in members}
     triangles: list[Triangle] = []
     for v, near in inside.items():
         for w in near:
@@ -183,9 +185,11 @@ def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
         raise GraphValidationError("cannot initialize balls on an empty graph")
     if target < 1:
         raise GraphValidationError("target must be >= 1")
+    adj = g.adj
     remaining = bytearray([1]) * g.n
     remaining_count = g.n
-    by_degree = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    # stable, so equal degrees keep ascending node order
+    by_degree = np.argsort(-np.diff(g.indptr), kind="stable").tolist()
     cursor = 0
     nodes_visited = 0
     edge_traversals = 0
@@ -201,7 +205,7 @@ def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
         while frontier:
             nxt: list[int] = []
             for v in frontier:
-                for w in g.adj[v]:
+                for w in adj[v]:
                     edge_traversals += 1
                     if remaining[w]:
                         remaining[w] = 0

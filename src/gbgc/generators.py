@@ -7,7 +7,7 @@ import random
 
 from .engine import Partition
 from .errors import GraphValidationError
-from .graph import Graph
+from .graph import Graph, from_edge_list
 
 
 def erdos_renyi(n: int, mean_degree: float, seed: int) -> Graph:
@@ -19,13 +19,13 @@ def erdos_renyi(n: int, mean_degree: float, seed: int) -> Graph:
     if n < 1:
         raise GraphValidationError("n must be >= 1")
     if n == 1:
-        return Graph(1, [])
+        return from_edge_list(1, [])
     p = min(1.0, max(0.0, mean_degree / (n - 1)))
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if p >= 1.0:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return Graph(n, edges)
+        return from_edge_list(n, edges)
     if p > 0.0:
         log_q = math.log1p(-p)
         total = n * (n - 1) // 2
@@ -44,7 +44,7 @@ def erdos_renyi(n: int, mean_degree: float, seed: int) -> Graph:
                 u += 1
             v = idx - u * (u - 1) // 2
             edges.append((v, u))
-    return Graph(n, sorted(edges))
+    return from_edge_list(n, edges)
 
 
 def random_partition(g: Graph, ball_count: int, seed: int) -> Partition:

@@ -13,13 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coarse import (
-    CoarsenedGraph,
-    ProjectionMap,
-    build_projection,
-    pair_endpoints,
-    superedge_graph,
-)
+from .coarse import CoarsenedGraph, ProjectionMap, build_projection, superedge_graph
 from .engine import Partition, achieved_ratio
 from .errors import GraphValidationError
 from .graph import Graph
@@ -49,12 +43,10 @@ class SpectralReport:
 def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
     """Dense graph Laplacian. Normalized kind zeroes rows of isolated nodes."""
     n = g.n
-    a = np.zeros((n, n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    deg = a.sum(axis=1)
-    lap = np.diag(deg) - a
+    deg = np.diff(g.indptr)
+    lap = np.zeros((n, n))
+    lap[np.repeat(np.arange(n), deg), g.indices] = -1.0
+    lap[np.diag_indices(n)] = deg
     if kind == "combinatorial":
         return lap
     if kind == "normalized":
@@ -135,8 +127,8 @@ def projected_normalized_laplacian(g: Graph, c: ProjectionMap) -> np.ndarray:
     """
     t = c.cols
     col = np.asarray(c.column_of, dtype=np.int64)
-    u, v = pair_endpoints(g.edges)
-    deg = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    u, v = g.edge_arrays()
+    deg = np.diff(g.indptr)
     a, b = col[u], col[v]
     upper = np.bincount(
         np.minimum(a, b) * t + np.maximum(a, b),
@@ -181,10 +173,12 @@ def evaluate(
     sd_mode "projected" compares against the projected Laplacian of the
     chosen kind; "unweighted" builds that kind's Laplacian on the
     superedge graph instead. Rayleigh quotients always use the
-    combinatorial pair (original Laplacian, projected Laplacian). The dense
-    projected Laplacian is built and factored once: its eigenvectors are
-    the probes, and in combinatorial projected mode its eigenvalues are the
-    coarse spectrum.
+    combinatorial pair (original Laplacian, projected Laplacian). With
+    probes asked for, the dense projected Laplacian is built and factored
+    once: its eigenvectors are the probes, and in combinatorial projected
+    mode its eigenvalues are the coarse spectrum. With
+    ``cfg.rayleigh_vectors == 0`` only eigenvalues are computed, and only
+    those the SD needs.
     """
     cfg = cfg or EvalConfig()
     c = build_projection(p, g.n)
@@ -195,23 +189,26 @@ def evaluate(
     if cfg.sd_mode not in ("projected", "unweighted"):
         raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
     lap_orig = laplacian(g, cfg.laplacian_kind)
-    lap_proj = cg.projected_laplacian
-    proj_eigvals, proj_eigvecs = _eigh(lap_proj)
+    probing = cfg.rayleigh_vectors > 0
+    if probing:
+        lap_proj = cg.projected_laplacian
+        proj_eigvals, proj_eigvecs = _eigh(lap_proj)
     if cfg.sd_mode == "unweighted":
         coarse_eigvals = eigenvalues_symmetric(laplacian(superedge_graph(cg), cfg.laplacian_kind))
     elif cfg.laplacian_kind == "combinatorial":
-        coarse_eigvals = proj_eigvals
+        coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
     else:
         coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, c))
     sd = spectral_distance(eigenvalues_symmetric(lap_orig), coarse_eigvals)
 
-    lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else laplacian(g)
     samples = []
-    for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
-        r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
-        scale = max(abs(r_o), abs(r_c))
-        gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
-        samples.append((r_o, r_c, gap))
+    if probing:
+        lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else laplacian(g)
+        for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
+            r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
+            scale = max(abs(r_o), abs(r_c))
+            gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
+            samples.append((r_o, r_c, gap))
     return SpectralReport(
         sd=sd,
         r_a=achieved_ratio(p, g.n),

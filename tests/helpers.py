@@ -6,7 +6,9 @@ adjacency matrices as plain nested lists, triple loops, no shared kernels.
 The graph kernels below (induced subgraphs, BFS layers, components,
 triangle and wedge counts) are used only by the tests, and the reference
 engine keeps the recursive refinement as first written, recomputing every
-ball from the graph, as the oracle for the carry-forward engine.
+ball from the graph, as the oracle for the carry-forward engine. The
+reference parsers keep the line-by-line readers as the oracle for the
+vectorized ones.
 """
 
 import heapq
@@ -171,6 +173,11 @@ class BfsLayering:
     visited: set = field(default_factory=set)
 
 
+def neighbor_set(g: Graph, v: int) -> frozenset:
+    """Neighbours of v as a frozenset, built from the graph's adjacency tuples."""
+    return frozenset(g.adj[v])
+
+
 def induced_subgraph(g: Graph, nodes):
     """Subgraph on `nodes` with local indices assigned in ascending global order.
 
@@ -186,7 +193,7 @@ def induced_subgraph(g: Graph, nodes):
         for w in g.adj[v]:
             if w > v and w in local:
                 edges.append((local[v], local[w]))
-    return Graph(len(mapping), sorted(edges)), mapping
+    return from_edge_list(len(mapping), edges), mapping
 
 
 def bfs_layers(g: Graph, source: int, allowed=None) -> BfsLayering:
@@ -228,7 +235,7 @@ def count_ordered_triangles_and_wedges(g: Graph):
     """
     closed3 = 0
     for u, v in g.edges:
-        closed3 += len(g.neighbor_set(u) & g.neighbor_set(v))
+        closed3 += len(neighbor_set(g, u) & neighbor_set(g, v))
     wedges = sum(d * (d - 1) for d in (len(a) for a in g.adj))
     return 2 * closed3, wedges
 
@@ -261,13 +268,13 @@ def _ball_stats(g, member_set):
     wedges = 0
     closed = 0  # per-edge common-neighbor counts; sums to 3 * triangles
     for v in member_set:
-        inside = g.neighbor_set(v) & member_set
+        inside = neighbor_set(g, v) & member_set
         d = len(inside)
         degree_total += d
         wedges += d * (d - 1)
         for w in inside:
             if w > v:
-                closed += len(inside & g.neighbor_set(w))
+                closed += len(inside & neighbor_set(g, w))
     edges = degree_total // 2
     quality = edges / len(member_set)
     if wedges:
@@ -302,7 +309,7 @@ def reference_split_ball(g, ball):
     second center's child iff it is strictly closer to that center, from two
     separate BFS passes; both children are rebuilt from the graph."""
     member_set = frozenset(ball.members)
-    induced_degree = {v: len(g.neighbor_set(v) & member_set) for v in ball.members}
+    induced_degree = {v: len(neighbor_set(g, v) & member_set) for v in ball.members}
 
     def argmax_degree(exclude):
         best, best_d = -1, -1
@@ -411,3 +418,75 @@ def reference_coarsen(g, cfg: CoarsenConfig, decisions=None):
         if cfg.ablation == "no_split":
             return Partition.from_balls(g.n, start)
     return Partition.from_balls(g.n, reference_refine(g, start, decisions))
+
+
+# Reference parsers: the per-line readers the vectorized ones replaced, kept
+# with Python's int() tokens and text-mode lines. They return plain
+# structures, (node count, sorted unique edges u < v) per graph, built with
+# sets independently of Graph and from_edge_list.
+
+
+def _reference_graph(node_count, pairs):
+    for u, v in pairs:
+        if not (0 <= u < node_count) or not (0 <= v < node_count):
+            raise ValueError(f"edge ({u}, {v}) out of range for node_count={node_count}")
+    return node_count, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+def _reference_pair(line, sep):
+    parts = line.split(sep)
+    if len(parts) != 2:
+        raise ValueError(f"expected two fields, got {line!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def reference_parse_edge_list(path):
+    """(n, edges) of a whitespace edge list with an optional 'n <count>' header."""
+    node_count = None
+    pairs = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if node_count is None and not pairs and line.startswith("n "):
+                node_count = int(line.split()[1])
+                continue
+            pairs.append(_reference_pair(line, None))
+    if node_count is None:
+        node_count = max((max(u, v) for u, v in pairs), default=-1) + 1
+    return _reference_graph(node_count, pairs)
+
+
+def reference_parse_tudataset(directory, name):
+    """([(n, edges) per graph], labels or None) of a multi-graph directory."""
+    with open(f"{directory}/{name}_graph_indicator.txt") as fh:
+        graph_of_node = [int(line) - 1 for line in fh if line.strip()]
+    graph_count = max(graph_of_node) + 1
+    local_index = []
+    node_counts = [0] * graph_count
+    for gid in graph_of_node:
+        local_index.append(node_counts[gid])
+        node_counts[gid] += 1
+    edge_lists = [[] for _ in range(graph_count)]
+    with open(f"{directory}/{name}_A.txt") as fh:
+        for raw in fh:
+            if raw.strip():
+                u, v = _reference_pair(raw.strip(), ",")
+                gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
+                if gu != gv:
+                    raise ValueError(f"edge ({u}, {v}) spans graphs {gu + 1} and {gv + 1}")
+                edge_lists[gu].append((local_index[u - 1], local_index[v - 1]))
+    labels = None
+    try:
+        with open(f"{directory}/{name}_graph_labels.txt") as fh:
+            labels = [int(line) for line in fh if line.strip()]
+    except FileNotFoundError:
+        pass
+    graphs = [_reference_graph(node_counts[i], edge_lists[i]) for i in range(graph_count)]
+    return graphs, labels
+
+
+def plain(g: Graph):
+    """(n, edges) of a Graph, comparable with the reference parsers' output."""
+    return g.n, list(g.edges)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import gbgc.cli as cli
-from tests_support import write_barbell_edgelist, write_tiny_tud
+from tests_support import write_barbell_edgelist, write_synthetic_tud, write_tiny_tud
 
 
 def run(argv):
@@ -73,6 +73,25 @@ def test_coarsen_parse_error_exit_1(tmp_path, capsys):
     assert "bad.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("n 3\n0 5\n", "bad1.txt:2: edge (0, 5) out of range for node_count=3"),
+        ("0 1\n-1 2\n", "bad1.txt:2: negative node index in edge (-1, 2)"),
+    ],
+)
+def test_coarsen_bad_index_exit_1_with_file_and_line(tmp_path, capsys, text, error):
+    bad = tmp_path / "bad1.txt"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(bad), "--format", "edgelist",
+                "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert error in err
+    assert "Traceback" not in err
+    assert not (out / "mapping.jsonl").exists()
+
+
 def test_evaluate_round_trip(tmp_path):
     inp = write_barbell_edgelist(tmp_path / "barbell.txt")
     out = tmp_path / "out"
@@ -115,6 +134,35 @@ def test_jobs_parallel_identical_mapping(tmp_path):
     assert run(["coarsen", "--input", str(data), "--output", str(out2), "--jobs", "2"]) == 0
     assert (out1 / "mapping.jsonl").read_bytes() == (out2 / "mapping.jsonl").read_bytes()
     assert (out1 / "coarse_edges.txt").read_bytes() == (out2 / "coarse_edges.txt").read_bytes()
+
+
+def test_jobs_parallel_identical_outputs_synthetic(tmp_path):
+    data = write_synthetic_tud(tmp_path / "synth", graph_count=300)
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["coarsen", "--input", str(data), "--output", str(out),
+                    "--jobs", str(jobs)]) == 0
+        report = [row.rsplit(",", 1)[0] for row in (out / "report.csv").read_text().splitlines()]
+        outs.append(((out / "mapping.jsonl").read_bytes(),
+                     (out / "coarse_edges.txt").read_bytes(), report))
+    assert outs[0] == outs[1]
+
+
+def test_coarsen_asks_for_no_rayleigh_probes(tmp_path, monkeypatch):
+    configs = []
+    real_evaluate = cli.evaluate
+
+    def recording_evaluate(g, cg, p, cfg=None):
+        configs.append(cfg)
+        return real_evaluate(g, cg, p, cfg)
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    inp = write_barbell_edgelist(tmp_path / "barbell.txt")
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(inp), "--output", str(out)]) == 0
+    assert run(["evaluate", "--input", str(inp), "--output", str(out)]) == 0
+    assert [cfg.rayleigh_vectors for cfg in configs] == [0, 16]
 
 
 def test_gbgc_jobs_env(monkeypatch):

@@ -247,3 +247,110 @@ def test_write_report_csv_failure_keeps_previous_report(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("n 3\n0 5\n", r"bad1\.txt:2: edge \(0, 5\) out of range for node_count=3"),
+        ("n 3\n0 1\n-1 2\n", r"bad1\.txt:3: edge \(-1, 2\) out of range for node_count=3"),
+        ("0 1\n\n-1 2\n", r"bad1\.txt:3: negative node index in edge \(-1, 2\)"),
+    ],
+)
+def test_parse_edge_list_bad_index_names_file_and_line(tmp_path, text, error):
+    path = tmp_path / "bad1.txt"
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError, match=error):
+        parse_edge_list(path)
+
+
+# Several bad lines of different kinds: the first in file order is named,
+# whatever its kind, as a line-by-line reading would find it.
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("n 4\n0 1\n\n1 x\n0 9\n1 2 3\n", r":4: non-integer token in '1 x'"),
+        ("n 4\n0 9\n1 x\n", r":2: edge \(0, 9\) out of range for node_count=4"),
+        ("0 1\n-2 1\n0 x\n", r":2: negative node index in edge \(-2, 1\)"),
+        ("0 1\n1 2 3\n-1 0\n", r":2: expected two fields, got '1 2 3'"),
+        ("# c\n0 1 # trailing\n0 x\n", r":2: expected two fields, got '0 1 # trailing'"),
+        ("# c\nn x\n0 1\n", r":2: bad header 'n x'"),
+        ("n -2\n0 1\n", r":1: node_count must be nonnegative, got -2"),
+        ("n 3\n0 1\nn 3\n0 -1\n", r":3: non-integer token in 'n 3'"),
+        ("0 1\r\n0 1_0\r\n\r\n1 -1\r\n", r":2: non-integer token in '0 1_0'"),
+        ("n 3\n0 1 # trailing\n", r":2: expected two fields, got '0 1 # trailing'"),
+        # 2**64 + 1, which int64 arithmetic would wrap to 1
+        ("n 3\n0 18446744073709551617\n",
+         r":2: edge \(0, 18446744073709551617\) out of range for node_count=3"),
+    ],
+)
+def test_parse_edge_list_names_first_bad_line(tmp_path, text, error):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(DatasetFormatError, match=r"bad\.txt" + error):
+        parse_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "indicator, edges, labels, error",
+    [
+        ("1\n1\n2\n2\n", "1, 2\n1 2\n9, 1\n1, 4\n", None, r"tiny_A\.txt:2: expected two fields"),
+        ("1\n1\n2\n2\n", "1, 2\n1, 9\n1, x\n", None,
+         r"tiny_A\.txt:2: node index out of range in edge \(1, 9\)"),
+        ("1\n1\n2\n2\n", "1, 2\n3, 5\n", None,
+         r"tiny_A\.txt:2: node index out of range in edge \(3, 5\)"),
+        ("1\n1\n2\n2\n", "1, 2\n1, 4\n1, 9\n", None,
+         r"tiny_A\.txt:2: edge \(1, 4\) spans graphs 1 and 2"),
+        ("1\n1\n2\n2\n", "1, 2\n\n3,4\n+1, x\n0, 1\n", None,
+         r"tiny_A\.txt:4: non-integer token in '\+1, x'"),
+        ("1\n1\nx\n0\n", "1, 2\n", None, r"tiny_graph_indicator\.txt:3: non-integer graph id 'x'"),
+        ("1\n1\n0\nx\n", "1, 2\n", None, r"tiny_graph_indicator\.txt:3: graph id 0 must be >= 1"),
+        ("1\n1\n2\n2\n", "1, 2\n", "1\n1_0\n", r"tiny_graph_labels\.txt:2: non-integer label"),
+    ],
+)
+def test_parse_tudataset_names_first_bad_line(tmp_path, indicator, edges, labels, error):
+    (tmp_path / "tiny_graph_indicator.txt").write_text(indicator)
+    (tmp_path / "tiny_A.txt").write_text(edges)
+    if labels is not None:
+        (tmp_path / "tiny_graph_labels.txt").write_text(labels)
+    with pytest.raises(DatasetFormatError, match=error):
+        parse_tudataset(tmp_path, "tiny")
+
+
+# Tokens are ASCII decimal integers with an optional sign; int() accepted
+# more of these before.
+@pytest.mark.parametrize("token", ["1_0", "١", "٣٤", "0x1", "1.0", "1e1", "--1", "+-1", "1-", "+"])
+def test_token_grammar_rejects_with_file_and_line(tmp_path, token):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 1\n0 {token}\n")
+    with pytest.raises(DatasetFormatError, match=r"g\.txt:2: non-integer token"):
+        parse_edge_list(path)
+    write_tud_fixture(tmp_path, labels=False)
+    (tmp_path / "tiny_graph_indicator.txt").write_text(f"1\n1\n{token}\n")
+    with pytest.raises(DatasetFormatError, match=r"tiny_graph_indicator\.txt:3: non-integer"):
+        parse_tudataset(tmp_path, "tiny")
+
+
+def test_token_grammar_accepts_signs_and_leading_zeros(tmp_path):
+    # 21 digits is past the vectorized pass's int64 width; the per-line reader takes it
+    path = tmp_path / "g.txt"
+    path.write_text("n 3\n+0 -0\n000000000000000000002 1\n\t0  2 \n")
+    assert parse_edge_list(path) == from_edge_list(3, [(2, 1), (0, 2)])
+
+
+def test_parse_edge_list_line_endings(tmp_path):
+    path = tmp_path / "g.txt"
+    for ending in ("\n", "\r\n", "\r"):
+        path.write_bytes(ending.join(["# k3", "n 3", "0 1", "", "1 2", "2 0"]).encode())
+        assert parse_edge_list(path) == from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_parse_edge_list_spans_scan_chunks(tmp_path, monkeypatch):
+    # chunks of a few bytes: lines longer than a chunk, cuts inside comments
+    monkeypatch.setattr(dataio, "_CHUNK", 5)
+    path = tmp_path / "g.txt"
+    path.write_text("n 30\n# a comment longer than a chunk\n0 1\n12 29\n  3    4  \n# x\n5 6")
+    assert parse_edge_list(path) == from_edge_list(30, [(0, 1), (12, 29), (3, 4), (5, 6)])
+    path.write_text("n 30\n0 1\n# a comment longer than a chunk\n1 x\n")
+    with pytest.raises(DatasetFormatError, match=r"g\.txt:4: non-integer token"):
+        parse_edge_list(path)

@@ -1,8 +1,11 @@
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from gbgc import GraphValidationError, from_edge_list
+from gbgc import CoarsenConfig, Graph, GraphValidationError, coarsen, erdos_renyi, from_edge_list
+from gbgc.graph import MAX_NODES
 
 from helpers import (
     adjacency_matrix,
@@ -128,3 +131,49 @@ def test_connected_components(k3):
     assert connected_components(isolated) == [{0}, {1}]
     k3_plus_k2 = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     assert sorted(len(c) for c in connected_components(k3_plus_k2)) == [2, 3]
+
+
+def test_csr_arrays(barbell):
+    assert barbell.indptr.tolist() == [0, 2, 4, 7, 10, 12, 14]
+    assert barbell.indices.tolist() == [1, 2, 0, 2, 0, 1, 3, 2, 4, 5, 3, 5, 3, 4]
+    assert barbell.indptr.dtype == barbell.indices.dtype == np.int64
+    with pytest.raises(ValueError):
+        barbell.indices[0] = 5  # read-only
+
+
+def test_adj_and_edges_derive_from_csr():
+    rng = random.Random(3)
+    for _ in range(30):
+        n = rng.randint(1, 15)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 40))]
+        g = from_edge_list(n, pairs)
+        expected = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        assert list(g.edges) == expected
+        assert g.edge_count == len(expected)
+        for v in range(n):
+            near = tuple(sorted({b for a, b in expected if a == v} | {a for a, b in expected if b == v}))
+            assert g.adj[v] == g.neighbors(v) == near
+            assert g.degree(v) == len(near)
+        assert from_edge_list(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == g
+
+
+def test_pickle_carries_only_n_and_csr():
+    g = erdos_renyi(200, 4.0, seed=1)
+    fresh = pickle.dumps(Graph(g.n, g.indptr, g.indices))
+    coarsen(g, CoarsenConfig())  # builds and caches the engine's adjacency
+    assert g.adj
+    assert pickle.dumps(g) == fresh
+    restored = pickle.loads(fresh)
+    assert restored == g and restored.adj == g.adj
+
+
+def test_graphs_are_unhashable(k3):
+    with pytest.raises(TypeError):
+        hash(k3)
+
+
+def test_from_edge_list_node_count_bound():
+    with pytest.raises(GraphValidationError, match="exceeds"):
+        from_edge_list(MAX_NODES + 1, [])
+    with pytest.raises(GraphValidationError, match=r"\(0, 10000000000000000000000\)"):
+        from_edge_list(3, [(0, 10**22)])

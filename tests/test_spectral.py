@@ -22,6 +22,7 @@ from gbgc import (
 )
 
 from helpers import adjacency_matrix, charpoly_eigenvalues
+from tests_support import er_suite
 
 # exact barbell spectrum: {0, (5 - sqrt(17))/2, 3, 3, 3, (5 + sqrt(17))/2}
 BARBELL_SPECTRUM = [0.0, (5 - math.sqrt(17)) / 2, 3.0, 3.0, 3.0, (5 + math.sqrt(17)) / 2]
@@ -196,3 +197,18 @@ def test_evaluate_normalized_kind():
     cg_i = build_coarse_graph(g, build_projection(identity, g.n))
     report_i = evaluate(g, cg_i, identity, EvalConfig(laplacian_kind="normalized"))
     assert report_i.sd <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+@pytest.mark.parametrize("mode", ["projected", "unweighted"])
+def test_evaluate_without_probes_computes_sd_only(monkeypatch, kind, mode):
+    for g in er_suite()[::40]:
+        part = adaptive_coarsen(g, CoarsenConfig())
+        cg = build_coarse_graph(g, build_projection(part, g.n))
+        probed = evaluate(g, cg, part, EvalConfig(kind, mode, rayleigh_vectors=16))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", None)  # only eigenvalues may be computed
+            bare = evaluate(g, cg, part, EvalConfig(kind, mode, rayleigh_vectors=0))
+        assert bare.rayleigh_samples == []
+        assert probed.rayleigh_samples
+        assert bare.sd == pytest.approx(probed.sd, abs=1e-10)
