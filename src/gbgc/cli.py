@@ -183,7 +183,7 @@ def _partition_from_assignment(g: Graph, assignment: list[int], count: int) -> P
 def run_evaluate(args) -> int:
     bundle = _load_bundle(args)
     out_dir = Path(args.output)
-    rows = read_mapping(out_dir / "mapping.jsonl")
+    rows = read_mapping(out_dir / "mapping.jsonl", len(bundle.graphs))
     eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
     by_index = {row["graph_index"]: row for row in rows}
     records: list[CoarsenRecord] = []

@@ -60,7 +60,10 @@ _BLANK, _NEWLINE, _SEP, _SIGN, _DIGIT, _OTHER = range(6)  # byte classes
 # _DIGIT, counts as _SIGN), separators and line ends.
 _NEWLINE_EVENT, _SEP_EVENT, _TOKEN_EVENT = _NEWLINE, _SEP, _SIGN
 _MAX_DIGITS = 18  # longer tokens may not fit int64; the per-line reader takes them
-_CHUNK = 1 << 20  # bytes classified at once, which bounds the temporaries
+# Bytes classified at once, which bounds the temporaries at about 16 bytes
+# per input byte (about 4 MB). Whether glibc returns them to the system after
+# parsing depends on heap layout, so they can stay resident for the whole run.
+_CHUNK = 1 << 18
 
 
 def _byte_classes(sep: bytes | None) -> np.ndarray:
@@ -491,11 +494,13 @@ def _mapping_row_problem(obj) -> str | None:
     return None
 
 
-def read_mapping(path: str | Path) -> list[dict]:
+def read_mapping(path: str | Path, graph_count: int) -> list[dict]:
     """Load mapping.jsonl rows (graph_index, assignment, supernode_count),
-    checking the shape and types of each row."""
+    checking the shape and types of each row, and that each graph_index
+    names one of the graph_count input graphs and appears only once."""
     path = Path(path)
     rows = []
+    line_of: dict[int, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -508,5 +513,19 @@ def read_mapping(path: str | Path) -> list[dict]:
             problem = _mapping_row_problem(obj)
             if problem is not None:
                 raise DatasetFormatError(problem, path, lineno)
+            index = obj["graph_index"]
+            if index >= graph_count:
+                raise DatasetFormatError(
+                    f"graph_index {index} is not in the input, which has {graph_count} graphs",
+                    path,
+                    lineno,
+                )
+            if index in line_of:
+                raise DatasetFormatError(
+                    f"duplicate graph_index {index}, first on line {line_of[index]}",
+                    path,
+                    lineno,
+                )
+            line_of[index] = lineno
             rows.append(obj)
     return rows

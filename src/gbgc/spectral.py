@@ -22,6 +22,9 @@ LaplacianKind = Literal["combinatorial", "normalized"]
 SdMode = Literal["projected", "unweighted"]
 
 SYMMETRY_RTOL = 1e-12
+# rows of the symmetry check are compared this many bytes at a time, so the
+# check's temporaries stay small next to an n x n matrix
+SYMMETRY_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -51,16 +54,35 @@ def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
         return lap
     if kind == "normalized":
         scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-        return lap * scale[:, None] * scale[None, :]
+        lap *= scale[:, None]
+        lap *= scale[None, :]
+        return lap
     raise GraphValidationError(f"unknown laplacian kind {kind!r}")
 
 
 def _check_symmetric(m: np.ndarray) -> None:
+    """Reject m unless max |m - m^T| <= SYMMETRY_RTOL * max(1, max |m|).
+
+    Row blocks m[i:j] are compared with m[:, i:j]^T, so no temporary is
+    larger than SYMMETRY_BLOCK_BYTES. A NaN entry makes its block's skew NaN,
+    and the matrix passes, as it does when the whole-matrix maximum is NaN.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraphValidationError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if m.size and float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
+    n = m.shape[0]
+    rows = max(1, SYMMETRY_BLOCK_BYTES // (m.itemsize * max(1, n)))
+    peak = skew = 0.0
+    for i in range(0, n, rows):
+        block = m[i : i + rows]
+        peak = max(peak, float(np.abs(block).max()))
+        diff = block - m[:, i : i + rows].T
+        block_skew = float(np.abs(diff, out=diff).max())
+        del diff
+        if block_skew != block_skew:
+            return
+        skew = max(skew, block_skew)
+    if skew > SYMMETRY_RTOL * max(1.0, peak):
         raise GraphValidationError("matrix is not symmetric")
 
 
@@ -179,6 +201,14 @@ def evaluate(
     mode its eigenvalues are the coarse spectrum. With
     ``cfg.rayleigh_vectors == 0`` only eigenvalues are computed, and only
     those the SD needs.
+
+    Solve order, so that at most one dense n x n matrix is alive at a time
+    (plus the working copy LAPACK makes of it): the original Laplacian of
+    the chosen kind is built and its spectrum solved first, before any
+    coarse matrix exists. It is kept only when combinatorial probes will
+    read it, and dropped otherwise. Then the coarse matrices are built and
+    solved. Last, the probes run; in normalized mode their combinatorial
+    Laplacian is built only then.
     """
     cfg = cfg or EvalConfig()
     c = build_projection(p, g.n)
@@ -186,10 +216,16 @@ def evaluate(
         raise GraphValidationError(
             f"partition has {c.cols} balls but coarse graph has {cg.supernode_count} supernodes"
         )
+    if cfg.laplacian_kind not in ("combinatorial", "normalized"):
+        raise GraphValidationError(f"unknown laplacian kind {cfg.laplacian_kind!r}")
     if cfg.sd_mode not in ("projected", "unweighted"):
         raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
-    lap_orig = laplacian(g, cfg.laplacian_kind)
     probing = cfg.rayleigh_vectors > 0
+    lap_orig = laplacian(g, cfg.laplacian_kind)
+    orig_eigvals = eigenvalues_symmetric(lap_orig)
+    lap_comb = lap_orig if probing and cfg.laplacian_kind == "combinatorial" else None
+    del lap_orig
+
     if probing:
         lap_proj = cg.projected_laplacian
         proj_eigvals, proj_eigvecs = _eigh(lap_proj)
@@ -199,11 +235,12 @@ def evaluate(
         coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
     else:
         coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, c))
-    sd = spectral_distance(eigenvalues_symmetric(lap_orig), coarse_eigvals)
+    sd = spectral_distance(orig_eigvals, coarse_eigvals)
 
     samples = []
     if probing:
-        lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else laplacian(g)
+        if lap_comb is None:
+            lap_comb = laplacian(g)
         for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
             r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
             scale = max(abs(r_o), abs(r_c))

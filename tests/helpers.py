@@ -8,7 +8,9 @@ triangle and wedge counts) are used only by the tests, and the reference
 engine keeps the recursive refinement as first written, recomputing every
 ball from the graph, as the oracle for the carry-forward engine. The
 reference parsers keep the line-by-line readers as the oracle for the
-vectorized ones.
+vectorized ones. The reference evaluation keeps `evaluate` as it was before
+it solved the original spectrum first, with the Laplacian scaled by out-of-place
+products, as the oracle for the reordered one.
 """
 
 import heapq
@@ -21,6 +23,7 @@ import numpy as np
 
 from gbgc import (
     CoarsenConfig,
+    EvalConfig,
     GranularBall,
     Graph,
     GraphValidationError,
@@ -29,6 +32,17 @@ from gbgc import (
     default_init_target,
     from_edge_list,
     init_balls,
+)
+from gbgc.coarse import build_projection, superedge_graph
+from gbgc.engine import achieved_ratio
+from gbgc.spectral import (
+    SpectralReport,
+    _eigh,
+    _rayleigh_test_vectors,
+    eigenvalues_symmetric,
+    projected_normalized_laplacian,
+    rayleigh_pair,
+    spectral_distance,
 )
 
 
@@ -490,3 +504,61 @@ def reference_parse_tudataset(directory, name):
 def plain(g: Graph):
     """(n, edges) of a Graph, comparable with the reference parsers' output."""
     return g.n, list(g.edges)
+
+
+def reference_laplacian(g: Graph, kind="combinatorial"):
+    """Dense Laplacian; the normalized kind scales by out-of-place products."""
+    n = g.n
+    deg = np.diff(g.indptr)
+    lap = np.zeros((n, n))
+    lap[np.repeat(np.arange(n), deg), g.indices] = -1.0
+    lap[np.diag_indices(n)] = deg
+    if kind == "combinatorial":
+        return lap
+    if kind == "normalized":
+        scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        return lap * scale[:, None] * scale[None, :]
+    raise GraphValidationError(f"unknown laplacian kind {kind!r}")
+
+
+def reference_evaluate(g, cg, p, cfg=None):
+    """`evaluate` building the original Laplacian first and solving it last,
+    with the coarse matrices built and factored while it is alive."""
+    cfg = cfg or EvalConfig()
+    c = build_projection(p, g.n)
+    if c.cols != cg.supernode_count:
+        raise GraphValidationError(
+            f"partition has {c.cols} balls but coarse graph has {cg.supernode_count} supernodes"
+        )
+    if cfg.sd_mode not in ("projected", "unweighted"):
+        raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
+    lap_orig = reference_laplacian(g, cfg.laplacian_kind)
+    probing = cfg.rayleigh_vectors > 0
+    if probing:
+        lap_proj = cg.projected_laplacian
+        proj_eigvals, proj_eigvecs = _eigh(lap_proj)
+    if cfg.sd_mode == "unweighted":
+        coarse_eigvals = eigenvalues_symmetric(
+            reference_laplacian(superedge_graph(cg), cfg.laplacian_kind)
+        )
+    elif cfg.laplacian_kind == "combinatorial":
+        coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
+    else:
+        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, c))
+    sd = spectral_distance(eigenvalues_symmetric(lap_orig), coarse_eigvals)
+
+    samples = []
+    if probing:
+        lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else reference_laplacian(g)
+        for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
+            r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
+            scale = max(abs(r_o), abs(r_c))
+            gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
+            samples.append((r_o, r_c, gap))
+    return SpectralReport(
+        sd=sd,
+        r_a=achieved_ratio(p, g.n),
+        rayleigh_samples=samples,
+        laplacian_kind=cfg.laplacian_kind,
+        sd_mode=cfg.sd_mode,
+    )

@@ -214,6 +214,27 @@ def test_evaluate_malformed_mapping_row_exit_1(tmp_path, capsys, row):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [([0, 0], "mapping.jsonl:2: duplicate graph_index 0"),
+     ([0, 1], "mapping.jsonl:2: graph_index 1 is not in the input")],
+)
+def test_evaluate_duplicate_or_unknown_index_exit_1(tmp_path, capsys, indices, message):
+    k3 = tmp_path / "k3.txt"
+    k3.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mapping.jsonl").write_text("".join(
+        json.dumps({"graph_index": i, "assignment": [0, 0, 0], "supernode_count": 1}) + "\n"
+        for i in indices
+    ))
+    assert run(["evaluate", "--input", str(k3), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize("flag", [["--skip-sd"], ["--jobs", "2"]])
 def test_evaluate_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:

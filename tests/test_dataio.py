@@ -148,7 +148,7 @@ def test_write_results_barbell_mapping(tmp_path):
     row = json.loads((tmp_path / "mapping.jsonl").read_text())
     assert row == {"graph_index": 0, "assignment": [0, 0, 0, 1, 1, 1], "supernode_count": 2}
     assert (tmp_path / "coarse_edges.txt").read_text() == "graph 0\n0 1\n"
-    assert read_mapping(tmp_path / "mapping.jsonl") == [row]
+    assert read_mapping(tmp_path / "mapping.jsonl", 1) == [row]
 
 
 def test_report_csv_parse_back(tmp_path):
@@ -197,9 +197,30 @@ def test_read_mapping_rejects_malformed_row(tmp_path, row):
     good = '{"graph_index": 0, "assignment": [0, 0, 0], "supernode_count": 1}'
     path.write_text(f"{good}\n\n{row}\n")
     with pytest.raises(DatasetFormatError) as exc:
-        read_mapping(path)
+        read_mapping(path, 1)
     assert exc.value.line == 3
     assert "mapping.jsonl:3: " in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "rows, bad_line, message",
+    [
+        ([0, 1, 0], 3, "duplicate graph_index 0, first on line 1"),
+        ([1, 0, 1], 3, "duplicate graph_index 1, first on line 1"),
+        ([0, 2], 2, "graph_index 2 is not in the input, which has 2 graphs"),
+        ([7], 1, "graph_index 7 is not in the input"),
+    ],
+)
+def test_read_mapping_rejects_duplicate_or_unknown_index(tmp_path, rows, bad_line, message):
+    path = tmp_path / "mapping.jsonl"
+    path.write_text("".join(
+        json.dumps({"graph_index": i, "assignment": [0, 0, 0], "supernode_count": 1}) + "\n"
+        for i in rows
+    ))
+    with pytest.raises(DatasetFormatError) as exc:
+        read_mapping(path, 2)
+    assert exc.value.line == bad_line
+    assert f"mapping.jsonl:{bad_line}: {message}" in str(exc.value)
 
 
 def make_record(index, sd=0.5):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gbgc import (
     adaptive_coarsen,
     build_coarse_graph,
     build_projection,
+    coarsen,
     eigenvalues_symmetric,
     erdos_renyi,
     evaluate,
@@ -21,7 +23,9 @@ from gbgc import (
     spectral_distance,
 )
 
-from helpers import adjacency_matrix, charpoly_eigenvalues
+import gbgc.spectral as spectral
+from gbgc.spectral import SYMMETRY_BLOCK_BYTES, SYMMETRY_RTOL
+from helpers import adjacency_matrix, charpoly_eigenvalues, reference_evaluate
 from tests_support import er_suite
 
 # exact barbell spectrum: {0, (5 - sqrt(17))/2, 3, 3, 3, (5 + sqrt(17))/2}
@@ -212,3 +216,91 @@ def test_evaluate_without_probes_computes_sd_only(monkeypatch, kind, mode):
         assert bare.rayleigh_samples == []
         assert probed.rayleigh_samples
         assert bare.sd == pytest.approx(probed.sd, abs=1e-10)
+
+
+MODES = [
+    ("combinatorial", "projected"),
+    ("combinatorial", "unweighted"),
+    ("normalized", "projected"),
+    ("normalized", "unweighted"),
+]
+PARTITIONS = [
+    CoarsenConfig(),
+    CoarsenConfig(ablation="no_init"),
+    CoarsenConfig(mode="ratio", ratio=0.3),
+]
+
+
+@pytest.mark.parametrize("kind, mode", MODES)
+def test_evaluate_matches_reference_exactly(kind, mode):
+    isolated = from_edge_list(9, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)])
+    for g in [*er_suite()[::20], isolated]:
+        for coarsen_cfg in PARTITIONS:
+            part = coarsen(g, coarsen_cfg)
+            cg = build_coarse_graph(g, build_projection(part, g.n))
+            for k in (0, 16):
+                cfg = EvalConfig(kind, mode, rayleigh_vectors=k)
+                got = evaluate(g, cg, part, cfg)
+                want = reference_evaluate(g, cg, part, cfg)
+                assert got.sd == want.sd
+                assert got.r_a == want.r_a
+                assert got.rayleigh_samples == want.rayleigh_samples
+
+
+def test_evaluate_rejects_bad_kind_before_any_laplacian(monkeypatch, barbell):
+    part = identity_partition(barbell)
+    cg = build_coarse_graph(barbell, build_projection(part, 6))
+
+    def no_laplacian(*args, **kwargs):
+        raise AssertionError("laplacian built before the kind was checked")
+
+    monkeypatch.setattr(spectral, "laplacian", no_laplacian)
+    with pytest.raises(GraphValidationError, match="unknown laplacian kind"):
+        evaluate(barbell, cg, part, EvalConfig(laplacian_kind="signless"))
+
+
+@pytest.mark.parametrize("probes", [0, 16])
+@pytest.mark.parametrize("kind, mode", MODES)
+def test_evaluate_holds_one_dense_original_matrix(kind, mode, probes):
+    g = erdos_renyi(1000, 4.0, seed=1000)
+    part = adaptive_coarsen(g, CoarsenConfig())
+    cg = build_coarse_graph(g, build_projection(part, g.n))
+    cfg = EvalConfig(kind, mode, rayleigh_vectors=probes)
+    tracemalloc.start()
+    try:
+        evaluate(g, cg, part, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x n Laplacian plus the symmetry check's row blocks; LAPACK's
+    # working copy is allocated outside numpy and is not traced
+    assert peak <= 2 * 8 * g.n**2
+
+
+def _block_spanning_matrix():
+    n = 600
+    assert 8 * n * n > SYMMETRY_BLOCK_BYTES  # more than one row block
+    m = np.zeros((n, n))
+    m[np.diag_indices(n)] = 4.0
+    return m
+
+
+def test_symmetry_check_rejects_skew_in_last_block():
+    m = _block_spanning_matrix()
+    m[-1, 3] = 1e-6
+    with pytest.raises(GraphValidationError, match="not symmetric"):
+        eigenvalues_symmetric(m)
+    m = _block_spanning_matrix()
+    m[3, -1] = 1e-6
+    with pytest.raises(GraphValidationError, match="not symmetric"):
+        eigenvalues_symmetric(m)
+
+
+def test_symmetry_check_threshold_is_inclusive():
+    m = _block_spanning_matrix()
+    tol = SYMMETRY_RTOL * max(1.0, 4.0)
+    m[-1, 3] = tol
+    spectral._check_symmetric(m)
+    m[-1, 3] = 2 * tol
+    with pytest.raises(GraphValidationError, match="not symmetric"):
+        spectral._check_symmetric(m)
