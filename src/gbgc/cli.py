@@ -111,6 +111,8 @@ def _coarsen_one(task) -> tuple[int, CoarsenRecord | None, str | None]:
         elapsed = int((time.perf_counter() - t0) * 1e6)
     except GbgcError as exc:
         return index, None, str(exc)
+    except MemoryError:
+        return index, None, "out of memory"
     record = CoarsenRecord(
         graph_index=index,
         assignment=part.assignment,
@@ -285,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

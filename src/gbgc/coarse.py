@@ -10,7 +10,6 @@ integer multiplicities only when it is read, so row sums are exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -37,7 +36,7 @@ class ProjectionMap:
 @dataclass
 class CoarsenedGraph:
     supernode_count: int
-    superedges: list[tuple[int, int]]  # unordered pairs stored (a, b) with a < b, sorted
+    superedges: np.ndarray  # (k, 2) int64 rows (a, b), a < b, sorted
     weights: np.ndarray  # int64 crossing-edge count of each superedge, aligned
 
     @property
@@ -49,10 +48,7 @@ class CoarsenedGraph:
         """
         t = self.supernode_count
         lap = np.zeros((t, t))
-        ends = np.fromiter(
-            chain.from_iterable(self.superedges), dtype=np.int64, count=2 * len(self.superedges)
-        )
-        a, b = ends[0::2], ends[1::2]
+        a, b = self.superedges[:, 0], self.superedges[:, 1]
         lap[a, b] = -self.weights
         lap[b, a] = -self.weights
         np.fill_diagonal(lap, -lap.sum(axis=1))  # integer sums, exact in float64
@@ -87,9 +83,11 @@ def build_coarse_graph(g: Graph, c: ProjectionMap) -> CoarsenedGraph:
     crossing = a != b
     a, b = a[crossing], b[crossing]
     keys, weights = np.unique(np.minimum(a, b) * t + np.maximum(a, b), return_counts=True)
+    superedges = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, t, out=(superedges[:, 0], superedges[:, 1]))
     return CoarsenedGraph(
         supernode_count=t,
-        superedges=list(zip((keys // t).tolist(), (keys % t).tolist())),
+        superedges=superedges,
         weights=weights.astype(np.int64, copy=False),
     )
 

@@ -19,11 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetFormatError, GbgcError
-from .graph import Graph, from_edge_list
+from .graph import MAX_NODES, Graph, csr_from_keys, edge_keys, from_edge_list
 
 log = logging.getLogger(__name__)
 
 REPORT_HEADER = "graph_index,n,e,n_bar,e_bar,r_a,sd,elapsed_micros"
+# superedge rows formatted at once into coarse_edges.txt, which bounds the
+# Python objects alive for them
+_WRITE_ROWS = 4096
 
 
 @dataclass
@@ -40,7 +43,7 @@ class CoarsenRecord:
     graph_index: int
     assignment: list[int]
     supernode_count: int
-    superedges: list[tuple[int, int]]
+    superedges: np.ndarray  # (k, 2) int64, as CoarsenedGraph.superedges
     sd: float
     r_a: float
     elapsed_micros: int
@@ -145,23 +148,24 @@ def _scan_chunk(
     return np.where(chunk[starts] == ord("-"), -values, values)
 
 
-def _scan(
+def _scan_chunks(
     data: bytes,
     row: tuple[int, ...],
     classes: np.ndarray,
     offset: int = 0,
     comments: bool = False,
-) -> np.ndarray | None:
-    """All tokens of data[offset:] in one vectorized pass, one int64 row per
-    non-blank line.
+):
+    """Tokens of data[offset:], one int64 row per non-blank line, yielded
+    chunk by chunk (each chunk ends after a line end).
 
     Every non-blank line must show the events in `row` (_TOKEN_EVENT,
     _SEP_EVENT); with `comments`, lines starting with '#' count as blank.
-    Returns None when a line breaks the grammar or a token has more than
-    _MAX_DIGITS digits; the per-line reader then names that line.
+    Yields None, and stops, at a chunk where a line breaks the grammar or a
+    token has more than _MAX_DIGITS digits; the per-line reader then names
+    that line.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    parts = []
+    width = row.count(_TOKEN_EVENT)
     start = offset
     while start < len(buf):
         stop = len(buf)
@@ -170,12 +174,24 @@ def _scan(
             if stop <= start:
                 stop = data.find(b"\n", start + _CHUNK) + 1 or len(buf)
         values = _scan_chunk(buf[start:stop], row, classes, comments)
+        yield None if values is None else values.reshape(-1, width)
         if values is None:
-            return None
-        parts.append(values)
+            return
         start = stop
-    width = row.count(_TOKEN_EVENT)
-    return np.concatenate(parts or [np.zeros(0, dtype=np.int64)]).reshape(-1, width)
+
+
+def _scan(
+    data: bytes,
+    row: tuple[int, ...],
+    classes: np.ndarray,
+    offset: int = 0,
+    comments: bool = False,
+) -> np.ndarray | None:
+    """All rows of _scan_chunks as one array, or None if a chunk fails."""
+    parts = list(_scan_chunks(data, row, classes, offset, comments))
+    if parts and parts[-1] is None:
+        return None
+    return np.concatenate(parts or [np.zeros((0, row.count(_TOKEN_EVENT)), dtype=np.int64)])
 
 
 def _lines(data: bytes):
@@ -271,14 +287,44 @@ def _in_one_graph(pairs: np.ndarray, graph_of_node: np.ndarray) -> bool:
     )
 
 
+def _graph_major_keys(pairs: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """edge_keys of 1-based pairs, in the graph-major node ids `rank`."""
+    ends = rank[pairs - 1]
+    return edge_keys(len(rank), ends[:, 0], ends[:, 1])
+
+
+def _tu_edge_keys(path: Path, graph_of_node: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Graph-major edge keys of every line of an A file, self-loops dropped.
+
+    The file is scanned chunk by chunk, and only one key per line is kept.
+    A chunk that breaks the grammar or names a node out of range or in
+    another graph sends the whole file to the per-line reader, which names
+    the first bad line.
+    """
+    data = _read_text(path)
+    keys = np.empty(data.count(b"\n") + 1, dtype=np.int64)  # room for a key per line
+    filled = 0
+    for pairs in _scan_chunks(data, (_TOKEN_EVENT, _SEP_EVENT, _TOKEN_EVENT), _COMMA_CLASSES):
+        if pairs is None or not _in_one_graph(pairs, graph_of_node):
+            pairs = _tu_edges_by_line(data, path, graph_of_node.tolist())
+            return _graph_major_keys(np.array(pairs, dtype=np.int64).reshape(-1, 2), rank)
+        chunk_keys = _graph_major_keys(pairs, rank)
+        keys[filled : filled + len(chunk_keys)] = chunk_keys
+        filled += len(chunk_keys)
+    return keys[:filled]
+
+
 def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
     """Parse a multi-graph dataset directory into 0-indexed per-graph form.
 
     Nodes are renumbered per graph following indicator order; edges are
     deduplicated and symmetrized; an edge across two graph ids is a format
     error. Known optional files are skipped with a logged notice. Each file
-    is read in one vectorized pass; only a file that pass rejects is read
-    again line by line, to name the first bad line.
+    is read chunk by chunk in vectorized passes; only a file those reject
+    is read again line by line, to name the first bad line.
+
+    The whole dataset is one CSR over graph-major node ids, built once; each
+    Graph holds views of its two arrays, rebased to local ids.
     """
     directory = Path(directory)
     a_path = directory / f"{name}_A.txt"
@@ -291,7 +337,12 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
     ids = _scan(data, (_TOKEN_EVENT,), _PLAIN_CLASSES)
     if ids is None or not len(ids) or not _within(ids, 1, len(ids) + 1):
         ids = np.array(_indicator_by_line(data, ind_path), dtype=np.int64)
-    graph_of_node = ids.reshape(-1) - 1  # 0-based graph id per 0-based global node
+    del data
+    graph_of_node = ids.reshape(-1)  # 0-based graph id per 0-based global node
+    graph_of_node -= 1
+    node_count = len(graph_of_node)
+    if node_count > MAX_NODES:  # edge keys over all nodes must fit int64
+        raise DatasetFormatError(f"{node_count} nodes exceed the limit of {MAX_NODES}", ind_path)
     graph_count = int(graph_of_node.max()) + 1
     node_counts = np.bincount(graph_of_node, minlength=graph_count)
     if not node_counts.all():
@@ -300,18 +351,12 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
             f"graph id {missing} has no nodes (ids must run 1..{graph_count} without gaps)",
             ind_path,
         )
-    # local index: rank of the node among its graph's nodes, in file order
-    by_graph = np.argsort(graph_of_node, kind="stable")
-    first_node = np.cumsum(node_counts) - node_counts
-    local_index = np.empty_like(graph_of_node)
-    local_index[by_graph] = np.arange(len(by_graph)) - first_node[graph_of_node[by_graph]]
-
-    data = _read_text(a_path)
-    pairs = _scan(data, (_TOKEN_EVENT, _SEP_EVENT, _TOKEN_EVENT), _COMMA_CLASSES)
-    if pairs is None or not _in_one_graph(pairs, graph_of_node):
-        pairs = np.array(
-            _tu_edges_by_line(data, a_path, graph_of_node.tolist()), dtype=np.int64
-        ).reshape(-1, 2)
+    # graph-major id: position in the stable sort by graph id, so each graph's
+    # nodes form a contiguous range, in file order
+    rank = np.empty_like(graph_of_node)
+    rank[np.argsort(graph_of_node, kind="stable")] = np.arange(node_count)
+    keys = _tu_edge_keys(a_path, graph_of_node, rank)
+    del rank
 
     labels: list[int] | None = None
     label_path = directory / f"{name}_graph_labels.txt"
@@ -329,15 +374,27 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
         if extra.is_file():
             log.info("ignoring optional file %s (structure-only pipeline)", extra.name)
 
-    ends = pairs - 1
-    edge_graph = graph_of_node[ends[:, 0]]
-    by_graph = np.argsort(edge_graph, kind="stable")
-    local_pairs = local_index[ends[by_graph]]
-    bounds = [0, *np.cumsum(np.bincount(edge_graph, minlength=graph_count)).tolist()]
-    counts = node_counts.tolist()
+    indptr, indices = csr_from_keys(node_count, keys)
+    del keys
+    # Graph i's rows are global rows first_node[i] .. first_node[i] + n_i. Its
+    # indptr, rebased to start at 0, fills slots first_node[i] + i onwards of
+    # one array of N + G offsets; its indices are rebased in place.
+    first_node = np.cumsum(node_counts) - node_counts
+    graph_of_slot = np.repeat(np.arange(graph_count), node_counts + 1)
+    edge_start = indptr[first_node]
+    edge_end = indptr[first_node + node_counts]
+    local_indptr = indptr[np.arange(len(graph_of_slot)) - graph_of_slot]
+    local_indptr -= edge_start[graph_of_slot]
+    del graph_of_slot, indptr
+    indices -= np.repeat(first_node, edge_end - edge_start)
     graphs = [
-        from_edge_list(counts[i], local_pairs[bounds[i] : bounds[i + 1]])
-        for i in range(graph_count)
+        Graph(n, local_indptr[slot : slot + n + 1], indices[start:end])
+        for n, slot, start, end in zip(
+            node_counts.tolist(),
+            (first_node + np.arange(graph_count)).tolist(),
+            edge_start.tolist(),
+            edge_end.tolist(),
+        )
     ]
     return DatasetBundle(name=name, graphs=graphs, graph_labels=labels)
 
@@ -466,8 +523,10 @@ def write_results(records: list[CoarsenRecord], out_dir: str | Path) -> None:
         with _replacing(out_dir / "coarse_edges.txt") as fh:
             for rec in records:
                 fh.write(f"graph {rec.graph_index}\n")
-                for a, b in rec.superedges:
-                    fh.write(f"{a} {b}\n")
+                edges = np.asarray(rec.superedges, dtype=np.int64).reshape(-1, 2)
+                for i in range(0, len(edges), _WRITE_ROWS):
+                    block = edges[i : i + _WRITE_ROWS].tolist()
+                    fh.write("".join(f"{a} {b}\n" for a, b in block))
         write_report_csv(records, out_dir / "report.csv")
     except OSError as exc:
         raise DatasetFormatError(f"failed writing results: {exc}", out_dir) from exc

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GraphValidationError
 
 
-# Largest node count: every key u * n + v of from_edge_list must fit int64.
+# Largest node count: every key u * n + v of edge_keys must fit int64.
 MAX_NODES = 2**31 - 1
 
 
@@ -40,8 +40,10 @@ class Graph:
 
     Holds only ``n`` and the int64 CSR arrays ``indptr`` (length n + 1) and
     ``indices`` (each undirected edge twice, once per end, every row sorted
-    ascending, no self-loops). The constructor trusts its arrays; use
-    :func:`from_edge_list` to build a Graph from raw (possibly dirty) pairs.
+    ascending, no self-loops). The arrays may be views of larger ones, as
+    for the graphs of one parsed dataset. The constructor trusts its arrays;
+    use :func:`from_edge_list` to build a Graph from raw (possibly dirty)
+    pairs.
 
     ``adj``, the per-node neighbour tuples the engine walks, is derived from
     the arrays on first use and never pickled: a pickle carries ``n`` and
@@ -127,18 +129,43 @@ def from_edge_list(node_count: int, edge_pairs: Iterable[tuple[int, int]] | np.n
                 raise GraphValidationError(
                     f"edge ({u}, {v}) out of range for node_count={node_count}"
                 )
-    u, v = pairs[:, 0], pairs[:, 1]
+    indptr, indices = csr_from_keys(node_count, edge_keys(node_count, pairs[:, 0], pairs[:, 1]))
+    return Graph(node_count, indptr, indices)
+
+
+def edge_keys(node_count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Key min(u, v) * node_count + max(u, v) of every pair with u != v."""
     loop = u == v
     if loop.any():
         u, v = u[~loop], v[~loop]
-    # Both orientations at once; sorting them gives CSR order, and keeping
-    # the first of each run of equal keys drops duplicates.
-    keys = np.concatenate((u * node_count + v, v * node_count + u))
+    return np.minimum(u, v) * node_count + np.maximum(u, v)
+
+
+def csr_from_keys(node_count: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the simple graph whose edges are the keys of
+    edge_keys, which may repeat. Sorts `keys` in place.
+
+    Keeping the first of each run of equal sorted keys drops duplicates;
+    both orientations of the rest, sorted, are the rows in CSR order.
+    """
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
+    m = len(keys)
+    low, high = np.divmod(keys, node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // node_count, minlength=node_count), out=indptr[1:])
-    return Graph(node_count, indptr, keys % node_count)
+    np.cumsum(
+        np.bincount(low, minlength=node_count) + np.bincount(high, minlength=node_count),
+        out=indptr[1:],
+    )
+    both = np.empty(2 * m, dtype=np.int64)
+    both[:m] = keys
+    del keys
+    np.multiply(high, node_count, out=both[m:])
+    both[m:] += low
+    del low, high
+    both.sort()
+    np.remainder(both, node_count, out=both)
+    return indptr, both

@@ -86,17 +86,21 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise GraphValidationError("matrix is not symmetric")
 
 
-def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending.
+def eigenvalues_symmetric(
+    m: np.ndarray, with_vectors: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of a symmetric matrix, sorted ascending; with
+    `with_vectors`, the pair (eigenvalues, eigenvectors as columns).
 
-    Backed by LAPACK's symmetric solver, which comfortably meets the 1e-8
-    accuracy contract on the dense graph Laplacians this toolkit produces.
+    Backed by LAPACK's symmetric solvers, eigvalsh or eigh, which comfortably
+    meet the 1e-8 accuracy contract on the dense graph Laplacians this
+    toolkit produces.
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    if m.size == 0:
-        return np.zeros(0)
-    return np.sort(np.linalg.eigvalsh(m))
+    if with_vectors:
+        return np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
+    return np.sort(np.linalg.eigvalsh(m)) if m.size else np.zeros(0)
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -162,15 +166,6 @@ def projected_normalized_laplacian(g: Graph, c: ProjectionMap) -> np.ndarray:
     return lap
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and matching eigenvectors of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    _check_symmetric(m)
-    if m.size == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    return np.linalg.eigh(m)
-
-
 def _rayleigh_test_vectors(c: ProjectionMap, eigvecs: np.ndarray, k: int) -> list[np.ndarray]:
     """Up to k deterministic probes: lifted coarse eigenvectors (columns of
     eigvecs, ascending eigenvalue) first, then indicators of the largest balls."""
@@ -228,7 +223,7 @@ def evaluate(
 
     if probing:
         lap_proj = cg.projected_laplacian
-        proj_eigvals, proj_eigvecs = _eigh(lap_proj)
+        proj_eigvals, proj_eigvecs = eigenvalues_symmetric(lap_proj, with_vectors=True)
     if cfg.sd_mode == "unweighted":
         coarse_eigvals = eigenvalues_symmetric(laplacian(superedge_graph(cg), cfg.laplacian_kind))
     elif cfg.laplacian_kind == "combinatorial":

@@ -37,7 +37,6 @@ from gbgc.coarse import build_projection, superedge_graph
 from gbgc.engine import achieved_ratio
 from gbgc.spectral import (
     SpectralReport,
-    _eigh,
     _rayleigh_test_vectors,
     eigenvalues_symmetric,
     projected_normalized_laplacian,
@@ -536,7 +535,7 @@ def reference_evaluate(g, cg, p, cfg=None):
     probing = cfg.rayleigh_vectors > 0
     if probing:
         lap_proj = cg.projected_laplacian
-        proj_eigvals, proj_eigvecs = _eigh(lap_proj)
+        proj_eigvals, proj_eigvecs = eigenvalues_symmetric(lap_proj, with_vectors=True)
     if cfg.sd_mode == "unweighted":
         coarse_eigvals = eigenvalues_symmetric(
             reference_laplacian(superedge_graph(cg), cfg.laplacian_kind)

@@ -110,7 +110,7 @@ def test_criterion_02_hand_traced_fixtures():
     ok = (
         ok
         and [b.members for b in part.balls] == [(0, 1, 2), (3, 4, 5)]
-        and cg.superedges == [(0, 1)]
+        and cg.superedges.tolist() == [[0, 1]]
     )
     report(2, ok, "quality fixtures exact; barbell no-init trace exact")
 

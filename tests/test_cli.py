@@ -247,3 +247,33 @@ def test_bench_rejects_jobs(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_memory_error_in_one_graph_reports_it_and_writes_the_rest(tmp_path, monkeypatch, capsys):
+    real_coarsen = cli.coarsen
+
+    def coarsen_failing_on_two_nodes(g, cfg):
+        if g.n == 2:  # the second graph of the tiny dataset
+            raise MemoryError
+        return real_coarsen(g, cfg)
+
+    monkeypatch.setattr(cli, "coarsen", coarsen_failing_on_two_nodes)
+    data = write_tiny_tud(tmp_path / "tiny")
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1
+    assert "graph 1: out of memory" in capsys.readouterr().err
+    assert [row["graph_index"] for row in read_report(out)] == ["0"]
+    assert json.loads((out / "mapping.jsonl").read_text())["graph_index"] == 0
+    assert (out / "coarse_edges.txt").read_text().startswith("graph 0\n")
+
+
+def test_memory_error_in_parent_exit_1(tmp_path, monkeypatch, capsys):
+    def parse_out_of_memory(path, name):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_tudataset", parse_out_of_memory)
+    data = write_tiny_tud(tmp_path / "tiny")
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not (out / "mapping.jsonl").exists()

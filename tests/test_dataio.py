@@ -1,10 +1,16 @@
 import json
+import pickle
+import random
+import tracemalloc
 
 import pytest
 
 from gbgc import (
     CoarsenRecord,
     DatasetFormatError,
+    Partition,
+    build_coarse_graph,
+    build_projection,
     erdos_renyi,
     from_edge_list,
     parse_edge_list,
@@ -13,6 +19,9 @@ from gbgc import (
 )
 import gbgc.dataio as dataio
 from gbgc.dataio import read_mapping, write_edge_list, write_report_csv
+
+from helpers import plain, reference_parse_tudataset
+from tests_support import synthetic_graphs, write_synthetic_tud
 
 
 def write_tud_fixture(tmp_path, name="tiny", labels=True):
@@ -375,3 +384,136 @@ def test_parse_edge_list_spans_scan_chunks(tmp_path, monkeypatch):
     path.write_text("n 30\n0 1\n# a comment longer than a chunk\n1 x\n")
     with pytest.raises(DatasetFormatError, match=r"g\.txt:4: non-integer token"):
         parse_edge_list(path)
+
+
+def write_interleaved_tud(directory, graphs, seed=0):
+    """graphs in the multi-graph layout with their nodes interleaved in the
+    indicator file and the edge lines shuffled."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(seed)
+    owner = [i for i, g in enumerate(graphs) for _ in range(g.n)]
+    rng.shuffle(owner)
+    members = [[] for _ in graphs]
+    for node, i in enumerate(owner, start=1):
+        members[i].append(node)
+    lines = []
+    for i, g in enumerate(graphs):
+        for u, v in g.edges:
+            lines += [f"{members[i][u]}, {members[i][v]}", f"{members[i][v]},{members[i][u]}"]
+    rng.shuffle(lines)
+    name = directory.name
+    (directory / f"{name}_graph_indicator.txt").write_text("".join(f"{i + 1}\n" for i in owner))
+    (directory / f"{name}_A.txt").write_text("\n".join(lines) + "\n")
+    return directory
+
+
+def assert_parses_like_reference(directory):
+    bundle = parse_tudataset(directory, directory.name)
+    expected, labels = reference_parse_tudataset(directory, directory.name)
+    assert [plain(g) for g in bundle.graphs] == expected
+    assert bundle.graph_labels == labels
+    return bundle
+
+
+# A chunk of 7 bytes holds at most one edge line, so every line is a chunk of
+# its own. Each chunk costs a fixed few dozen numpy calls: the 1000-graph set
+# takes 32 s to parse at 7 bytes and 6 s at 64 (2-core Xeon), so the small
+# chunks read 40 graphs, and the 1000-graph set is read in 4 KiB chunks.
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_parse_tudataset_small_chunks_match_reference(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK", chunk)
+    assert_parses_like_reference(write_synthetic_tud(tmp_path / "synth", 40))
+    graphs = synthetic_graphs(40, seed_base=100)
+    bundle = assert_parses_like_reference(write_interleaved_tud(tmp_path / "mixed", graphs))
+    assert bundle.graphs == graphs
+
+
+def test_parse_tudataset_1000_graphs_in_many_chunks_match_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_CHUNK", 4096)
+    directory = write_synthetic_tud(tmp_path / "synth", 1000)
+    assert (directory / "synth_A.txt").stat().st_size > 300 * 4096
+    assert assert_parses_like_reference(directory).graphs == synthetic_graphs(1000)
+    graphs = synthetic_graphs(200, seed_base=7)
+    assert assert_parses_like_reference(write_interleaved_tud(tmp_path / "mixed", graphs)).graphs == graphs
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("1, {last}", "edge (1, {last}) spans graphs 1 and 20"),
+        ("1, {beyond}", "node index out of range in edge (1, {beyond})"),
+        ("2, x", "non-integer token in '2, x'"),
+    ],
+)
+def test_parse_tudataset_bad_line_in_any_chunk_names_it(tmp_path, monkeypatch, where, bad, error):
+    monkeypatch.setattr(dataio, "_CHUNK", 64)
+    directory = write_synthetic_tud(tmp_path / "synth", 20)
+    a_path = directory / "synth_A.txt"
+    nodes = len((directory / "synth_graph_indicator.txt").read_text().split())
+    lines = a_path.read_text().splitlines()
+    at = {"first": 0, "middle": len(lines) // 2, "last": len(lines)}[where]
+    lines.insert(at, bad.format(last=nodes, beyond=nodes + 1))
+    a_path.write_text("\n".join(lines) + "\n")
+    assert len(lines) * 8 > 20 * 64  # the file spans many chunks
+    with pytest.raises(DatasetFormatError) as exc:
+        parse_tudataset(directory, "synth")
+    assert (exc.value.path, exc.value.line) == (a_path, at + 1)
+    assert str(exc.value) == f"{a_path}:{at + 1}: {error.format(last=nodes, beyond=nodes + 1)}"
+
+
+def test_parse_tudataset_19_digit_token_goes_to_line_reader(tmp_path):
+    write_tud_fixture(tmp_path, labels=False)
+    (tmp_path / "tiny_A.txt").write_text("0000000000000000001, 2\n3, 0000000000000000002\n4, 5\n")
+    bundle = parse_tudataset(tmp_path, "tiny")
+    assert bundle.graphs == [from_edge_list(3, [(0, 1), (2, 1)]), from_edge_list(2, [(0, 1)])]
+
+
+def test_parse_tudataset_rejects_more_nodes_than_max(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "MAX_NODES", 4)
+    write_tud_fixture(tmp_path)
+    with pytest.raises(
+        DatasetFormatError, match=r"tiny_graph_indicator\.txt: 5 nodes exceed the limit of 4"
+    ):
+        parse_tudataset(tmp_path, "tiny")
+    monkeypatch.setattr(dataio, "MAX_NODES", 5)
+    assert len(parse_tudataset(tmp_path, "tiny").graphs) == 2
+
+
+def test_parse_tudataset_peak_memory_is_a_few_times_the_edge_file(tmp_path):
+    directory = write_synthetic_tud(tmp_path / "synth", 5000)
+    a_bytes = (directory / "synth_A.txt").stat().st_size
+    tracemalloc.start()
+    try:
+        parse_tudataset(directory, "synth")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * a_bytes  # one array per dataset, not whole-file copies per step
+
+
+def test_parsed_graphs_are_views_of_one_csr(tmp_path):
+    bundle = parse_tudataset(write_synthetic_tud(tmp_path / "synth", 300), "synth")
+    bases = {id(g.indices.base) for g in bundle.graphs}
+    assert len(bases) == 1 and bundle.graphs[0].indices.base is not None
+    assert len({id(g.indptr.base) for g in bundle.graphs}) == 1
+    for g in bundle.graphs:
+        assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
+        assert pickle.dumps(g) == pickle.dumps(from_edge_list(g.n, g.edges))
+
+
+def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
+    n = 3 * dataio._WRITE_ROWS + 5
+    g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+    part = Partition.from_member_groups(g, [[v] for v in range(n)])
+    cg = build_coarse_graph(g, build_projection(part, n))
+    assert len(cg.superedges) == n > 2 * dataio._WRITE_ROWS
+    records = [
+        CoarsenRecord(i, part.assignment, n, cg.superedges, 0.0, 1.0, 0, g.edge_count)
+        for i in range(2)
+    ]
+    write_results(records, tmp_path)
+    expected = "".join(
+        f"graph {i}\n" + "".join(f"{a} {b}\n" for a, b in g.edges) for i in range(2)
+    )
+    assert (tmp_path / "coarse_edges.txt").read_text() == expected

@@ -132,7 +132,7 @@ def outcome(parse, *args):
 
 def by_line_only(parse, *args):
     """The same parse with the vectorized pass rejecting every file."""
-    with mock.patch.object(dataio, "_scan", return_value=None):
+    with mock.patch.object(dataio, "_scan_chunks", side_effect=lambda *a, **k: iter([None])):
         return outcome(parse, *args)
 
 
