@@ -21,13 +21,11 @@ from .engine import (
     SplitDecision,
     achieved_ratio,
     adaptive_coarsen,
-    ball_quality,
     coarsen,
+    coarsen_many,
     default_init_target,
     init_balls,
-    make_ball,
     ratio_coarsen,
-    split_ball,
 )
 from .errors import DatasetFormatError, GbgcError, GraphValidationError
 from .generators import erdos_renyi, random_partition
@@ -61,10 +59,10 @@ __all__ = [
     "SplitDecision",
     "achieved_ratio",
     "adaptive_coarsen",
-    "ball_quality",
     "build_coarse_graph",
     "build_projection",
     "coarsen",
+    "coarsen_many",
     "default_init_target",
     "eigenvalues_symmetric",
     "erdos_renyi",
@@ -72,13 +70,11 @@ __all__ = [
     "from_edge_list",
     "init_balls",
     "laplacian",
-    "make_ball",
     "parse_edge_list",
     "parse_tudataset",
     "random_partition",
     "ratio_coarsen",
     "rayleigh_pair",
     "spectral_distance",
-    "split_ball",
     "write_results",
 ]

@@ -25,7 +25,7 @@ from .dataio import (
     write_report_csv,
     write_results,
 )
-from .engine import CoarsenConfig, Partition, achieved_ratio, coarsen
+from .engine import CoarsenConfig, Partition, achieved_ratio, coarsen, coarsen_many
 from .errors import GbgcError
 from .generators import erdos_renyi, random_partition
 from .graph import Graph
@@ -33,6 +33,8 @@ from .spectral import EvalConfig, evaluate
 
 BENCH_SIZES = (1_000, 5_000, 10_000, 50_000)
 BENCH_MEAN_DEGREE = 4.0
+# nodes one engine call refines at most, unless a single graph is larger
+BLOCK_NODES = 1 << 16
 
 
 def _default_jobs() -> int:
@@ -94,11 +96,10 @@ def _load_bundle(args) -> DatasetBundle:
     return DatasetBundle(name=path.stem, graphs=[parse_edge_list(path)])
 
 
-def _coarsen_one(task) -> tuple[int, CoarsenRecord | None, str | None]:
-    index, g, cfg, eval_cfg, skip_sd = task
+def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, skip_sd: bool):
+    """One graph's coarse graph, SD and record, from its partition."""
     try:
         t0 = time.perf_counter()
-        part = coarsen(g, cfg)
         c = build_projection(part, g.n)
         cg = build_coarse_graph(g, c)
         if skip_sd:
@@ -108,7 +109,7 @@ def _coarsen_one(task) -> tuple[int, CoarsenRecord | None, str | None]:
             report = evaluate(g, cg, part, eval_cfg)
             sd = report.sd
             r_a = report.r_a
-        elapsed = int((time.perf_counter() - t0) * 1e6)
+        elapsed = int((engine_s + time.perf_counter() - t0) * 1e6)
     except GbgcError as exc:
         return index, None, str(exc)
     except MemoryError:
@@ -126,12 +127,62 @@ def _coarsen_one(task) -> tuple[int, CoarsenRecord | None, str | None]:
     return index, record, None
 
 
+def _coarsen_block(task) -> list[tuple[int, CoarsenRecord | None, str | None]]:
+    """(index, record or None, error or None) for each graph of one block.
+
+    One engine call coarsens the whole block; its time is shared out among
+    the graphs' elapsed_micros in proportion to n + m. If the call fails,
+    each graph is coarsened alone, so a failure is reported for the graph
+    that caused it.
+    """
+    first, graphs, cfg, eval_cfg, skip_sd = task
+    try:
+        t0 = time.perf_counter()
+        # a lone graph goes through coarsen, the one-graph entry point that
+        # perfbench's traced pass counts split decisions through
+        parts = coarsen_many(graphs, cfg) if len(graphs) > 1 else [coarsen(graphs[0], cfg)]
+        engine_s = time.perf_counter() - t0
+    except (GbgcError, MemoryError) as exc:
+        if len(graphs) == 1:
+            return [(first, None, "out of memory" if isinstance(exc, MemoryError) else str(exc))]
+        return [
+            result
+            for i, g in enumerate(graphs)
+            for result in _coarsen_block((first + i, [g], cfg, eval_cfg, skip_sd))
+        ]
+    sizes = [g.n + g.edge_count for g in graphs]
+    total = sum(sizes)
+    return [
+        _finish(first + i, g, part, engine_s * size / total, eval_cfg, skip_sd)
+        for i, (g, part, size) in enumerate(zip(graphs, parts, sizes))
+    ]
+
+
+def _blocks(graphs: list[Graph], jobs: int) -> list[range]:
+    """Contiguous runs of graph indices, one engine call each: at least
+    4 * jobs runs when jobs > 1, and no run over BLOCK_NODES nodes unless
+    one graph alone is larger."""
+    per_block = max(1, len(graphs) // (jobs * 4)) if jobs > 1 else len(graphs)
+    blocks = []
+    start = nodes = 0
+    for i, g in enumerate(graphs):
+        if i > start and (i - start >= per_block or nodes + g.n > BLOCK_NODES):
+            blocks.append(range(start, i))
+            start = i
+            nodes = 0
+        nodes += g.n
+    if start < len(graphs):
+        blocks.append(range(start, len(graphs)))
+    return blocks
+
+
 def _map_tasks(tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
-        return [_coarsen_one(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        return list(pool.map(_coarsen_one, tasks, chunksize=chunk))
+        results = [_coarsen_block(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_coarsen_block, tasks))
+    return [result for block in results for result in block]
 
 
 def run_coarsen(args) -> int:
@@ -146,7 +197,11 @@ def run_coarsen(args) -> int:
     )
     bundle = _load_bundle(args)
     t0 = time.perf_counter()
-    tasks = [(i, g, cfg, eval_cfg, args.skip_sd) for i, g in enumerate(bundle.graphs)]
+    graphs = bundle.graphs
+    tasks = [
+        (block.start, graphs[block.start : block.stop], cfg, eval_cfg, args.skip_sd)
+        for block in _blocks(graphs, args.jobs)
+    ]
     records: list[CoarsenRecord] = []
     failures = 0
     for index, record, err in _map_tasks(tasks, args.jobs):
@@ -172,14 +227,7 @@ def _partition_from_assignment(g: Graph, assignment: list[int], count: int) -> P
         raise GbgcError(
             f"assignment length {len(assignment)} does not match graph with {g.n} nodes"
         )
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for v, a in enumerate(assignment):
-        if not (0 <= a < count):
-            raise GbgcError(f"node {v} mapped to invalid supernode {a}")
-        groups[a].append(v)
-    if any(not grp for grp in groups):
-        raise GbgcError("supernode indices are not dense: empty supernode present")
-    return Partition.from_member_groups(g, groups)
+    return Partition.from_assignment(assignment, count)
 
 
 def run_evaluate(args) -> int:
@@ -210,7 +258,7 @@ def run_evaluate(args) -> int:
         records.append(
             CoarsenRecord(
                 graph_index=i,
-                assignment=list(row["assignment"]),
+                assignment=part.assignment,
                 supernode_count=row["supernode_count"],
                 superedges=cg.superedges,
                 sd=report.sd,

@@ -24,13 +24,13 @@ class ProjectionMap:
 
     rows: int
     cols: int
-    column_of: list[int]
+    column_of: np.ndarray  # int64, node -> supernode
 
-    def ball_sizes(self) -> list[int]:
-        sizes = [0] * self.cols
-        for c in self.column_of:
-            sizes[c] += 1
-        return sizes
+    def __post_init__(self):
+        self.column_of = np.asarray(self.column_of, dtype=np.int64)
+
+    def ball_sizes(self) -> np.ndarray:
+        return np.bincount(self.column_of, minlength=self.cols)
 
 
 @dataclass
@@ -57,15 +57,15 @@ class CoarsenedGraph:
 
 def build_projection(p: Partition, n: int) -> ProjectionMap:
     """Projection map from a validated partition over n original nodes."""
-    if len(p.assignment) != n:
-        raise GraphValidationError(
-            f"partition covers {len(p.assignment)} nodes, expected {n}"
-        )
+    column_of = np.asarray(p.assignment, dtype=np.int64)
+    if len(column_of) != n:
+        raise GraphValidationError(f"partition covers {len(column_of)} nodes, expected {n}")
     cols = p.ball_count
-    for v, c in enumerate(p.assignment):
-        if not (0 <= c < cols):
-            raise GraphValidationError(f"node {v} mapped to invalid ball index {c}")
-    return ProjectionMap(rows=n, cols=cols, column_of=list(p.assignment))
+    bad = (column_of < 0) | (column_of >= cols)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise GraphValidationError(f"node {v} mapped to invalid ball index {int(column_of[v])}")
+    return ProjectionMap(rows=n, cols=cols, column_of=column_of)
 
 
 def build_coarse_graph(g: Graph, c: ProjectionMap) -> CoarsenedGraph:
@@ -77,9 +77,8 @@ def build_coarse_graph(g: Graph, c: ProjectionMap) -> CoarsenedGraph:
     if c.rows != g.n:
         raise GraphValidationError(f"projection has {c.rows} rows, graph has {g.n} nodes")
     t = c.cols
-    col = np.asarray(c.column_of, dtype=np.int64)
     u, v = g.edge_arrays()
-    a, b = col[u], col[v]
+    a, b = c.column_of[u], c.column_of[v]
     crossing = a != b
     a, b = a[crossing], b[crossing]
     keys, weights = np.unique(np.minimum(a, b) * t + np.maximum(a, b), return_counts=True)

@@ -41,7 +41,7 @@ class CoarsenRecord:
     """Per-graph result row as persisted to disk."""
 
     graph_index: int
-    assignment: list[int]
+    assignment: np.ndarray  # int64, node -> supernode, as Partition.assignment
     supernode_count: int
     superedges: np.ndarray  # (k, 2) int64, as CoarsenedGraph.superedges
     sd: float
@@ -513,13 +513,13 @@ def write_results(records: list[CoarsenRecord], out_dir: str | Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         with _replacing(out_dir / "mapping.jsonl") as fh:
+            # the compact JSON of {"graph_index", "assignment", "supernode_count"}
             for rec in records:
-                obj = {
-                    "graph_index": rec.graph_index,
-                    "assignment": rec.assignment,
-                    "supernode_count": rec.supernode_count,
-                }
-                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                assignment = ",".join(map(str, np.asarray(rec.assignment).tolist()))
+                fh.write(
+                    f'{{"graph_index":{rec.graph_index},"assignment":[{assignment}],'
+                    f'"supernode_count":{rec.supernode_count}}}\n'
+                )
         with _replacing(out_dir / "coarse_edges.txt") as fh:
             for rec in records:
                 fh.write(f"graph {rec.graph_index}\n")

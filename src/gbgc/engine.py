@@ -4,9 +4,14 @@ A granular-ball is a node subset scored by quality = average induced degree
 plus induced transitivity. Coarsening first grows coarse initial balls by
 degree-ranked BFS, then refines each ball by binary splitting around its two
 highest-degree members, keeping a split only when the children's combined
-quality strictly beats the parent's. Refinement reads the graph once per
-initial ball: every child inherits its share of the parent's induced
-adjacency and triangles.
+quality strictly beats the parent's.
+
+Refinement is level-synchronous: one round splits every live ball of a block
+of graphs at once, in numpy passes over all of them. A round picks the two
+centres of every ball with one keyed maximum, runs one two-source BFS level
+by level over all balls together, and scores all children with `bincount`.
+The rounds record a split tree; the final balls are its leaves in preorder,
+which is the order a depth-first recursion would emit them in.
 
 All tie-breaks resolve to the lowest node index, so results are fully
 deterministic with no random seed.
@@ -16,8 +21,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -26,11 +31,8 @@ from .errors import GraphValidationError
 from .graph import Graph
 
 Ablation = Literal["none", "no_split", "no_init"]
-Adjacency = dict[int, frozenset[int]]  # member -> its neighbours inside the ball
-Triangle = tuple[int, int, int]
-# What refinement carries per ball: (members, quality, internal edge count,
-# induced adjacency, triangles); the last two are None until first needed.
-BallState = tuple
+
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -46,35 +48,109 @@ class GranularBall:
         return len(self.members)
 
 
-@dataclass
-class Partition:
-    """Disjoint complete cover of the original nodes by granular-balls."""
+def _labels(n: int, members: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The ball of every node, from the members of ball 0, then ball 1, and
+    so on (`sizes` members each), raising what a member-by-member walk would
+    raise first: a member out of range, or a node met a second time; then
+    nodes that no ball covers."""
+    bad = (members < 0) | (members >= n)
+    first_bad = int(np.argmax(bad)) if bad.any() else len(members)
+    order = np.argsort(members, kind="stable")
+    repeat = order[1:][members[order[1:]] == members[order[:-1]]]
+    first_repeat = int(repeat.min()) if len(repeat) else len(members)
+    if first_bad < first_repeat:
+        raise GraphValidationError(f"ball member {int(members[first_bad])} out of range for n={n}")
+    if first_repeat < len(members):
+        raise GraphValidationError(f"node {int(members[first_repeat])} assigned to two balls")
+    if len(members) < n:
+        raise GraphValidationError(f"{n - len(members)} nodes not covered by any ball")
+    labels = np.empty(n, dtype=np.int64)
+    labels[members] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return labels
 
-    balls: list[GranularBall]
-    assignment: list[int]  # node index -> ball index
+
+class Partition:
+    """Disjoint complete cover of the original nodes by granular-balls.
+
+    Held as arrays: `assignment` maps each node to its ball (int64), and
+    `qualities` and `edge_counts` hold each ball's quality and internal edge
+    count, or None for a partition read back from an assignment alone.
+    `balls`, the GranularBall list, is built from them on first read.
+    """
+
+    __slots__ = ("assignment", "ball_count", "qualities", "edge_counts", "_balls")
+
+    def __init__(
+        self,
+        assignment: np.ndarray,
+        ball_count: int,
+        qualities: np.ndarray | None = None,
+        edge_counts: np.ndarray | None = None,
+    ):
+        self.assignment = assignment
+        self.ball_count = ball_count
+        self.qualities = qualities
+        self.edge_counts = edge_counts
+        self._balls: list[GranularBall] | None = None
 
     @property
-    def ball_count(self) -> int:
-        return len(self.balls)
+    def balls(self) -> list[GranularBall]:
+        if self._balls is None:
+            if self.qualities is None:
+                raise GraphValidationError("partition was built without ball qualities")
+            order = np.argsort(self.assignment, kind="stable")
+            sizes = np.bincount(self.assignment, minlength=self.ball_count)
+            groups = np.split(order, np.cumsum(sizes)[:-1])
+            self._balls = [
+                GranularBall(tuple(members.tolist()), quality, edges)
+                for members, quality, edges in zip(
+                    groups, self.qualities.tolist(), self.edge_counts.tolist()
+                )
+            ]
+        return self._balls
+
+    @classmethod
+    def from_assignment(cls, assignment, ball_count: int) -> "Partition":
+        """A partition without qualities; every ball index in range and used."""
+        try:
+            array = np.asarray(assignment, dtype=np.int64)
+            bad = (array < 0) | (array >= ball_count)
+        except OverflowError:  # an index beyond int64, so certainly out of range
+            bad = np.array([not 0 <= a < ball_count for a in assignment])
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise GraphValidationError(f"node {v} mapped to invalid supernode {assignment[v]}")
+        # more balls than nodes leaves one empty, and bounds the count below
+        if ball_count > len(array) or not np.bincount(array, minlength=ball_count).all():
+            raise GraphValidationError("supernode indices are not dense: empty supernode present")
+        return cls(array, ball_count)
 
     @classmethod
     def from_balls(cls, n: int, balls: Sequence[GranularBall]) -> "Partition":
-        assignment = [-1] * n
-        for idx, ball in enumerate(balls):
-            for v in ball.members:
-                if not (0 <= v < n):
-                    raise GraphValidationError(f"ball member {v} out of range for n={n}")
-                if assignment[v] != -1:
-                    raise GraphValidationError(f"node {v} assigned to two balls")
-                assignment[v] = idx
-        missing = assignment.count(-1)
-        if missing:
-            raise GraphValidationError(f"{missing} nodes not covered by any ball")
-        return cls(balls=list(balls), assignment=assignment)
+        sizes = [len(ball.members) for ball in balls]
+        members = np.fromiter(
+            chain.from_iterable(ball.members for ball in balls), dtype=np.int64, count=sum(sizes)
+        )
+        part = cls(
+            _labels(n, members, sizes),
+            len(balls),
+            np.array([ball.quality for ball in balls], dtype=float),
+            np.array([ball.internal_edge_count for ball in balls], dtype=np.int64),
+        )
+        part._balls = list(balls)
+        return part
 
     @classmethod
     def from_member_groups(cls, g: Graph, groups: Iterable[Iterable[int]]) -> "Partition":
-        return cls.from_balls(g.n, [make_ball(g, members) for members in groups])
+        member_groups = [sorted(set(members)) for members in groups]
+        if not all(member_groups):
+            raise GraphValidationError("ball members must be nonempty")
+        sizes = [len(members) for members in member_groups]
+        members = np.fromiter(chain.from_iterable(member_groups), dtype=np.int64, count=sum(sizes))
+        labels = _labels(g.n, members, sizes)
+        u, v = g.edge_arrays()
+        quality, edges = _ball_measures(g.n, u, v, labels, len(sizes))[:2]
+        return cls(labels, len(sizes), quality, edges)
 
 
 @dataclass
@@ -120,56 +196,123 @@ def default_init_target(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _induced(g: Graph, members: Sequence[int]) -> tuple[Adjacency, list[Triangle]]:
-    """Induced adjacency and triangles of the ball on `members` (ascending).
-
-    Returns (inside, triangles): inside maps each member, in the order of
-    `members`, to its neighbours within the ball; triangles lists every
-    triangle of the ball once, as an ascending triple.
-    """
-    member_set = frozenset(members)
-    adj = g.adj
-    inside = {v: member_set.intersection(adj[v]) for v in members}
-    triangles: list[Triangle] = []
-    for v, near in inside.items():
-        for w in near:
-            if w > v and not near.isdisjoint(inside[w]):
-                for x in near & inside[w]:
-                    if x > w:
-                        triangles.append((v, w, x))
-    return inside, triangles
-
-
-def _state(
-    inside: Adjacency, triangles: list[Triangle], degree_total: int, degree_squares: int
-) -> BallState:
-    """A ball's refinement state from its adjacency, triangles and degree sums.
-
-    Quality = E/N + ordered_triangles/ordered_wedges on the induced
-    subgraph, with the second term 0 when no wedges exist; the ordered
-    counts are 6 * triangles and sum(d * (d - 1)) = sum(d^2) - sum(d).
-    """
+def _quality(size, degree_total, degree_squares, triangles) -> np.ndarray:
+    """Quality = E/N + ordered_triangles/ordered_wedges per ball, the second
+    term 0 when a ball has no wedges; the ordered counts are 6 * triangles
+    and sum(d * (d - 1)) = sum(d^2) - sum(d). Integer operands below 2**53
+    convert to float exactly, so each ball's value is the one Python's
+    `edges / size + (2 * (3 * triangles)) / wedges` gives."""
+    quality = (degree_total // 2) / size
     wedges = degree_squares - degree_total
-    edges = degree_total // 2
-    quality = edges / len(inside)
-    if wedges:
-        quality += (2 * (3 * len(triangles))) / wedges
-    return tuple(inside), quality, edges, inside, triangles
+    has = wedges > 0
+    quality[has] += (6 * triangles[has]) / wedges[has]
+    return quality
 
 
-def ball_quality(g: Graph, members: Iterable[int]) -> float:
-    """Quality of the ball induced by `members` (must be nonempty)."""
-    return make_ball(g, members).quality
+def _triangles(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every triangle of the simple graph with edges (u, v) once, as three
+    corner arrays.
+
+    Each edge points from its lower-ranked end to its higher-ranked one,
+    rank = (degree, index); a triangle is then found once, at its
+    lowest-ranked corner, as two out-edges whose heads are adjacent. With
+    this order no corner has more than O(sqrt(m)) out-edges.
+    """
+    if not len(u):
+        return _EMPTY, _EMPTY, _EMPTY
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    flip = (deg[u] > deg[v]) | ((deg[u] == deg[v]) & (u > v))
+    tail = np.where(flip, v, u)
+    head = np.where(flip, u, v)
+    order = np.lexsort((head, tail))
+    tail, head = tail[order], head[order]
+    ends = np.cumsum(np.bincount(tail, minlength=n))[tail]
+    later = ends - np.arange(1, len(tail) + 1)  # out-edges after this one, same tail
+    total = int(later.sum())
+    if not total:
+        return _EMPTY, _EMPTY, _EMPTY
+    first = np.repeat(np.arange(len(tail)), later)
+    second = first + 1 + np.arange(total) - np.repeat(np.cumsum(later) - later, later)
+    x, y = head[first], head[second]
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    wanted = np.minimum(x, y) * n + np.maximum(x, y)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    closed = keys[at] == wanted
+    return tail[first][closed], x[closed], y[closed]
 
 
-def make_ball(g: Graph, members: Iterable[int]) -> GranularBall:
-    member_tuple = tuple(sorted(set(members)))
-    if not member_tuple:
-        raise GraphValidationError("ball members must be nonempty")
-    inside, triangles = _induced(g, member_tuple)
-    degrees = list(map(len, inside.values()))
-    state = _state(inside, triangles, sum(degrees), sum(map(mul, degrees, degrees)))
-    return GranularBall(*state[:3])
+def _ball_measures(n, u, v, labels, count):
+    """(quality, internal edge count, inside edges, triangles) of the balls
+    given by `labels`, from the graph's edges (u, v): the inside edges are
+    those with both ends in one ball, and the triangles those of the
+    subgraph they form."""
+    inside = labels[u] == labels[v]
+    u, v = u[inside], v[inside]
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    size = np.bincount(labels, minlength=count)
+    total = np.bincount(labels, weights=deg, minlength=count).astype(np.int64)
+    squares = np.bincount(labels, weights=deg * deg, minlength=count).astype(np.int64)
+    tri = _triangles(n, u, v)
+    quality = _quality(size, total, squares, np.bincount(labels[tri[0]], minlength=count))
+    return quality, total // 2, (u, v), tri
+
+
+def _init_labels(
+    g: Graph, bounds: Sequence[int], targets: Sequence[int], stats: dict | None
+) -> tuple[np.ndarray, list[int]]:
+    """Initial balls of every graph of a disjoint union, one label per node.
+
+    Graph i holds nodes bounds[i]..bounds[i + 1] - 1. Within it, the
+    highest-degree remaining node (lowest index on ties) is taken as a
+    center, and BFS layers grow over the remaining nodes until a layer
+    larger than the graph's target (that layer included) or the reachable
+    remainder runs out. Labels number the balls in creation order, graph by
+    graph; also returns the first label of every graph and one past the last.
+    """
+    nodes = np.arange(g.n, dtype=np.int64)
+    graph_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    by_degree = np.lexsort((nodes, -np.diff(g.indptr), graph_of)).tolist()
+    flat = g.indices.tolist()
+    ptr = g.indptr.tolist()
+    label = [0] * g.n
+    remaining = bytearray([1]) * g.n
+    first_label = [0]
+    count = 0
+    nodes_visited = 0
+    edge_traversals = 0
+    for lo, hi, target in zip(bounds, bounds[1:], targets):
+        remaining_count = hi - lo
+        cursor = lo
+        while remaining_count:
+            while not remaining[by_degree[cursor]]:
+                cursor += 1
+            center = by_degree[cursor]
+            remaining[center] = 0
+            label[center] = count
+            size = 1
+            frontier = [center]
+            while frontier:
+                nxt: list[int] = []
+                for v in frontier:
+                    near = flat[ptr[v] : ptr[v + 1]]
+                    edge_traversals += len(near)
+                    for w in near:
+                        if remaining[w]:
+                            remaining[w] = 0
+                            label[w] = count
+                            nxt.append(w)
+                size += len(nxt)
+                frontier = nxt
+                if len(nxt) > target:
+                    break
+            nodes_visited += size
+            remaining_count -= size
+            count += 1
+        first_label.append(count)
+    if stats is not None:
+        stats["nodes_visited"] = stats.get("nodes_visited", 0) + nodes_visited
+        stats["edge_traversals"] = stats.get("edge_traversals", 0) + edge_traversals
+    return np.array(label, dtype=np.int64), first_label
 
 
 def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
@@ -185,171 +328,378 @@ def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
         raise GraphValidationError("cannot initialize balls on an empty graph")
     if target < 1:
         raise GraphValidationError("target must be >= 1")
-    adj = g.adj
-    remaining = bytearray([1]) * g.n
-    remaining_count = g.n
-    # stable, so equal degrees keep ascending node order
-    by_degree = np.argsort(-np.diff(g.indptr), kind="stable").tolist()
-    cursor = 0
-    nodes_visited = 0
-    edge_traversals = 0
-    groups: list[list[int]] = []
-    while remaining_count:
-        while not remaining[by_degree[cursor]]:
-            cursor += 1
-        center = by_degree[cursor]
-        remaining[center] = 0
-        ball = [center]
-        nodes_visited += 1
-        frontier = [center]
-        while frontier:
-            nxt: list[int] = []
-            for v in frontier:
-                for w in adj[v]:
-                    edge_traversals += 1
-                    if remaining[w]:
-                        remaining[w] = 0
-                        nxt.append(w)
-            if not nxt:
-                break
-            nxt.sort()
-            ball.extend(nxt)
-            nodes_visited += len(nxt)
-            frontier = nxt
-            if len(nxt) > target:
-                break
-        remaining_count -= len(ball)
-        groups.append(sorted(ball))
-    if stats is not None:
-        stats["nodes_visited"] = nodes_visited
-        stats["edge_traversals"] = edge_traversals
-    return Partition.from_member_groups(g, groups)
+    labels, first = _init_labels(g, [0, g.n], [target], stats)
+    u, v = g.edge_arrays()
+    quality, edges = _ball_measures(g.n, u, v, labels, first[1])[:2]
+    return Partition(labels, first[1], quality, edges)
 
 
-def split_ball(g: Graph, ball: GranularBall) -> tuple[GranularBall, GranularBall]:
-    """Binary split around the ball's two highest-induced-degree members.
+def _union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
+    """The graphs as one disjoint union with graph-major node ids, and the
+    first node of every graph followed by the node count."""
+    bounds = np.concatenate([[0], np.cumsum([g.n for g in graphs])]).astype(np.int64).tolist()
+    if len(graphs) == 1:
+        return graphs[0], bounds
+    degrees = np.concatenate([np.diff(g.indptr) for g in graphs])
+    indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    shift = np.repeat(bounds[:-1], [len(g.indices) for g in graphs])
+    return Graph(bounds[-1], indptr, np.concatenate([g.indices for g in graphs]) + shift), bounds
 
-    Ownership is by BFS distance inside the ball: strictly closer center
-    wins; ties (including nodes unreachable from both) go to the first
-    center's child. Both children are nonempty and partition the parent.
+
+class _SplitTree:
+    """What the rounds record, as columns.
+
+    Tree nodes are numbered in creation order: the start balls first, then
+    the two children of each accepted split. Per tree node: size, quality,
+    internal edge count, smallest member, and offset, the start of its
+    members in the layout where every subtree is one contiguous run, child
+    a before child b. Per split attempt: the parent's tree node, the
+    children's qualities, whether it was accepted, the tree node of child a
+    when it was (child b is the next one, -1 otherwise), and its round.
     """
-    if ball.size < 2:
-        raise GraphValidationError("cannot split a singleton ball")
-    child_a, child_b = _split(ball.members, *_induced(g, ball.members))
-    return GranularBall(*child_a[:3]), GranularBall(*child_b[:3])
+
+    NODES = ("size", "quality", "edges", "smallest", "offset")
+    SPLITS = ("parent", "quality_a", "quality_b", "accepted", "child", "depth")
+    # a column is joined into one array once it has this many pieces, which
+    # bounds the array headers a long run of small rounds (a path) keeps
+    PIECES = 64
+
+    def __init__(self):
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in self.NODES + self.SPLITS}
+        self.count = 0
+
+    def add(self, **columns) -> None:
+        for name, values in columns.items():
+            parts = self.parts[name]
+            parts.append(values)
+            if len(parts) == self.PIECES:
+                self.parts[name] = [np.concatenate(parts)]
+
+    def add_nodes(self, **columns) -> np.ndarray:
+        """Append tree nodes, one per entry of each column; return their ids."""
+        self.add(**columns)
+        ids = self.count + np.arange(len(columns["size"]), dtype=np.int64)
+        self.count += len(ids)
+        return ids
+
+    def column(self, name: str) -> np.ndarray:
+        parts = self.parts[name]
+        if len(parts) != 1:
+            self.parts[name] = parts = [np.concatenate(parts) if parts else _EMPTY]
+        return parts[0]
 
 
-def _split(
-    members: tuple[int, ...], inside: Adjacency, triangles: list[Triangle]
-) -> tuple[BallState, BallState]:
-    """Children of a ball with at least two members, from its carried state.
-
-    One two-source BFS decides ownership: each level first expands the first
-    center's frontier, then the second's, and a node belongs to whichever
-    reaches it first. A node at level d is reached from the first frontier
-    exactly when its distance to the first center is d, so the second child
-    gets precisely the nodes strictly closer to the second center; nodes
-    that neither center reaches stay with the first. The children's
-    adjacency is the parent's restricted to each side, and each triangle
-    goes to the child holding all three of its corners.
-    """
-    degrees = list(map(len, inside.values()))
-    i_a = degrees.index(max(degrees))  # first maximum: ties keep the lowest index
-    degrees[i_a] = -1
-    v_a, v_b = members[i_a], members[degrees.index(max(degrees))]
-
-    size = len(members)
-    seen = {v_a, v_b}
-    owned_b = {v_b}
-    frontier_a = [v_a]
-    frontier_b = [v_b]
-    # once the second frontier dies out, or every node is reached, no owner changes
-    while frontier_b and len(seen) < size:
-        nxt = []
-        for v in frontier_a:
-            for w in inside[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier_a = nxt
-        nxt = []
-        for v in frontier_b:
-            for w in inside[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        owned_b.update(nxt)
-        frontier_b = nxt
-
-    inside_a: Adjacency = {}
-    inside_b: Adjacency = {}
-    total_a = squares_a = total_b = squares_b = 0
-    for v, near in inside.items():  # ascending, so both children stay sorted
-        if v in owned_b:
-            near = inside_b[v] = near & owned_b
-            d = len(near)
-            total_b += d
-            squares_b += d * d
-        else:
-            near = inside_a[v] = near - owned_b
-            d = len(near)
-            total_a += d
-            squares_a += d * d
-    triangles_a: list[Triangle] = []
-    triangles_b: list[Triangle] = []
-    for tri in triangles:
-        x, y, z = tri
-        if x in owned_b:
-            if y in owned_b and z in owned_b:
-                triangles_b.append(tri)
-        elif y not in owned_b and z not in owned_b:
-            triangles_a.append(tri)
-    return (
-        _state(inside_a, triangles_a, total_a, squares_a),
-        _state(inside_b, triangles_b, total_b, squares_b),
-    )
+def _expand(indptr, indices, frontier, ball_of, owner, claim, side):
+    """The unowned neighbours of `frontier` inside each frontier node's own
+    ball, each once; they become owned by `side`."""
+    start = indptr[frontier]
+    count = indptr[frontier + 1] - start
+    total = int(count.sum())
+    if not total:
+        return _EMPTY
+    reach = indices[np.repeat(start - np.cumsum(count) + count, count) + np.arange(total)]
+    ok = ball_of[reach] == np.repeat(ball_of[frontier], count)
+    ok &= owner[reach] == 0
+    reach = reach[ok]
+    order = np.arange(len(reach))
+    claim[reach] = order
+    reach = reach[claim[reach] == order]
+    owner[reach] = side
+    return reach
 
 
 def _refine(
-    g: Graph,
-    start: Sequence[GranularBall],
-    decisions: list[SplitDecision] | None,
-) -> list[GranularBall]:
-    """Recursive quality-gated splitting; returns final balls in preorder.
+    g: Graph, labels, ball_count, connected, gated, stats
+) -> tuple[_SplitTree, np.ndarray]:
+    """Split all balls of `labels` round by round; return the split tree.
 
-    A start ball's induced adjacency and triangles are computed when it is
-    popped; every child carries its share of its parent's.
+    Every round, each live ball (two or more members) splits around its two
+    highest-induced-degree members, A first and then B (ties to the lowest
+    index), by one two-source BFS run level by level over all balls at
+    once: each level expands A's frontier, then B's, and a node belongs to
+    whichever reaches it first. A node thus joins B exactly when it is
+    strictly closer to B. A ball's BFS stops when B's frontier dies, the
+    unseen nodes going to A; or, in a ball known to be connected, when A's
+    frontier dies, the unseen nodes going to B, since every path from A to
+    them passes through a node B owns. Start balls from the initial growth
+    and every child B are connected, and a child A is when its parent is.
+    With `gated`, a split is kept only when the children's qualities sum to
+    more than the parent's; without it, every ball splits down to single
+    nodes. Also returns the deepest tree node of every graph node.
     """
-    final: list[GranularBall] = []
-    stack: list[BallState] = [
-        (ball.members, ball.quality, ball.internal_edge_count, None, None)
-        for ball in reversed(start)
-    ]
-    while stack:
-        members, quality, edges, inside, triangles = stack.pop()
-        if len(members) < 2:
-            final.append(GranularBall(members, quality, edges))
-            continue
-        if inside is None:
-            inside, triangles = _induced(g, members)
-        child_a, child_b = _split(members, inside, triangles)
-        accepted = child_a[1] + child_b[1] > quality
-        if decisions is not None:
-            decisions.append(
-                SplitDecision(
-                    parent_size=len(members),
-                    parent_quality=quality,
-                    child_a_quality=child_a[1],
-                    child_b_quality=child_b[1],
-                    accepted=accepted,
-                )
-            )
-        if accepted:
-            stack.append(child_b)
-            stack.append(child_a)
-        else:
-            final.append(GranularBall(members, quality, edges))
+    n = g.n
+    u, v = g.edge_arrays()
+    quality, edges, (u, v), (tx, ty, tz) = _ball_measures(n, u, v, labels, ball_count)
+    by_ball = np.argsort(labels, kind="stable")
+    size = np.bincount(labels, minlength=ball_count)
+    offset = np.cumsum(size) - size
+    tree = _SplitTree()
+    tree.add_nodes(size=size, quality=quality, edges=edges, smallest=by_ball[offset], offset=offset)
+
+    # the live balls, one slot each, their members grouped by slot in
+    # ascending order in `members`
+    ball_of = np.full(n, -1, dtype=np.int64)
+    live = size >= 2
+    slot_tree = np.flatnonzero(live)
+    members = by_ball[live[labels[by_ball]]]
+    slot_size = size[live]
+    slot_of_label = np.cumsum(live) - 1
+    ball_of[members] = slot_of_label[labels[members]]
+    slot_quality = quality[live]
+    slot_connected = connected[live]
+    slot_offset = offset[live]
+    position = np.zeros(n, dtype=np.int64)
+    owner = np.zeros(n, dtype=np.int8)
+    in_b = np.zeros(n, dtype=np.int8)
+    claim = np.zeros(n, dtype=np.int64)
+    position[members] = np.arange(len(members))
+    degree = np.bincount(position[u], minlength=len(members))
+    degree += np.bincount(position[v], minlength=len(members))
+    deepest = labels.copy()  # the last tree node each node belongs to
+    rounds = levels = 0
+
+    while len(slot_tree):
+        slots = len(slot_tree)
+        start = np.cumsum(slot_size) - slot_size
+        slot_of = np.repeat(np.arange(slots), slot_size)
+
+        # centres: highest induced degree, ties to the lowest node
+        key = degree * n + (n - 1 - members)
+        center_a = n - 1 - np.maximum.reduceat(key, start) % n
+        key[position[center_a]] = -1
+        center_b = n - 1 - np.maximum.reduceat(key, start) % n
+
+        owner[center_a] = 1
+        owner[center_b] = 2
+        unseen_to_b = np.zeros(slots, dtype=bool)
+        running = np.ones(slots, dtype=bool)
+        frontier_a, frontier_b = center_a, center_b
+        while len(frontier_b):
+            levels += 1
+            frontier_a = _expand(g.indptr, g.indices, frontier_a, ball_of, owner, claim, 1)
+            frontier_b = _expand(g.indptr, g.indices, frontier_b, ball_of, owner, claim, 2)
+            alive_a = np.zeros(slots, dtype=bool)
+            alive_a[ball_of[frontier_a]] = True
+            alive_b = np.zeros(slots, dtype=bool)
+            alive_b[ball_of[frontier_b]] = True
+            stop = running & ~(alive_b & (alive_a | ~slot_connected))
+            if stop.any():
+                unseen_to_b |= stop & alive_b
+                running &= ~stop
+                frontier_a = frontier_a[running[ball_of[frontier_a]]]
+                frontier_b = frontier_b[running[ball_of[frontier_b]]]
+        seen = owner[members]
+        side = (seen == 2) | ((seen == 0) & unseen_to_b[slot_of])
+        owner[members] = 0
+        in_b[members] = side
+
+        # the children: child 2s is slot s's child a, 2s + 1 its child b
+        child = 2 * slot_of + side
+        kept = in_b[u] == in_b[v]
+        u, v = u[kept], v[kept]
+        kept = (in_b[tx] == in_b[ty]) & (in_b[ty] == in_b[tz])
+        tx, ty, tz = tx[kept], ty[kept], tz[kept]
+        child_degree = np.bincount(position[u], minlength=len(members))
+        child_degree += np.bincount(position[v], minlength=len(members))
+        child_size = np.bincount(child, minlength=2 * slots)
+        child_total = np.bincount(child, weights=child_degree, minlength=2 * slots).astype(np.int64)
+        child_squares = np.bincount(
+            child, weights=child_degree * child_degree, minlength=2 * slots
+        ).astype(np.int64)
+        child_triangles = np.bincount(2 * ball_of[tx] + in_b[tx], minlength=2 * slots)
+        child_quality = _quality(child_size, child_total, child_squares, child_triangles)
+        quality_a, quality_b = child_quality[0::2], child_quality[1::2]
+        accepted = quality_a + quality_b > slot_quality if gated else np.ones(slots, dtype=bool)
+
+        # rank of each member within its child, in the parent's order
+        b_before = np.cumsum(side) - side
+        b_before -= b_before[start][slot_of]
+        rank = np.where(side, b_before, np.arange(len(members)) - start[slot_of] - b_before)
+        child_smallest = np.empty(2 * slots, dtype=np.int64)
+        child_smallest[child[rank == 0]] = members[rank == 0]
+        child_offset = np.repeat(slot_offset, 2)
+        child_offset[1::2] += child_size[0::2]
+        split = np.repeat(accepted, 2)
+        child_tree = np.full(2 * slots, -1, dtype=np.int64)
+        child_tree[split] = tree.add_nodes(
+            size=child_size[split],
+            quality=child_quality[split],
+            edges=child_total[split] // 2,
+            smallest=child_smallest[split],
+            offset=child_offset[split],
+        )
+        tree.add(
+            parent=slot_tree,
+            quality_a=quality_a,
+            quality_b=quality_b,
+            accepted=accepted,
+            child=child_tree[0::2],
+            depth=np.full(slots, rounds),
+        )
+        rounds += 1
+
+        # next round: the accepted children with two or more members
+        goes_on = split & (child_size >= 2)
+        next_slot = np.cumsum(goes_on) - 1
+        next_size = child_size[goes_on]
+        next_start = np.cumsum(next_size) - next_size
+        stays = goes_on[child]
+        edge_child = 2 * ball_of[u] + in_b[u]
+        tri_child = 2 * ball_of[tx] + in_b[tx]
+        moves = accepted[slot_of]
+        deepest[members[moves]] = child_tree[child[moves]]
+        ball_of[members[~stays]] = -1
+        moved = members[stays]
+        ball_of[moved] = next_slot[child[stays]]
+        at = next_start[next_slot[child[stays]]] + rank[stays]
+        members = np.empty(len(moved), dtype=np.int64)
+        members[at] = moved
+        degree = np.empty(len(moved), dtype=np.int64)
+        degree[at] = child_degree[stays]
+        slot_tree = child_tree[goes_on]
+        slot_size = next_size
+        slot_quality = child_quality[goes_on]
+        slot_offset = child_offset[goes_on]
+        child_connected = np.repeat(slot_connected, 2)
+        child_connected[1::2] = True
+        slot_connected = child_connected[goes_on]
+        position[members] = np.arange(len(members))
+        kept = goes_on[edge_child]
+        u, v = u[kept], v[kept]
+        kept = goes_on[tri_child]
+        tx, ty, tz = tx[kept], ty[kept], tz[kept]
+
+    if stats is not None:
+        stats["rounds"] = stats.get("rounds", 0) + rounds
+        stats["bfs_levels"] = stats.get("bfs_levels", 0) + levels
+    return tree, deepest
+
+
+def _ratio_leaves(tree: _SplitTree, graph_roots, targets) -> np.ndarray:
+    """Which tree nodes are final balls when each graph, from its start
+    balls, splits greedily up to its target ball count: the splittable ball
+    with the largest quality gain goes first (ties: larger ball, then lowest
+    smallest member, which no two live balls share)."""
+    size, quality, smallest = tree.column("size"), tree.column("quality"), tree.column("smallest")
+    parent = tree.column("parent")
+    gain = np.zeros(tree.count)
+    gain[parent] = tree.column("quality_a") + tree.column("quality_b") - quality[parent]
+    child = np.full(tree.count, -1, dtype=np.int64)
+    child[parent] = tree.column("child")
+    gain, size_list, smallest, child = gain.tolist(), size.tolist(), smallest.tolist(), child.tolist()
+    final = np.zeros(tree.count, dtype=bool)
+    for (lo, hi), target in zip(graph_roots, targets):
+        final[lo:hi] = True
+        count = hi - lo
+        heap = [(-gain[t], -size_list[t], smallest[t], t) for t in range(lo, hi) if size_list[t] >= 2]
+        heapq.heapify(heap)
+        while count < target and heap:
+            t = heapq.heappop(heap)[3]
+            final[t] = False
+            count += 1
+            for c in (child[t], child[t] + 1):
+                final[c] = True
+                if size_list[c] >= 2:
+                    heapq.heappush(heap, (-gain[c], -size_list[c], smallest[c], c))
     return final
+
+
+def _decisions(tree: _SplitTree) -> list[SplitDecision]:
+    """Every split attempt, in the preorder of the split tree: by member
+    offset, a parent before the child a that shares its offset."""
+    parent = tree.column("parent")
+    order = np.lexsort((tree.column("depth"), tree.column("offset")[parent]))
+    return [
+        SplitDecision(*fields)
+        for fields in zip(
+            tree.column("size")[parent][order].tolist(),
+            tree.column("quality")[parent][order].tolist(),
+            tree.column("quality_a")[order].tolist(),
+            tree.column("quality_b")[order].tolist(),
+            tree.column("accepted")[order].tolist(),
+        )
+    ]
+
+
+def coarsen_many(
+    graphs: Sequence[Graph],
+    cfg: CoarsenConfig,
+    decisions: list[SplitDecision] | None = None,
+    stats: dict | None = None,
+) -> list[Partition]:
+    """Coarsen a block of graphs with one engine call; the result for each
+    graph is the one it gets alone. `decisions` receives the split attempts
+    of adaptive refinement, graph by graph in preorder; `stats` receives
+    the counters of the initial growth and the refinement rounds."""
+    if any(g.n == 0 for g in graphs):
+        raise GraphValidationError("cannot coarsen an empty graph")
+    if not graphs:
+        return []
+    union, bounds = _union(graphs)
+    sizes = np.diff(bounds)
+    ratio = cfg.mode == "ratio"
+    if not ratio and cfg.ablation == "no_init":
+        labels = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
+        first_label = list(range(len(graphs) + 1))
+        connected = np.zeros(len(graphs), dtype=bool)
+    else:
+        targets = [
+            (None if ratio else cfg.init_ball_target) or default_init_target(g.n) for g in graphs
+        ]
+        labels, first_label = _init_labels(union, bounds, targets, stats)
+        connected = np.ones(first_label[-1], dtype=bool)
+    count = first_label[-1]
+    graph_roots = list(zip(first_label, first_label[1:]))
+    if ratio:
+        ball_targets = [max(1, math.ceil(cfg.ratio * n)) for n in sizes.tolist()]
+        splits = any(hi - lo < k for (lo, hi), k in zip(graph_roots, ball_targets))
+    else:
+        splits = cfg.ablation != "no_split"
+
+    if splits:
+        tree, deepest = _refine(union, labels, count, connected, not ratio, stats)
+        if ratio:
+            final = _ratio_leaves(tree, graph_roots, ball_targets)
+        else:
+            final = np.ones(tree.count, dtype=bool)
+            final[tree.column("parent")[tree.column("accepted")]] = False
+            if decisions is not None:
+                decisions.extend(_decisions(tree))
+        quality, edges, offset = tree.column("quality"), tree.column("edges"), tree.column("offset")
+        leaves = np.flatnonzero(final)
+        leaves = leaves[np.argsort(offset[leaves])]
+        starts = offset[leaves]
+        ball = np.searchsorted(starts, offset[deepest], side="right") - 1
+        quality, edges = quality[leaves], edges[leaves]
+        first_ball = np.searchsorted(starts, bounds).tolist()
+    else:
+        u, v = union.edge_arrays()
+        quality, edges = _ball_measures(union.n, u, v, labels, count)[:2]
+        ball, first_ball = labels, first_label
+
+    parts = []
+    for j in range(len(graphs)):
+        lo, hi = first_ball[j], first_ball[j + 1]
+        parts.append(
+            Partition(
+                ball[bounds[j] : bounds[j + 1]] - lo,
+                hi - lo,
+                quality[lo:hi].copy(),
+                edges[lo:hi].copy(),
+            )
+        )
+    return parts
+
+
+def coarsen(
+    g: Graph,
+    cfg: CoarsenConfig,
+    decisions: list[SplitDecision] | None = None,
+    stats: dict | None = None,
+) -> Partition:
+    """Coarsen one graph as cfg says; see coarsen_many."""
+    return coarsen_many([g], cfg, decisions, stats)[0]
 
 
 def adaptive_coarsen(
@@ -360,19 +710,10 @@ def adaptive_coarsen(
     """Full adaptive pipeline: initialization then gated binary splitting.
 
     Ablations: "no_split" returns the initial partition as-is; "no_init"
-    starts the splitting recursion from a single whole-graph ball.
+    starts the splitting from a single whole-graph ball.
     """
-    cfg = cfg or CoarsenConfig()
-    if g.n == 0:
-        raise GraphValidationError("cannot coarsen an empty graph")
-    if cfg.ablation == "no_init":
-        start = [make_ball(g, range(g.n))]
-    else:
-        target = cfg.init_ball_target or default_init_target(g.n)
-        start = init_balls(g, target).balls
-        if cfg.ablation == "no_split":
-            return Partition.from_balls(g.n, start)
-    return Partition.from_balls(g.n, _refine(g, start, decisions))
+    cfg = replace(cfg or CoarsenConfig(), mode="adaptive", ratio=None)
+    return coarsen(g, cfg, decisions)
 
 
 def ratio_coarsen(g: Graph, r: float) -> Partition:
@@ -384,61 +725,7 @@ def ratio_coarsen(g: Graph, r: float) -> Partition:
     largest quality gain goes first (ties: larger ball, then lowest
     smallest member), with no acceptance gate.
     """
-    if g.n == 0:
-        raise GraphValidationError("cannot coarsen an empty graph")
-    if not (0.0 < r < 1.0):
-        raise GraphValidationError(f"ratio must be in (0, 1), got {r}")
-    k = max(1, math.ceil(r * g.n))
-    part = init_balls(g, default_init_target(g.n))
-    count = part.ball_count
-    if count >= k:
-        return part
-
-    heap: list[tuple] = []
-
-    def push(ball: GranularBall, inside, triangles):
-        if ball.size < 2:
-            return
-        if inside is None:
-            inside, triangles = _induced(g, ball.members)
-        child_a, child_b = _split(ball.members, inside, triangles)
-        gain = child_a[1] + child_b[1] - ball.quality
-        # min member is unique across live balls, making the key total
-        heapq.heappush(heap, (-gain, -ball.size, ball.members[0], ball, child_a, child_b))
-
-    for ball in part.balls:
-        push(ball, None, None)
-    children: dict[int, tuple[GranularBall, GranularBall]] = {}
-    while count < k and heap:
-        _, _, _, parent, state_a, state_b = heapq.heappop(heap)
-        child_a, child_b = GranularBall(*state_a[:3]), GranularBall(*state_b[:3])
-        children[id(parent)] = (child_a, child_b)
-        count += 1
-        push(child_a, *state_a[3:])
-        push(child_b, *state_b[3:])
-
-    final: list[GranularBall] = []
-    stack = list(reversed(part.balls))
-    while stack:
-        ball = stack.pop()
-        split = children.get(id(ball))
-        if split is None:
-            final.append(ball)
-        else:
-            stack.append(split[1])
-            stack.append(split[0])
-    return Partition.from_balls(g.n, final)
-
-
-def coarsen(
-    g: Graph,
-    cfg: CoarsenConfig,
-    decisions: list[SplitDecision] | None = None,
-) -> Partition:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "ratio":
-        return ratio_coarsen(g, cfg.ratio)
-    return adaptive_coarsen(g, cfg, decisions)
+    return coarsen(g, CoarsenConfig(mode="ratio", ratio=r))
 
 
 def achieved_ratio(p: Partition, n: int) -> float:

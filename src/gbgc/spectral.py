@@ -125,10 +125,15 @@ def lift_vector(c: ProjectionMap, y: np.ndarray) -> np.ndarray:
 
 
 def rayleigh_pair(
-    lap: np.ndarray, lap_coarse: np.ndarray, c: ProjectionMap, x: np.ndarray
+    g: Graph, cg: CoarsenedGraph, c: ProjectionMap, x: np.ndarray
 ) -> tuple[float, float]:
-    """Rayleigh quotients of x on the original Laplacian and of C^T x on the
-    projected one."""
+    """Rayleigh quotients of x on the original combinatorial Laplacian and
+    of C^T x on the projected one, in O(m + k) with no dense matrix.
+
+    x^T L x is the sum over edges (u, v) of (x_u - x_v)^2, and
+    y^T C^T L C y the sum over superedges (a, b) of their weight times
+    (y_a - y_b)^2.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (c.rows,):
         raise GraphValidationError(f"expected vector of length {c.rows}, got {x.shape}")
@@ -139,8 +144,11 @@ def rayleigh_pair(
     denom_c = float(xc @ xc)
     if denom_c == 0.0:
         raise GraphValidationError("projected vector C^T x is zero")
-    r_o = float(x @ lap @ x) / denom
-    r_c = float(xc @ lap_coarse @ xc) / denom_c
+    u, v = g.edge_arrays()
+    diff = x[u] - x[v]
+    diff_c = xc[cg.superedges[:, 0]] - xc[cg.superedges[:, 1]]
+    r_o = float(diff @ diff) / denom
+    r_c = float(cg.weights @ (diff_c * diff_c)) / denom_c
     return r_o, r_c
 
 
@@ -152,7 +160,7 @@ def projected_normalized_laplacian(g: Graph, c: ProjectionMap) -> np.ndarray:
     edge inside a ball adds twice that to its diagonal.
     """
     t = c.cols
-    col = np.asarray(c.column_of, dtype=np.int64)
+    col = c.column_of
     u, v = g.edge_arrays()
     deg = np.diff(g.indptr)
     a, b = col[u], col[v]
@@ -172,10 +180,9 @@ def _rayleigh_test_vectors(c: ProjectionMap, eigvecs: np.ndarray, k: int) -> lis
     vectors = [lift_vector(c, eigvecs[:, i]) for i in range(min(k, eigvecs.shape[1]))]
     if len(vectors) < k:
         sizes = c.ball_sizes()
-        by_size = sorted(range(len(sizes)), key=lambda a: (-sizes[a], a))
-        column = np.asarray(c.column_of)
+        by_size = np.lexsort((np.arange(len(sizes)), -sizes))
         for a in by_size[: k - len(vectors)]:
-            vectors.append((column == a).astype(float))
+            vectors.append((c.column_of == a).astype(float))
     return vectors
 
 
@@ -199,11 +206,9 @@ def evaluate(
 
     Solve order, so that at most one dense n x n matrix is alive at a time
     (plus the working copy LAPACK makes of it): the original Laplacian of
-    the chosen kind is built and its spectrum solved first, before any
-    coarse matrix exists. It is kept only when combinatorial probes will
-    read it, and dropped otherwise. Then the coarse matrices are built and
-    solved. Last, the probes run; in normalized mode their combinatorial
-    Laplacian is built only then.
+    the chosen kind is built, its spectrum solved and the matrix dropped
+    before any coarse matrix exists. Then the coarse matrices are built and
+    solved. Last, the probes run over the edge lists, with no n x n matrix.
     """
     cfg = cfg or EvalConfig()
     c = build_projection(p, g.n)
@@ -216,14 +221,12 @@ def evaluate(
     if cfg.sd_mode not in ("projected", "unweighted"):
         raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
     probing = cfg.rayleigh_vectors > 0
-    lap_orig = laplacian(g, cfg.laplacian_kind)
-    orig_eigvals = eigenvalues_symmetric(lap_orig)
-    lap_comb = lap_orig if probing and cfg.laplacian_kind == "combinatorial" else None
-    del lap_orig
+    orig_eigvals = eigenvalues_symmetric(laplacian(g, cfg.laplacian_kind))
 
     if probing:
-        lap_proj = cg.projected_laplacian
-        proj_eigvals, proj_eigvecs = eigenvalues_symmetric(lap_proj, with_vectors=True)
+        proj_eigvals, proj_eigvecs = eigenvalues_symmetric(
+            cg.projected_laplacian, with_vectors=True
+        )
     if cfg.sd_mode == "unweighted":
         coarse_eigvals = eigenvalues_symmetric(laplacian(superedge_graph(cg), cfg.laplacian_kind))
     elif cfg.laplacian_kind == "combinatorial":
@@ -234,10 +237,8 @@ def evaluate(
 
     samples = []
     if probing:
-        if lap_comb is None:
-            lap_comb = laplacian(g)
         for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
-            r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
+            r_o, r_c = rayleigh_pair(g, cg, c, x)
             scale = max(abs(r_o), abs(r_c))
             gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
             samples.append((r_o, r_c, gap))

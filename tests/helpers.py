@@ -1,12 +1,15 @@
 """Brute-force oracles, reference kernels and small-graph enumeration shared
 by the tests.
 
-Everything here is deliberately independent of the package internals:
+The oracles are deliberately independent of the package internals:
 adjacency matrices as plain nested lists, triple loops, no shared kernels.
 The graph kernels below (induced subgraphs, BFS layers, components,
 triangle and wedge counts) are used only by the tests, and the reference
 engine keeps the recursive refinement as first written, recomputing every
-ball from the graph, as the oracle for the carry-forward engine. The
+ball from the graph, as the oracle for the round-based engine. `make_ball`,
+`ball_quality` and `split_ball` are the exceptions: they score one ball, or
+split it once, through the package's own kernels, so the tests can compare
+single balls and splits with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
 vectorized ones. The reference evaluation keeps `evaluate` as it was before
 it solved the original spectrum first, with the Laplacian scaled by out-of-place
@@ -34,13 +37,13 @@ from gbgc import (
     init_balls,
 )
 from gbgc.coarse import build_projection, superedge_graph
-from gbgc.engine import achieved_ratio
+from gbgc.engine import _refine, achieved_ratio
 from gbgc.spectral import (
     SpectralReport,
     _rayleigh_test_vectors,
     eigenvalues_symmetric,
+    project_vector,
     projected_normalized_laplacian,
-    rayleigh_pair,
     spectral_distance,
 )
 
@@ -295,6 +298,46 @@ def _ball_stats(g, member_set):
     return edges, quality
 
 
+def make_ball(g, members):
+    """The ball on `members` (nonempty) as the package scores it."""
+    member_set = set(members)
+    if not member_set:
+        raise GraphValidationError("ball members must be nonempty")
+    others = [[v] for v in range(g.n) if v not in member_set]
+    return Partition.from_member_groups(g, [member_set, *others]).balls[0]
+
+
+def ball_quality(g, members):
+    """Quality of the ball induced by `members` (must be nonempty)."""
+    return make_ball(g, members).quality
+
+
+def split_ball(g, ball):
+    """The package engine's split of one ball: its first refinement round
+    with the quality gate off, the ball not assumed connected."""
+    if ball.size < 2:
+        raise GraphValidationError("cannot split a singleton ball")
+    labels = np.full(g.n, -1, dtype=np.int64)
+    labels[list(ball.members)] = 0
+    outside = labels < 0
+    labels[outside] = np.arange(1, int(outside.sum()) + 1)
+    count = int(labels.max()) + 1
+    connected = np.ones(count, dtype=bool)
+    connected[0] = False
+    tree, deepest = _refine(g, labels, count, connected, False, None)
+    size, quality, edges, offset = (tree.column(c) for c in ("size", "quality", "edges", "offset"))
+    children = []
+    for child in (tree.column("child")[0], tree.column("child")[0] + 1):
+        lo = offset[child]
+        inside = (offset[deepest] >= lo) & (offset[deepest] < lo + size[child])
+        children.append(
+            GranularBall(
+                tuple(np.flatnonzero(inside).tolist()), float(quality[child]), int(edges[child])
+            )
+        )
+    return tuple(children)
+
+
 def reference_make_ball(g, members):
     member_tuple = tuple(sorted(set(members)))
     edges, quality = _ball_stats(g, frozenset(member_tuple))
@@ -520,6 +563,14 @@ def reference_laplacian(g: Graph, kind="combinatorial"):
     raise GraphValidationError(f"unknown laplacian kind {kind!r}")
 
 
+def reference_rayleigh_pair(lap, lap_coarse, c, x):
+    """Rayleigh quotients x^T L x / x^T x and y^T L_c y / y^T y, y = C^T x,
+    from the dense Laplacians."""
+    x = np.asarray(x, dtype=float)
+    xc = project_vector(c, x)
+    return float(x @ lap @ x) / float(x @ x), float(xc @ lap_coarse @ xc) / float(xc @ xc)
+
+
 def reference_evaluate(g, cg, p, cfg=None):
     """`evaluate` building the original Laplacian first and solving it last,
     with the coarse matrices built and factored while it is alive."""
@@ -550,7 +601,7 @@ def reference_evaluate(g, cg, p, cfg=None):
     if probing:
         lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else reference_laplacian(g)
         for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
-            r_o, r_c = rayleigh_pair(lap_comb, lap_proj, c, x)
+            r_o, r_c = reference_rayleigh_pair(lap_comb, lap_proj, c, x)
             scale = max(abs(r_o), abs(r_c))
             gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
             samples.append((r_o, r_c, gap))

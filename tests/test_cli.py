@@ -127,6 +127,27 @@ def test_evaluate_bad_assignment_length(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "assignment, count, message",
+    [
+        ([0, -1, 0], 1, "node 1 mapped to invalid supernode -1"),
+        ([0, 10**20, 1], 2, f"node 1 mapped to invalid supernode {10**20}"),
+        ([0, 0, 2], 3, "supernode indices are not dense"),
+        ([0, 1, 2], 10**30, "supernode indices are not dense"),
+    ],
+)
+def test_evaluate_bad_supernode_indices(tmp_path, capsys, assignment, count, message):
+    k3 = tmp_path / "k3.txt"
+    k3.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mapping.jsonl").write_text(
+        json.dumps({"graph_index": 0, "assignment": assignment, "supernode_count": count}) + "\n"
+    )
+    assert run(["evaluate", "--input", str(k3), "--output", str(out)]) == 1
+    assert f"graph 0: {message}" in capsys.readouterr().err
+
+
 def test_jobs_parallel_identical_mapping(tmp_path):
     data = write_tiny_tud(tmp_path / "tiny")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -250,14 +271,16 @@ def test_bench_rejects_jobs(capsys):
 
 
 def test_memory_error_in_one_graph_reports_it_and_writes_the_rest(tmp_path, monkeypatch, capsys):
-    real_coarsen = cli.coarsen
+    real_coarsen_many = cli.coarsen_many
 
-    def coarsen_failing_on_two_nodes(g, cfg):
-        if g.n == 2:  # the second graph of the tiny dataset
+    def coarsen_many_failing_on_two_nodes(graphs, cfg):
+        if any(g.n == 2 for g in graphs):  # the second graph of the tiny dataset
             raise MemoryError
-        return real_coarsen(g, cfg)
+        return real_coarsen_many(graphs, cfg)
 
-    monkeypatch.setattr(cli, "coarsen", coarsen_failing_on_two_nodes)
+    # the engine fails on that graph whether it runs in a block or alone
+    monkeypatch.setattr(cli, "coarsen_many", coarsen_many_failing_on_two_nodes)
+    monkeypatch.setattr(cli, "coarsen", lambda g, cfg: coarsen_many_failing_on_two_nodes([g], cfg)[0])
     data = write_tiny_tud(tmp_path / "tiny")
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1

@@ -245,22 +245,21 @@ def make_record(index, sd=0.5):
     )
 
 
-def test_write_results_failure_keeps_previous_files(tmp_path, monkeypatch):
+def test_write_results_failure_keeps_previous_files(tmp_path):
     write_results([make_record(0), make_record(1)], tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    real_dumps = json.dumps
     calls = []
 
-    def failing_dumps(obj, **kwargs):
-        calls.append(obj)
-        if len(calls) == 2:
+    class FailingAssignment(list):
+        def __array__(self, dtype=None, copy=None):
+            calls.append(self)
             raise OSError("no space left on device")
-        return real_dumps(obj, **kwargs)
 
-    monkeypatch.setattr(dataio.json, "dumps", failing_dumps)
+    failing = make_record(6)
+    failing.assignment = FailingAssignment(failing.assignment)
     with pytest.raises(DatasetFormatError, match="no space left"):
-        write_results([make_record(5), make_record(6)], tmp_path)
-    assert len(calls) == 2  # failed partway through mapping.jsonl
+        write_results([make_record(5), failing], tmp_path)
+    assert len(calls) == 1  # failed on the second row of mapping.jsonl
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -1,4 +1,4 @@
-"""Property test: the carry-forward engine equals the reference engine on
+"""Property test: the round-based engine equals the reference engine on
 small random graphs, isolated nodes and several components included."""
 
 import pytest
@@ -6,9 +6,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from gbgc import from_edge_list, make_ball, split_ball
+from gbgc import from_edge_list
 
-from helpers import reference_split_ball
+from helpers import make_ball, reference_split_ball, split_ball
 from test_engine_equivalence import CONFIGS, assert_same_as_reference
 
 
