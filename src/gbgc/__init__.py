@@ -6,7 +6,7 @@ well the reduction preserves structure via spectral distance and
 Rayleigh-quotient diagnostics.
 """
 
-from .coarse import CoarsenedGraph, ProjectionMap, build_coarse_graph, build_projection
+from .coarse import CoarsenedGraph, build_coarse_graph
 from .dataio import (
     CoarsenRecord,
     DatasetBundle,
@@ -54,13 +54,11 @@ __all__ = [
     "GranularBall",
     "GraphValidationError",
     "Partition",
-    "ProjectionMap",
     "SpectralReport",
     "SplitDecision",
     "achieved_ratio",
     "adaptive_coarsen",
     "build_coarse_graph",
-    "build_projection",
     "coarsen",
     "coarsen_many",
     "default_init_target",

@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .coarse import build_coarse_graph, build_projection
+from .coarse import build_coarse_graph
 from .dataio import (
     CoarsenRecord,
     DatasetBundle,
@@ -100,8 +100,7 @@ def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, sk
     """One graph's coarse graph, SD and record, from its partition."""
     try:
         t0 = time.perf_counter()
-        c = build_projection(part, g.n)
-        cg = build_coarse_graph(g, c)
+        cg = build_coarse_graph(g, part)
         if skip_sd:
             sd = float("nan")
             r_a = achieved_ratio(part, g.n)
@@ -176,11 +175,19 @@ def _blocks(graphs: list[Graph], jobs: int) -> list[range]:
     return blocks
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the cap on --jobs, since a forking
+    process pool starts all its workers at once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_tasks(tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         results = [_coarsen_block(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_coarsen_block, tasks))
     return [result for block in results for result in block]
 
@@ -195,16 +202,17 @@ def run_coarsen(args) -> int:
     eval_cfg = EvalConfig(
         laplacian_kind=args.laplacian, sd_mode=args.sd_mode, rayleigh_vectors=0
     )
+    jobs = min(args.jobs, _usable_cpus())
     bundle = _load_bundle(args)
     t0 = time.perf_counter()
     graphs = bundle.graphs
     tasks = [
         (block.start, graphs[block.start : block.stop], cfg, eval_cfg, args.skip_sd)
-        for block in _blocks(graphs, args.jobs)
+        for block in _blocks(graphs, jobs)
     ]
     records: list[CoarsenRecord] = []
     failures = 0
-    for index, record, err in _map_tasks(tasks, args.jobs):
+    for index, record, err in _map_tasks(tasks, jobs):
         if err is not None:
             failures += 1
             print(f"graph {index}: {err}", file=sys.stderr)
@@ -222,14 +230,6 @@ def run_coarsen(args) -> int:
     return 1 if failures else 0
 
 
-def _partition_from_assignment(g: Graph, assignment: list[int], count: int) -> Partition:
-    if len(assignment) != g.n:
-        raise GbgcError(
-            f"assignment length {len(assignment)} does not match graph with {g.n} nodes"
-        )
-    return Partition.from_assignment(assignment, count)
-
-
 def run_evaluate(args) -> int:
     bundle = _load_bundle(args)
     out_dir = Path(args.output)
@@ -245,9 +245,8 @@ def run_evaluate(args) -> int:
             return 1
         try:
             t0 = time.perf_counter()
-            part = _partition_from_assignment(g, row["assignment"], row["supernode_count"])
-            c = build_projection(part, g.n)
-            cg = build_coarse_graph(g, c)
+            part = Partition.from_assignment(row["assignment"], row["supernode_count"])
+            cg = build_coarse_graph(g, part)
             report = evaluate(g, cg, part, eval_cfg)
             elapsed = int((time.perf_counter() - t0) * 1e6)
         except GbgcError as exc:
@@ -297,11 +296,9 @@ def run_bench(args) -> int:
         eval_cfg = EvalConfig(
             laplacian_kind=args.laplacian, sd_mode=args.sd_mode, rayleigh_vectors=0
         )
-        gbgc_sd = evaluate(g, build_coarse_graph(g, build_projection(part, g.n)), part, eval_cfg).sd
+        gbgc_sd = evaluate(g, build_coarse_graph(g, part), part, eval_cfg).sd
         control = random_partition(g, part.ball_count, seed=n)
-        random_sd = evaluate(
-            g, build_coarse_graph(g, build_projection(control, g.n)), control, eval_cfg
-        ).sd
+        random_sd = evaluate(g, build_coarse_graph(g, control), control, eval_cfg).sd
         with open(out_dir / "bench_sd.csv", "w") as fh:
             fh.write("n,gbgc_sd,random_sd\n")
             fh.write(f"{n},{gbgc_sd:.6f},{random_sd:.6f}\n")

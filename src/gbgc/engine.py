@@ -76,6 +76,12 @@ class Partition:
     `qualities` and `edge_counts` hold each ball's quality and internal edge
     count, or None for a partition read back from an assignment alone.
     `balls`, the GranularBall list, is built from them on first read.
+
+    `assignment` is the binary node-to-ball projection matrix C in sparse
+    form: node v's row has its one 1 in column assignment[v]. The
+    constructor checks that every index lies in [0, ball_count) and that no
+    ball is empty, so the coarse graph and the spectral code only check
+    that the partition's length and ball count fit their other arguments.
     """
 
     __slots__ = ("assignment", "ball_count", "qualities", "edge_counts", "_balls")
@@ -87,11 +93,25 @@ class Partition:
         qualities: np.ndarray | None = None,
         edge_counts: np.ndarray | None = None,
     ):
+        bad = (assignment < 0) | (assignment >= ball_count)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise GraphValidationError(f"node {v} mapped to invalid supernode {assignment[v]}")
+        # more balls than nodes leaves one empty, and bounds the count below
+        if ball_count > len(assignment) or not np.bincount(assignment, minlength=ball_count).all():
+            raise GraphValidationError("supernode indices are not dense: empty supernode present")
         self.assignment = assignment
         self.ball_count = ball_count
         self.qualities = qualities
         self.edge_counts = edge_counts
         self._balls: list[GranularBall] | None = None
+
+    def check_node_count(self, n: int) -> None:
+        """Raise unless the partition assigns exactly n nodes."""
+        if len(self.assignment) != n:
+            raise GraphValidationError(
+                f"assignment length {len(self.assignment)} does not match graph with {n} nodes"
+            )
 
     @property
     def balls(self) -> list[GranularBall]:
@@ -111,18 +131,15 @@ class Partition:
 
     @classmethod
     def from_assignment(cls, assignment, ball_count: int) -> "Partition":
-        """A partition without qualities; every ball index in range and used."""
+        """A partition without qualities, from ball indices read from outside
+        the program (a sequence of ints)."""
         try:
             array = np.asarray(assignment, dtype=np.int64)
-            bad = (array < 0) | (array >= ball_count)
         except OverflowError:  # an index beyond int64, so certainly out of range
-            bad = np.array([not 0 <= a < ball_count for a in assignment])
-        if bad.any():
-            v = int(np.argmax(bad))
-            raise GraphValidationError(f"node {v} mapped to invalid supernode {assignment[v]}")
-        # more balls than nodes leaves one empty, and bounds the count below
-        if ball_count > len(array) or not np.bincount(array, minlength=ball_count).all():
-            raise GraphValidationError("supernode indices are not dense: empty supernode present")
+            v = next(v for v, a in enumerate(assignment) if not 0 <= a < ball_count)
+            raise GraphValidationError(
+                f"node {v} mapped to invalid supernode {assignment[v]}"
+            ) from None
         return cls(array, ball_count)
 
     @classmethod

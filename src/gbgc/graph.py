@@ -43,32 +43,18 @@ class Graph:
     ascending, no self-loops). The arrays may be views of larger ones, as
     for the graphs of one parsed dataset. The constructor trusts its arrays;
     use :func:`from_edge_list` to build a Graph from raw (possibly dirty)
-    pairs.
-
-    ``adj``, the per-node neighbour tuples the engine walks, is derived from
-    the arrays on first use and never pickled: a pickle carries ``n`` and
-    the two arrays only.
+    pairs. A pickle carries ``n`` and the two arrays only.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_adj")
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, indptr, indices):
         self.n = n
         self.indptr = _frozen(indptr)
         self.indices = _frozen(indices)
-        self._adj: tuple[tuple[int, ...], ...] | None = None
 
     def __reduce__(self):
         return _unpack, (self.n, _pack(self.indptr), _pack(self.indices))
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of every node as tuples of Python ints, ascending."""
-        if self._adj is None:
-            flat = tuple(self.indices.tolist())
-            bounds = self.indptr.tolist()
-            self._adj = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-        return self._adj
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Ends (u, v) of every edge, u < v, as int64 arrays sorted by (u, v)."""
@@ -89,9 +75,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def __eq__(self, other) -> bool:
         return (

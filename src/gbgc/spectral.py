@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coarse import CoarsenedGraph, ProjectionMap, build_projection, superedge_graph
+from .coarse import CoarsenedGraph, superedge_graph
 from .engine import Partition, achieved_ratio
 from .errors import GraphValidationError
 from .graph import Graph
@@ -114,18 +114,18 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def project_vector(c: ProjectionMap, x: np.ndarray) -> np.ndarray:
+def project_vector(p: Partition, x: np.ndarray) -> np.ndarray:
     """C^T x: per-supernode sums of the node vector x."""
-    return np.bincount(c.column_of, weights=x, minlength=c.cols)
+    return np.bincount(p.assignment, weights=x, minlength=p.ball_count)
 
 
-def lift_vector(c: ProjectionMap, y: np.ndarray) -> np.ndarray:
+def lift_vector(p: Partition, y: np.ndarray) -> np.ndarray:
     """C y: each node takes its supernode's value."""
-    return np.asarray(y, dtype=float)[c.column_of]
+    return np.asarray(y, dtype=float)[p.assignment]
 
 
 def rayleigh_pair(
-    g: Graph, cg: CoarsenedGraph, c: ProjectionMap, x: np.ndarray
+    g: Graph, cg: CoarsenedGraph, p: Partition, x: np.ndarray
 ) -> tuple[float, float]:
     """Rayleigh quotients of x on the original combinatorial Laplacian and
     of C^T x on the projected one, in O(m + k) with no dense matrix.
@@ -134,13 +134,14 @@ def rayleigh_pair(
     y^T C^T L C y the sum over superedges (a, b) of their weight times
     (y_a - y_b)^2.
     """
+    p.check_node_count(g.n)
     x = np.asarray(x, dtype=float)
-    if x.shape != (c.rows,):
-        raise GraphValidationError(f"expected vector of length {c.rows}, got {x.shape}")
+    if x.shape != (g.n,):
+        raise GraphValidationError(f"expected vector of length {g.n}, got {x.shape}")
     denom = float(x @ x)
     if denom == 0.0:
         raise GraphValidationError("x must not be the zero vector")
-    xc = project_vector(c, x)
+    xc = project_vector(p, x)
     denom_c = float(xc @ xc)
     if denom_c == 0.0:
         raise GraphValidationError("projected vector C^T x is zero")
@@ -152,15 +153,15 @@ def rayleigh_pair(
     return r_o, r_c
 
 
-def projected_normalized_laplacian(g: Graph, c: ProjectionMap) -> np.ndarray:
+def projected_normalized_laplacian(g: Graph, p: Partition) -> np.ndarray:
     """C^T L_norm C accumulated edge by edge into t x t, no n x t indicator.
 
     Each ball's diagonal gets +1 per member of non-zero degree; each edge
     (u, v) adds -1/sqrt(d_u d_v) at (col u, col v) and (col v, col u), so an
     edge inside a ball adds twice that to its diagonal.
     """
-    t = c.cols
-    col = c.column_of
+    t = p.ball_count
+    col = p.assignment
     u, v = g.edge_arrays()
     deg = np.diff(g.indptr)
     a, b = col[u], col[v]
@@ -174,15 +175,15 @@ def projected_normalized_laplacian(g: Graph, c: ProjectionMap) -> np.ndarray:
     return lap
 
 
-def _rayleigh_test_vectors(c: ProjectionMap, eigvecs: np.ndarray, k: int) -> list[np.ndarray]:
+def _rayleigh_test_vectors(p: Partition, eigvecs: np.ndarray, k: int) -> list[np.ndarray]:
     """Up to k deterministic probes: lifted coarse eigenvectors (columns of
     eigvecs, ascending eigenvalue) first, then indicators of the largest balls."""
-    vectors = [lift_vector(c, eigvecs[:, i]) for i in range(min(k, eigvecs.shape[1]))]
+    vectors = [lift_vector(p, eigvecs[:, i]) for i in range(min(k, eigvecs.shape[1]))]
     if len(vectors) < k:
-        sizes = c.ball_sizes()
+        sizes = np.bincount(p.assignment, minlength=p.ball_count)
         by_size = np.lexsort((np.arange(len(sizes)), -sizes))
         for a in by_size[: k - len(vectors)]:
-            vectors.append((c.column_of == a).astype(float))
+            vectors.append((p.assignment == a).astype(float))
     return vectors
 
 
@@ -211,10 +212,11 @@ def evaluate(
     solved. Last, the probes run over the edge lists, with no n x n matrix.
     """
     cfg = cfg or EvalConfig()
-    c = build_projection(p, g.n)
-    if c.cols != cg.supernode_count:
+    p.check_node_count(g.n)
+    if p.ball_count != cg.supernode_count:
         raise GraphValidationError(
-            f"partition has {c.cols} balls but coarse graph has {cg.supernode_count} supernodes"
+            f"partition has {p.ball_count} balls but coarse graph has "
+            f"{cg.supernode_count} supernodes"
         )
     if cfg.laplacian_kind not in ("combinatorial", "normalized"):
         raise GraphValidationError(f"unknown laplacian kind {cfg.laplacian_kind!r}")
@@ -232,13 +234,13 @@ def evaluate(
     elif cfg.laplacian_kind == "combinatorial":
         coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
     else:
-        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, c))
+        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, p))
     sd = spectral_distance(orig_eigvals, coarse_eigvals)
 
     samples = []
     if probing:
-        for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
-            r_o, r_c = rayleigh_pair(g, cg, c, x)
+        for x in _rayleigh_test_vectors(p, proj_eigvecs, cfg.rayleigh_vectors):
+            r_o, r_c = rayleigh_pair(g, cg, p, x)
             scale = max(abs(r_o), abs(r_c))
             gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
             samples.append((r_o, r_c, gap))

@@ -3,11 +3,11 @@ by the tests.
 
 The oracles are deliberately independent of the package internals:
 adjacency matrices as plain nested lists, triple loops, no shared kernels.
-The graph kernels below (induced subgraphs, BFS layers, components,
-triangle and wedge counts) are used only by the tests, and the reference
-engine keeps the recursive refinement as first written, recomputing every
-ball from the graph, as the oracle for the round-based engine. `make_ball`,
-`ball_quality` and `split_ball` are the exceptions: they score one ball, or
+The graph kernels below (per-node neighbour tuples, induced subgraphs, BFS
+layers, components, triangle and wedge counts) are used only by the tests,
+and the reference engine keeps the recursive refinement as first written,
+recomputing every ball from the graph, as the oracle for the round-based
+engine. `make_ball`, `ball_quality` and `split_ball` are the exceptions: they score one ball, or
 split it once, through the package's own kernels, so the tests can compare
 single balls and splits with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
@@ -36,7 +36,7 @@ from gbgc import (
     from_edge_list,
     init_balls,
 )
-from gbgc.coarse import build_projection, superedge_graph
+from gbgc.coarse import superedge_graph
 from gbgc.engine import _refine, achieved_ratio
 from gbgc.spectral import (
     SpectralReport,
@@ -147,18 +147,19 @@ def charpoly_eigenvalues(m):
     return sorted(float(r.evalf(30)) for r in poly.real_roots())
 
 
-def indicator_matrix(c):
-    """Dense n x t binary projection matrix C of a ProjectionMap."""
-    ind = np.zeros((c.rows, c.cols))
-    ind[np.arange(c.rows), c.column_of] = 1.0
+def indicator_matrix(p):
+    """Dense n x t binary projection matrix C of a Partition."""
+    n = len(p.assignment)
+    ind = np.zeros((n, p.ball_count))
+    ind[np.arange(n), p.assignment] = 1.0
     return ind
 
 
-def reference_coarse_graph(g, c):
+def reference_coarse_graph(g, p):
     """Dict-and-dense coarse-graph build: (superedges, weights, projected
     Laplacian), the Laplacian accumulated in a t x t int64 matrix."""
-    t = c.cols
-    col = c.column_of
+    t = p.ball_count
+    col = p.assignment
     cross = {}
     cross_degree = [0] * t
     for u, v in g.edges:
@@ -189,9 +190,17 @@ class BfsLayering:
     visited: set = field(default_factory=set)
 
 
+def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Neighbours of every node as tuples of Python ints, ascending, built
+    from the graph's CSR arrays on each call."""
+    flat = tuple(g.indices.tolist())
+    bounds = g.indptr.tolist()
+    return tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+
+
 def neighbor_set(g: Graph, v: int) -> frozenset:
-    """Neighbours of v as a frozenset, built from the graph's adjacency tuples."""
-    return frozenset(g.adj[v])
+    """Neighbours of v as a frozenset, read from v's CSR row."""
+    return frozenset(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist())
 
 
 def induced_subgraph(g: Graph, nodes):
@@ -204,9 +213,10 @@ def induced_subgraph(g: Graph, nodes):
         if not (0 <= v < g.n):
             raise GraphValidationError(f"node {v} out of range for graph with n={g.n}")
     local = {v: i for i, v in enumerate(mapping)}
+    adj = adjacency(g)
     edges = []
     for v in mapping:
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w > v and w in local:
                 edges.append((local[v], local[w]))
     return from_edge_list(len(mapping), edges), mapping
@@ -228,7 +238,7 @@ def bfs_layers(g: Graph, source: int, allowed=None) -> BfsLayering:
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.adj[v]:
+            for w in neighbor_set(g, v):
                 if w in visited:
                     continue
                 if allowed is not None and w not in allowed:
@@ -252,12 +262,13 @@ def count_ordered_triangles_and_wedges(g: Graph):
     closed3 = 0
     for u, v in g.edges:
         closed3 += len(neighbor_set(g, u) & neighbor_set(g, v))
-    wedges = sum(d * (d - 1) for d in (len(a) for a in g.adj))
+    wedges = sum(d * (d - 1) for d in (len(a) for a in adjacency(g)))
     return 2 * closed3, wedges
 
 
 def connected_components(g: Graph):
     """Maximal connected node sets, ordered by smallest member."""
+    adj = adjacency(g)
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -268,7 +279,7 @@ def connected_components(g: Graph):
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.add(w)
@@ -352,7 +363,7 @@ def _bfs_distances(g, source, allowed):
         d += 1
         nxt = []
         for v in frontier:
-            for w in g.adj[v]:
+            for w in neighbor_set(g, v):
                 if w in allowed and w not in dist:
                     dist[w] = d
                     nxt.append(w)
@@ -563,11 +574,11 @@ def reference_laplacian(g: Graph, kind="combinatorial"):
     raise GraphValidationError(f"unknown laplacian kind {kind!r}")
 
 
-def reference_rayleigh_pair(lap, lap_coarse, c, x):
+def reference_rayleigh_pair(lap, lap_coarse, p, x):
     """Rayleigh quotients x^T L x / x^T x and y^T L_c y / y^T y, y = C^T x,
     from the dense Laplacians."""
     x = np.asarray(x, dtype=float)
-    xc = project_vector(c, x)
+    xc = project_vector(p, x)
     return float(x @ lap @ x) / float(x @ x), float(xc @ lap_coarse @ xc) / float(xc @ xc)
 
 
@@ -575,10 +586,12 @@ def reference_evaluate(g, cg, p, cfg=None):
     """`evaluate` building the original Laplacian first and solving it last,
     with the coarse matrices built and factored while it is alive."""
     cfg = cfg or EvalConfig()
-    c = build_projection(p, g.n)
-    if c.cols != cg.supernode_count:
+    if len(p.assignment) != g.n:
+        raise GraphValidationError(f"partition covers {len(p.assignment)} nodes, expected {g.n}")
+    if p.ball_count != cg.supernode_count:
         raise GraphValidationError(
-            f"partition has {c.cols} balls but coarse graph has {cg.supernode_count} supernodes"
+            f"partition has {p.ball_count} balls but coarse graph has "
+            f"{cg.supernode_count} supernodes"
         )
     if cfg.sd_mode not in ("projected", "unweighted"):
         raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
@@ -594,14 +607,14 @@ def reference_evaluate(g, cg, p, cfg=None):
     elif cfg.laplacian_kind == "combinatorial":
         coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
     else:
-        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, c))
+        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, p))
     sd = spectral_distance(eigenvalues_symmetric(lap_orig), coarse_eigvals)
 
     samples = []
     if probing:
         lap_comb = lap_orig if cfg.laplacian_kind == "combinatorial" else reference_laplacian(g)
-        for x in _rayleigh_test_vectors(c, proj_eigvecs, cfg.rayleigh_vectors):
-            r_o, r_c = reference_rayleigh_pair(lap_comb, lap_proj, c, x)
+        for x in _rayleigh_test_vectors(p, proj_eigvecs, cfg.rayleigh_vectors):
+            r_o, r_c = reference_rayleigh_pair(lap_comb, lap_proj, p, x)
             scale = max(abs(r_o), abs(r_c))
             gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
             samples.append((r_o, r_c, gap))

@@ -19,7 +19,6 @@ from gbgc import (
     Partition,
     adaptive_coarsen,
     build_coarse_graph,
-    build_projection,
     default_init_target,
     eigenvalues_symmetric,
     erdos_renyi,
@@ -112,7 +111,7 @@ def test_criterion_02_hand_traced_fixtures():
         and ball_quality(graphs["barbell"], range(6)) == 7 / 6 + 3 / 5
     )
     part = adaptive_coarsen(graphs["barbell"], CoarsenConfig(ablation="no_init"))
-    cg = build_coarse_graph(graphs["barbell"], build_projection(part, 6))
+    cg = build_coarse_graph(graphs["barbell"], part)
     ok = (
         ok
         and [b.members for b in part.balls] == [(0, 1, 2), (3, 4, 5)]
@@ -169,7 +168,7 @@ def test_criterion_04_spectral_correctness():
     )
     for g in graphs.values():
         ident = Partition.from_member_groups(g, [[v] for v in range(g.n)])
-        cg = build_coarse_graph(g, build_projection(ident, g.n))
+        cg = build_coarse_graph(g, ident)
         ok &= evaluate(g, cg, ident).sd <= 1e-8
     ok &= spectral_distance(np.array([0.0, 2.0]), np.array([0.0])) == 2.0
     for comps, g in (
@@ -185,7 +184,7 @@ def test_criterion_04_spectral_correctness():
 def test_criterion_05_coarse_laplacian_identities(adaptive_runs):
     bad = 0
     for g, part, _ in adaptive_runs:
-        cg = build_coarse_graph(g, build_projection(part, g.n))
+        cg = build_coarse_graph(g, part)
         lap = cg.projected_laplacian
         if not np.all(lap.sum(axis=1) == 0.0):
             bad += 1
@@ -207,12 +206,11 @@ def test_criterion_06_rayleigh_identity_specialization():
     ok = True
     for g in fixtures:
         ident = Partition.from_member_groups(g, [[v] for v in range(g.n)])
-        c = build_projection(ident, g.n)
-        cg = build_coarse_graph(g, c)
+        cg = build_coarse_graph(g, ident)
         rep = evaluate(g, cg, ident)
         ok &= len(rep.rayleigh_samples) == 16
         ok &= all(gap <= 1e-12 for _, _, gap in rep.rayleigh_samples)
-        r_o, r_c = rayleigh_pair(g, cg, c, np.ones(g.n))
+        r_o, r_c = rayleigh_pair(g, cg, ident, np.ones(g.n))
         ok &= abs(r_o) <= 1e-12 and abs(r_c) <= 1e-12
     report(6, ok, "identity projection: R_c == R_o on 16 vectors; all-ones gives 0")
 
@@ -225,10 +223,10 @@ def test_criterion_07_sd_dominance_over_random():
     for i in range(30):
         g = erdos_renyi(200, 4.0, seed=1000 + i)
         part = adaptive_coarsen(g, CoarsenConfig())
-        cg = build_coarse_graph(g, build_projection(part, g.n))
+        cg = build_coarse_graph(g, part)
         gbgc_sd.append(evaluate(g, cg, part).sd)
         control = random_partition(g, part.ball_count, seed=2000 + i)
-        cg_control = build_coarse_graph(g, build_projection(control, g.n))
+        cg_control = build_coarse_graph(g, control)
         random_sd.append(evaluate(g, cg_control, control).sd)
         cases.append((g, part, i))
     med_g, med_r = statistics.median(gbgc_sd), statistics.median(random_sd)
@@ -241,7 +239,7 @@ def test_criterion_07_sd_dominance_over_random():
         matched_sd = []
         for g, part, i in cases:
             matched = _size_matched_random(g, [b.size for b in part.balls], 3000 + i)
-            cg_m = build_coarse_graph(g, build_projection(matched, g.n))
+            cg_m = build_coarse_graph(g, matched)
             matched_sd.append(evaluate(g, cg_m, matched).sd)
         med_m = statistics.median(matched_sd)
         violation = (med_g - med_r) / med_r

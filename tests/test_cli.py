@@ -170,6 +170,40 @@ def test_jobs_parallel_identical_outputs_synthetic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("cpus, graph_count", [(2, 300), (8, 2)])
+def test_jobs_capped_at_usable_cpus_and_tasks(tmp_path, monkeypatch, cpus, graph_count):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its width and task count,
+        and runs the tasks in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            pools.append((self.max_workers, len(tasks)))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    data = write_synthetic_tud(tmp_path / "synth", graph_count=graph_count)
+    for jobs in (5000, cpus):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["coarsen", "--input", str(data), "--output", str(out),
+                    "--jobs", str(jobs), "--skip-sd"]) == 0
+    # --jobs 5000 runs as --jobs <cpus>, and the pool is never wider than its tasks
+    assert pools[0] == pools[1]
+    assert pools[0][0] == min(cpus, pools[0][1])
+
+
 def test_coarsen_asks_for_no_rayleigh_probes(tmp_path, monkeypatch):
     configs = []
     real_evaluate = cli.evaluate

@@ -9,14 +9,13 @@ from gbgc import (
     Partition,
     adaptive_coarsen,
     build_coarse_graph,
-    build_projection,
     coarsen,
     erdos_renyi,
     from_edge_list,
     laplacian,
     random_partition,
 )
-from gbgc.coarse import ProjectionMap, superedge_graph
+from gbgc.coarse import superedge_graph
 from gbgc.spectral import projected_normalized_laplacian
 
 from helpers import indicator_matrix, reference_coarse_graph
@@ -27,42 +26,57 @@ def identity_partition(g):
     return Partition.from_member_groups(g, [[v] for v in range(g.n)])
 
 
+def ball_sizes(part):
+    return np.bincount(part.assignment, minlength=part.ball_count)
+
+
 def test_projection_identity(k3):
-    c = build_projection(identity_partition(k3), 3)
-    assert c.column_of.tolist() == [0, 1, 2]
-    assert c.ball_sizes().tolist() == [1, 1, 1]
+    part = identity_partition(k3)
+    assert part.assignment.tolist() == [0, 1, 2]
+    assert ball_sizes(part).tolist() == [1, 1, 1]
 
 
 def test_projection_one_ball(k3):
     part = Partition.from_member_groups(k3, [[0, 1, 2]])
-    c = build_projection(part, 3)
-    assert c.column_of.tolist() == [0, 0, 0]
-    assert c.ball_sizes().tolist() == [3]
-    ind = indicator_matrix(c)
+    assert part.assignment.tolist() == [0, 0, 0]
+    assert ball_sizes(part).tolist() == [3]
+    ind = indicator_matrix(part)
     assert (ind.T @ ind).tolist() == [[3.0]]
 
 
 def test_projection_barbell(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    c = build_projection(part, 6)
-    assert c.column_of.tolist() == [0, 0, 0, 1, 1, 1]
+    assert part.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_projection_size_mismatch(k3):
     part = Partition.from_member_groups(k3, [[0, 1, 2]])
     with pytest.raises(GraphValidationError):
-        build_projection(part, 4)
+        build_coarse_graph(from_edge_list(4, [(0, 1), (1, 2), (2, 0)]), part)
+
+
+@pytest.mark.parametrize(
+    "assignment, count, message",
+    [
+        ([0, -1, 0], 1, "node 1 mapped to invalid supernode -1"),
+        ([0, 1, 2], 2, "node 2 mapped to invalid supernode 2"),
+        ([0, 0, 2], 3, "supernode indices are not dense: empty supernode present"),
+    ],
+)
+def test_partition_rejects_an_invalid_projection(assignment, count, message):
+    with pytest.raises(GraphValidationError, match=message):
+        Partition(np.array(assignment, dtype=np.int64), count)
 
 
 def test_coarse_identity_is_original(k3):
-    cg = build_coarse_graph(k3, build_projection(identity_partition(k3), 3))
+    cg = build_coarse_graph(k3, identity_partition(k3))
     assert cg.superedges.tolist() == [list(e) for e in k3.edges]
     assert np.array_equal(cg.projected_laplacian, laplacian(k3))
 
 
 def test_coarse_one_ball_k2(k2):
     part = Partition.from_member_groups(k2, [[0, 1]])
-    cg = build_coarse_graph(k2, build_projection(part, 2))
+    cg = build_coarse_graph(k2, part)
     assert cg.supernode_count == 1
     assert cg.superedges.tolist() == []
     assert cg.superedges.shape == (0, 2)
@@ -71,7 +85,7 @@ def test_coarse_one_ball_k2(k2):
 
 def test_coarse_barbell(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    cg = build_coarse_graph(barbell, build_projection(part, 6))
+    cg = build_coarse_graph(barbell, part)
     assert cg.superedges.tolist() == [[0, 1]]
     assert cg.projected_laplacian.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -80,8 +94,7 @@ def test_coarse_laplacian_identities_random():
     for seed in range(8):
         g = erdos_renyi(50 + 17 * seed, 4.0, seed=seed)
         part = adaptive_coarsen(g, CoarsenConfig())
-        c = build_projection(part, g.n)
-        cg = build_coarse_graph(g, c)
+        cg = build_coarse_graph(g, part)
         lap = cg.projected_laplacian
 
         assert np.array_equal(lap, lap.T)
@@ -113,16 +126,15 @@ def test_coarse_laplacian_identities_random():
 def test_coarse_matches_dense_congruence(barbell):
     # independent dense path: indicator matrix times Laplacian
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    c = build_projection(part, 6)
-    cg = build_coarse_graph(barbell, c)
-    ind = indicator_matrix(c)
+    cg = build_coarse_graph(barbell, part)
+    ind = indicator_matrix(part)
     dense = ind.T @ laplacian(barbell) @ ind
     assert np.allclose(cg.projected_laplacian, dense, atol=0)
 
 
 def test_superedge_graph(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    cg = build_coarse_graph(barbell, build_projection(part, 6))
+    cg = build_coarse_graph(barbell, part)
     g2 = superedge_graph(cg)
     assert g2.n == 2 and g2.edges == ((0, 1),)
 
@@ -141,19 +153,18 @@ def partitions_to_check(g):
 
 
 def assert_matches_reference(g, part):
-    c = build_projection(part, g.n)
-    cg = build_coarse_graph(g, c)
-    superedges, weights, lap = reference_coarse_graph(g, c)
-    assert cg.supernode_count == c.cols
+    cg = build_coarse_graph(g, part)
+    superedges, weights, lap = reference_coarse_graph(g, part)
+    assert cg.supernode_count == part.ball_count
     assert cg.superedges.tolist() == [list(e) for e in superedges]
     assert cg.superedges.dtype == np.int64
     assert cg.superedges.shape == (len(superedges), 2)
     assert cg.weights.dtype == np.int64
     assert cg.weights.tolist() == weights
     assert np.array_equal(cg.projected_laplacian, lap)
-    ind = indicator_matrix(c)
+    ind = indicator_matrix(part)
     dense = ind.T @ laplacian(g, "normalized") @ ind
-    assert np.allclose(projected_normalized_laplacian(g, c), dense, rtol=0, atol=1e-12)
+    assert np.allclose(projected_normalized_laplacian(g, part), dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["k2", "k3", "p3", "star3", "barbell"])
@@ -172,20 +183,19 @@ def test_sparse_build_matches_reference_er_suite():
 def test_normalized_projection_isolated_nodes():
     g = from_edge_list(6, [(0, 1), (1, 2), (4, 5)])  # node 3 is isolated
     part = Partition.from_member_groups(g, [[0, 3], [1, 2], [4, 5]])
-    c = build_projection(part, g.n)
-    ind = indicator_matrix(c)
+    ind = indicator_matrix(part)
     dense = ind.T @ laplacian(g, "normalized") @ ind
-    assert np.allclose(projected_normalized_laplacian(g, c), dense, rtol=0, atol=1e-12)
+    assert np.allclose(projected_normalized_laplacian(g, part), dense, rtol=0, atol=1e-12)
 
 
 def test_sparse_build_scale_identity_path():
     # A dense t x t Laplacian here would take 80 GB.
     n = 100_000
     g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
-    c = ProjectionMap(rows=n, cols=n, column_of=list(range(n)))
+    part = Partition(np.arange(n), n)
     tracemalloc.start()
     try:
-        cg = build_coarse_graph(g, c)
+        cg = build_coarse_graph(g, part)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

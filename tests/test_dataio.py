@@ -10,7 +10,6 @@ from gbgc import (
     DatasetFormatError,
     Partition,
     build_coarse_graph,
-    build_projection,
     erdos_renyi,
     from_edge_list,
     parse_edge_list,
@@ -505,7 +504,7 @@ def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
     n = 3 * dataio._WRITE_ROWS + 5
     g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
     part = Partition.from_member_groups(g, [[v] for v in range(n)])
-    cg = build_coarse_graph(g, build_projection(part, n))
+    cg = build_coarse_graph(g, part)
     assert len(cg.superedges) == n > 2 * dataio._WRITE_ROWS
     records = [
         CoarsenRecord(i, part.assignment, n, cg.superedges, 0.0, 1.0, 0, g.edge_count)

@@ -8,6 +8,7 @@ from gbgc import CoarsenConfig, Graph, GraphValidationError, coarsen, erdos_reny
 from gbgc.graph import MAX_NODES
 
 from helpers import (
+    adjacency,
     adjacency_matrix,
     all_pairs,
     bfs_layers,
@@ -152,7 +153,7 @@ def test_adj_and_edges_derive_from_csr():
         assert g.edge_count == len(expected)
         for v in range(n):
             near = tuple(sorted({b for a, b in expected if a == v} | {a for a, b in expected if b == v}))
-            assert g.adj[v] == g.neighbors(v) == near
+            assert adjacency(g)[v] == near
             assert g.degree(v) == len(near)
         assert from_edge_list(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == g
 
@@ -160,11 +161,11 @@ def test_adj_and_edges_derive_from_csr():
 def test_pickle_carries_only_n_and_csr():
     g = erdos_renyi(200, 4.0, seed=1)
     fresh = pickle.dumps(Graph(g.n, g.indptr, g.indices))
-    coarsen(g, CoarsenConfig())  # builds and caches the engine's adjacency
-    assert g.adj
+    coarsen(g, CoarsenConfig())
+    assert Graph.__slots__ == ("n", "indptr", "indices")
     assert pickle.dumps(g) == fresh
     restored = pickle.loads(fresh)
-    assert restored == g and restored.adj == g.adj
+    assert restored == g and adjacency(restored) == adjacency(g)
 
 
 def test_graphs_are_unhashable(k3):

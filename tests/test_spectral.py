@@ -12,7 +12,6 @@ from gbgc import (
     Partition,
     adaptive_coarsen,
     build_coarse_graph,
-    build_projection,
     coarsen,
     eigenvalues_symmetric,
     erdos_renyi,
@@ -122,20 +121,19 @@ def test_spectral_distance_pseudometric():
 
 
 def test_rayleigh_identity_exact(barbell):
-    c = build_projection(identity_partition(barbell), 6)
-    cg = build_coarse_graph(barbell, c)
+    part = identity_partition(barbell)
+    cg = build_coarse_graph(barbell, part)
     rng = random.Random(3)
     for _ in range(16):
         x = np.array([rng.uniform(-1, 1) for _ in range(6)])
-        r_o, r_c = rayleigh_pair(barbell, cg, c, x)
+        r_o, r_c = rayleigh_pair(barbell, cg, part, x)
         assert r_c == pytest.approx(r_o, rel=1e-12)
 
 
 def test_rayleigh_all_ones_zero(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    c = build_projection(part, 6)
-    cg = build_coarse_graph(barbell, c)
-    r_o, r_c = rayleigh_pair(barbell, cg, c, np.ones(6))
+    cg = build_coarse_graph(barbell, part)
+    r_o, r_c = rayleigh_pair(barbell, cg, part, np.ones(6))
     assert abs(r_o) <= 1e-12
     # both barbell balls have size 3, so the projected vector stays constant
     assert abs(r_c) <= 1e-12
@@ -143,26 +141,39 @@ def test_rayleigh_all_ones_zero(barbell):
 
 def test_rayleigh_barbell_sign_vector(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    c = build_projection(part, 6)
-    cg = build_coarse_graph(barbell, c)
+    cg = build_coarse_graph(barbell, part)
     x = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    r_o, r_c = rayleigh_pair(barbell, cg, c, x)
+    r_o, r_c = rayleigh_pair(barbell, cg, part, x)
     assert r_o == pytest.approx(4 / 6, abs=1e-12)
     assert r_c == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rayleigh_degenerate_inputs(k3):
-    c = build_projection(identity_partition(k3), 3)
-    cg = build_coarse_graph(k3, c)
+    part = identity_partition(k3)
+    cg = build_coarse_graph(k3, part)
     with pytest.raises(GraphValidationError):
-        rayleigh_pair(k3, cg, c, np.zeros(3))
+        rayleigh_pair(k3, cg, part, np.zeros(3))
     with pytest.raises(GraphValidationError):
-        rayleigh_pair(k3, cg, c, np.zeros(4))
+        rayleigh_pair(k3, cg, part, np.zeros(4))
+
+
+def test_evaluate_rejects_a_partition_that_does_not_fit(k3, barbell):
+    part = identity_partition(k3)
+    cg = build_coarse_graph(k3, part)
+    with pytest.raises(
+        GraphValidationError, match="assignment length 3 does not match graph with 6 nodes"
+    ):
+        evaluate(barbell, cg, part)
+    one_ball = Partition.from_member_groups(k3, [[0, 1, 2]])
+    with pytest.raises(
+        GraphValidationError, match="partition has 1 balls but coarse graph has 3 supernodes"
+    ):
+        evaluate(k3, cg, one_ball)
 
 
 def test_evaluate_identity(barbell):
     part = identity_partition(barbell)
-    cg = build_coarse_graph(barbell, build_projection(part, 6))
+    cg = build_coarse_graph(barbell, part)
     report = evaluate(barbell, cg, part)
     assert report.sd <= 1e-8
     assert report.r_a == 1.0
@@ -172,7 +183,7 @@ def test_evaluate_identity(barbell):
 
 def test_evaluate_k2_one_ball(k2):
     part = Partition.from_member_groups(k2, [[0, 1]])
-    cg = build_coarse_graph(k2, build_projection(part, 2))
+    cg = build_coarse_graph(k2, part)
     report = evaluate(k2, cg, part)
     assert report.sd == pytest.approx(2.0, abs=1e-8)
     assert report.r_a == 0.5
@@ -180,14 +191,14 @@ def test_evaluate_k2_one_ball(k2):
 
 def test_evaluate_barbell_frozen_oracle(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    cg = build_coarse_graph(barbell, build_projection(part, 6))
+    cg = build_coarse_graph(barbell, part)
     report = evaluate(barbell, cg, part)
     assert report.sd == pytest.approx(BARBELL_TWO_BALL_SD, abs=1e-8)
 
 
 def test_evaluate_unweighted_mode(barbell):
     part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    cg = build_coarse_graph(barbell, build_projection(part, 6))
+    cg = build_coarse_graph(barbell, part)
     report = evaluate(barbell, cg, part, EvalConfig(sd_mode="unweighted"))
     # coarse side is K2's Laplacian: same spectrum {0, 2} here
     assert report.sd == pytest.approx(BARBELL_TWO_BALL_SD, abs=1e-8)
@@ -197,11 +208,11 @@ def test_evaluate_unweighted_mode(barbell):
 def test_evaluate_normalized_kind():
     g = erdos_renyi(30, 4.0, seed=8)
     part = adaptive_coarsen(g, CoarsenConfig())
-    cg = build_coarse_graph(g, build_projection(part, g.n))
+    cg = build_coarse_graph(g, part)
     report = evaluate(g, cg, part, EvalConfig(laplacian_kind="normalized"))
     assert math.isfinite(report.sd) and report.sd >= 0
     identity = identity_partition(g)
-    cg_i = build_coarse_graph(g, build_projection(identity, g.n))
+    cg_i = build_coarse_graph(g, identity)
     report_i = evaluate(g, cg_i, identity, EvalConfig(laplacian_kind="normalized"))
     assert report_i.sd <= 1e-8
 
@@ -211,7 +222,7 @@ def test_evaluate_normalized_kind():
 def test_evaluate_without_probes_computes_sd_only(monkeypatch, kind, mode):
     for g in er_suite()[::40]:
         part = adaptive_coarsen(g, CoarsenConfig())
-        cg = build_coarse_graph(g, build_projection(part, g.n))
+        cg = build_coarse_graph(g, part)
         probed = evaluate(g, cg, part, EvalConfig(kind, mode, rayleigh_vectors=16))
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", None)  # only eigenvalues may be computed
@@ -240,7 +251,7 @@ def test_evaluate_matches_reference_exactly(kind, mode):
     for g in [*er_suite()[::20], isolated]:
         for coarsen_cfg in PARTITIONS:
             part = coarsen(g, coarsen_cfg)
-            cg = build_coarse_graph(g, build_projection(part, g.n))
+            cg = build_coarse_graph(g, part)
             for k in (0, 16):
                 cfg = EvalConfig(kind, mode, rayleigh_vectors=k)
                 got = evaluate(g, cg, part, cfg)
@@ -258,19 +269,18 @@ def test_rayleigh_pair_matches_the_dense_form():
     rng = np.random.default_rng(7)
     for g in er_suite()[::10]:
         part = coarsen(g, CoarsenConfig())
-        c = build_projection(part, g.n)
-        cg = build_coarse_graph(g, c)
+        cg = build_coarse_graph(g, part)
         lap, lap_coarse = laplacian(g), cg.projected_laplacian
         for x in rng.uniform(-1, 1, size=(8, g.n)):
-            got = rayleigh_pair(g, cg, c, x)
+            got = rayleigh_pair(g, cg, part, x)
             assert got == pytest.approx(
-                reference_rayleigh_pair(lap, lap_coarse, c, x), rel=1e-12, abs=1e-12
+                reference_rayleigh_pair(lap, lap_coarse, part, x), rel=1e-12, abs=1e-12
             )
 
 
 def test_evaluate_rejects_bad_kind_before_any_laplacian(monkeypatch, barbell):
     part = identity_partition(barbell)
-    cg = build_coarse_graph(barbell, build_projection(part, 6))
+    cg = build_coarse_graph(barbell, part)
 
     def no_laplacian(*args, **kwargs):
         raise AssertionError("laplacian built before the kind was checked")
@@ -285,7 +295,7 @@ def test_evaluate_rejects_bad_kind_before_any_laplacian(monkeypatch, barbell):
 def test_evaluate_holds_one_dense_original_matrix(kind, mode, probes):
     g = erdos_renyi(1000, 4.0, seed=1000)
     part = adaptive_coarsen(g, CoarsenConfig())
-    cg = build_coarse_graph(g, build_projection(part, g.n))
+    cg = build_coarse_graph(g, part)
     cfg = EvalConfig(kind, mode, rayleigh_vectors=probes)
     tracemalloc.start()
     try:

@@ -7,12 +7,12 @@ Usage:
               grid-200, ratio-0.3-er-30000)
 
 Prints one JSON object: the seconds of each stage and the process's peak
-RSS. Only public API that every version of the package has is used, so
-two checkouts can be compared. Every timed call gets a fresh copy of the
-graph, so no cache built by one stage helps another. Stages:
-generate_s (build the graph), init_s (`init_balls` alone), coarsen_s (the
-whole engine: `coarsen`), projection_s (`build_projection`) and
-coarse_graph_s (`build_coarse_graph`).
+RSS. It uses only public API that every checkout has since
+`build_coarse_graph` began to take the partition itself, so two such
+checkouts can be compared. Every timed call gets a fresh copy of the
+graph, so no cache built by one stage helps another. Stages: generate_s
+(build the graph), init_s (`init_balls` alone), coarsen_s (the whole
+engine: `coarsen`) and coarse_graph_s (`build_coarse_graph`).
 """
 
 import json
@@ -28,7 +28,6 @@ def main() -> int:
         CoarsenConfig,
         Graph,
         build_coarse_graph,
-        build_projection,
         coarsen,
         default_init_target,
         erdos_renyi,
@@ -71,10 +70,7 @@ def main() -> int:
     part = coarsen(h, cfg)
     times["coarsen_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    c = build_projection(part, h.n)
-    times["projection_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    cg = build_coarse_graph(h, c)
+    cg = build_coarse_graph(h, part)
     times["coarse_graph_s"] = time.perf_counter() - t0
     times["supernodes"] = part.ball_count
     times["superedges"] = len(cg.superedges)
