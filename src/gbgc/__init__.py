@@ -16,16 +16,13 @@ from .dataio import (
 )
 from .engine import (
     CoarsenConfig,
-    GranularBall,
     Partition,
     SplitDecision,
     achieved_ratio,
-    adaptive_coarsen,
     coarsen,
     coarsen_many,
     default_init_target,
     init_balls,
-    ratio_coarsen,
 )
 from .errors import DatasetFormatError, GbgcError, GraphValidationError
 from .generators import erdos_renyi, random_partition
@@ -51,13 +48,11 @@ __all__ = [
     "EvalConfig",
     "GbgcError",
     "Graph",
-    "GranularBall",
     "GraphValidationError",
     "Partition",
     "SpectralReport",
     "SplitDecision",
     "achieved_ratio",
-    "adaptive_coarsen",
     "build_coarse_graph",
     "coarsen",
     "coarsen_many",
@@ -71,7 +66,6 @@ __all__ = [
     "parse_edge_list",
     "parse_tudataset",
     "random_partition",
-    "ratio_coarsen",
     "rayleigh_pair",
     "spectral_distance",
     "write_results",

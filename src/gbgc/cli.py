@@ -37,13 +37,6 @@ BENCH_MEAN_DEGREE = 4.0
 BLOCK_NODES = 1 << 16
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("GBGC_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gbgc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -68,7 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--sd-mode", choices=["projected", "unweighted"], default="projected")
         if with_jobs:
-            p.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel workers")
+            # argparse converts a string default with `type`, so a bad
+            # GBGC_JOBS fails as the same --jobs value would
+            default = os.environ.get("GBGC_JOBS", "1")
+            p.add_argument("--jobs", type=int, default=default, help="parallel workers")
         if with_skip_sd:
             p.add_argument("--skip-sd", action="store_true", help="skip spectral evaluation")
 
@@ -96,6 +92,15 @@ def _load_bundle(args) -> DatasetBundle:
     return DatasetBundle(name=path.stem, graphs=[parse_edge_list(path)])
 
 
+def _error_text(exc: Exception) -> str:
+    """What follows "graph i: " when that graph's work raised `exc`."""
+    if isinstance(exc, GbgcError):
+        return str(exc)
+    if isinstance(exc, MemoryError):
+        return "out of memory"
+    return f"internal error: {type(exc).__name__}: {exc}"
+
+
 def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, skip_sd: bool):
     """One graph's coarse graph, SD and record, from its partition."""
     try:
@@ -109,10 +114,8 @@ def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, sk
             sd = report.sd
             r_a = report.r_a
         elapsed = int((engine_s + time.perf_counter() - t0) * 1e6)
-    except GbgcError as exc:
-        return index, None, str(exc)
-    except MemoryError:
-        return index, None, "out of memory"
+    except Exception as exc:
+        return index, None, _error_text(exc)
     record = CoarsenRecord(
         graph_index=index,
         assignment=part.assignment,
@@ -141,9 +144,9 @@ def _coarsen_block(task) -> list[tuple[int, CoarsenRecord | None, str | None]]:
         # perfbench's traced pass counts split decisions through
         parts = coarsen_many(graphs, cfg) if len(graphs) > 1 else [coarsen(graphs[0], cfg)]
         engine_s = time.perf_counter() - t0
-    except (GbgcError, MemoryError) as exc:
+    except Exception as exc:
         if len(graphs) == 1:
-            return [(first, None, "out of memory" if isinstance(exc, MemoryError) else str(exc))]
+            return [(first, None, _error_text(exc))]
         return [
             result
             for i, g in enumerate(graphs)
@@ -249,8 +252,8 @@ def run_evaluate(args) -> int:
             cg = build_coarse_graph(g, part)
             report = evaluate(g, cg, part, eval_cfg)
             elapsed = int((time.perf_counter() - t0) * 1e6)
-        except GbgcError as exc:
-            print(f"graph {i}: {exc}", file=sys.stderr)
+        except Exception as exc:
+            print(f"graph {i}: {_error_text(exc)}", file=sys.stderr)
             return 1
         if report.rayleigh_samples:
             gap_max = max(gap_max, max(s[2] for s in report.rayleigh_samples))

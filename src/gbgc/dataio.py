@@ -9,7 +9,6 @@ coarsening results as mapping.jsonl, coarse_edges.txt, and report.csv.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from contextlib import contextmanager
@@ -20,8 +19,6 @@ import numpy as np
 
 from .errors import DatasetFormatError, GbgcError
 from .graph import MAX_NODES, Graph, csr_from_keys, edge_keys, from_edge_list
-
-log = logging.getLogger(__name__)
 
 REPORT_HEADER = "graph_index,n,e,n_bar,e_bar,r_a,sd,elapsed_micros"
 # superedge rows formatted at once into coarse_edges.txt, which bounds the
@@ -319,9 +316,9 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
 
     Nodes are renumbered per graph following indicator order; edges are
     deduplicated and symmetrized; an edge across two graph ids is a format
-    error. Known optional files are skipped with a logged notice. Each file
-    is read chunk by chunk in vectorized passes; only a file those reject
-    is read again line by line, to name the first bad line.
+    error. Other files of the directory are not read. Each file is read
+    chunk by chunk in vectorized passes; only a file those reject is read
+    again line by line, to name the first bad line.
 
     The whole dataset is one CSR over graph-major node ids, built once; each
     Graph holds views of its two arrays, rebased to local ids.
@@ -368,11 +365,6 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
             raise DatasetFormatError(
                 f"{len(labels)} labels for {graph_count} graphs", label_path
             )
-
-    for suffix in ("node_labels", "node_attributes", "edge_labels", "edge_attributes"):
-        extra = directory / f"{name}_{suffix}.txt"
-        if extra.is_file():
-            log.info("ignoring optional file %s (structure-only pipeline)", extra.name)
 
     indptr, indices = csr_from_keys(node_count, keys)
     del keys

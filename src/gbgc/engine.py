@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -35,48 +34,10 @@ Ablation = Literal["none", "no_split", "no_init"]
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class GranularBall:
-    """A node subset with cached quality and internal edge count."""
-
-    members: tuple[int, ...]  # sorted ascending, global indices
-    quality: float
-    internal_edge_count: int
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def _labels(n: int, members: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """The ball of every node, from the members of ball 0, then ball 1, and
-    so on (`sizes` members each), raising what a member-by-member walk would
-    raise first: a member out of range, or a node met a second time; then
-    nodes that no ball covers."""
-    bad = (members < 0) | (members >= n)
-    first_bad = int(np.argmax(bad)) if bad.any() else len(members)
-    order = np.argsort(members, kind="stable")
-    repeat = order[1:][members[order[1:]] == members[order[:-1]]]
-    first_repeat = int(repeat.min()) if len(repeat) else len(members)
-    if first_bad < first_repeat:
-        raise GraphValidationError(f"ball member {int(members[first_bad])} out of range for n={n}")
-    if first_repeat < len(members):
-        raise GraphValidationError(f"node {int(members[first_repeat])} assigned to two balls")
-    if len(members) < n:
-        raise GraphValidationError(f"{n - len(members)} nodes not covered by any ball")
-    labels = np.empty(n, dtype=np.int64)
-    labels[members] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return labels
-
-
 class Partition:
     """Disjoint complete cover of the original nodes by granular-balls.
 
-    Held as arrays: `assignment` maps each node to its ball (int64), and
-    `qualities` and `edge_counts` hold each ball's quality and internal edge
-    count, or None for a partition read back from an assignment alone.
-    `balls`, the GranularBall list, is built from them on first read.
-
+    Holds `assignment`, the ball of each node (int64), and `ball_count`.
     `assignment` is the binary node-to-ball projection matrix C in sparse
     form: node v's row has its one 1 in column assignment[v]. The
     constructor checks that every index lies in [0, ball_count) and that no
@@ -84,15 +45,9 @@ class Partition:
     that the partition's length and ball count fit their other arguments.
     """
 
-    __slots__ = ("assignment", "ball_count", "qualities", "edge_counts", "_balls")
+    __slots__ = ("assignment", "ball_count")
 
-    def __init__(
-        self,
-        assignment: np.ndarray,
-        ball_count: int,
-        qualities: np.ndarray | None = None,
-        edge_counts: np.ndarray | None = None,
-    ):
+    def __init__(self, assignment: np.ndarray, ball_count: int):
         bad = (assignment < 0) | (assignment >= ball_count)
         if bad.any():
             v = int(np.argmax(bad))
@@ -102,9 +57,6 @@ class Partition:
             raise GraphValidationError("supernode indices are not dense: empty supernode present")
         self.assignment = assignment
         self.ball_count = ball_count
-        self.qualities = qualities
-        self.edge_counts = edge_counts
-        self._balls: list[GranularBall] | None = None
 
     def check_node_count(self, n: int) -> None:
         """Raise unless the partition assigns exactly n nodes."""
@@ -113,26 +65,10 @@ class Partition:
                 f"assignment length {len(self.assignment)} does not match graph with {n} nodes"
             )
 
-    @property
-    def balls(self) -> list[GranularBall]:
-        if self._balls is None:
-            if self.qualities is None:
-                raise GraphValidationError("partition was built without ball qualities")
-            order = np.argsort(self.assignment, kind="stable")
-            sizes = np.bincount(self.assignment, minlength=self.ball_count)
-            groups = np.split(order, np.cumsum(sizes)[:-1])
-            self._balls = [
-                GranularBall(tuple(members.tolist()), quality, edges)
-                for members, quality, edges in zip(
-                    groups, self.qualities.tolist(), self.edge_counts.tolist()
-                )
-            ]
-        return self._balls
-
     @classmethod
     def from_assignment(cls, assignment, ball_count: int) -> "Partition":
-        """A partition without qualities, from ball indices read from outside
-        the program (a sequence of ints)."""
+        """A partition from ball indices read from outside the program (a
+        sequence of ints)."""
         try:
             array = np.asarray(assignment, dtype=np.int64)
         except OverflowError:  # an index beyond int64, so certainly out of range
@@ -142,33 +78,6 @@ class Partition:
             ) from None
         return cls(array, ball_count)
 
-    @classmethod
-    def from_balls(cls, n: int, balls: Sequence[GranularBall]) -> "Partition":
-        sizes = [len(ball.members) for ball in balls]
-        members = np.fromiter(
-            chain.from_iterable(ball.members for ball in balls), dtype=np.int64, count=sum(sizes)
-        )
-        part = cls(
-            _labels(n, members, sizes),
-            len(balls),
-            np.array([ball.quality for ball in balls], dtype=float),
-            np.array([ball.internal_edge_count for ball in balls], dtype=np.int64),
-        )
-        part._balls = list(balls)
-        return part
-
-    @classmethod
-    def from_member_groups(cls, g: Graph, groups: Iterable[Iterable[int]]) -> "Partition":
-        member_groups = [sorted(set(members)) for members in groups]
-        if not all(member_groups):
-            raise GraphValidationError("ball members must be nonempty")
-        sizes = [len(members) for members in member_groups]
-        members = np.fromiter(chain.from_iterable(member_groups), dtype=np.int64, count=sum(sizes))
-        labels = _labels(g.n, members, sizes)
-        u, v = g.edge_arrays()
-        quality, edges = _ball_measures(g.n, u, v, labels, len(sizes))[:2]
-        return cls(labels, len(sizes), quality, edges)
-
 
 @dataclass
 class CoarsenConfig:
@@ -176,13 +85,14 @@ class CoarsenConfig:
 
     mode "adaptive" refines until the quality gate rejects every further
     split; mode "ratio" splits greedily toward a target ball count
-    ceil(ratio * N). init_ball_target defaults to ceil(sqrt(N)) per graph.
+    ceil(ratio * N). Initial balls grow toward ceil(sqrt(N)) per graph.
+    Adaptive ablations: "no_split" keeps the initial balls as they are;
+    "no_init" starts the splitting from one whole-graph ball.
     """
 
     mode: Literal["adaptive", "ratio"] = "adaptive"
     ratio: float | None = None
     ablation: Ablation = "none"
-    init_ball_target: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("adaptive", "ratio"):
@@ -192,8 +102,6 @@ class CoarsenConfig:
         if self.mode == "ratio":
             if self.ratio is None or not (0.0 < self.ratio < 1.0):
                 raise GraphValidationError("ratio mode requires ratio in (0, 1)")
-        if self.init_ball_target is not None and self.init_ball_target < 1:
-            raise GraphValidationError("init_ball_target must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -332,6 +240,8 @@ def _init_labels(
     return np.array(label, dtype=np.int64), first_label
 
 
+# not on the pipeline's path (blocks grow their balls in _init_labels), but
+# perfbench, tools/bench_stages.py and the tests call it
 def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
     """Coarse initial partition by degree-ranked BFS growth.
 
@@ -346,9 +256,7 @@ def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
     if target < 1:
         raise GraphValidationError("target must be >= 1")
     labels, first = _init_labels(g, [0, g.n], [target], stats)
-    u, v = g.edge_arrays()
-    quality, edges = _ball_measures(g.n, u, v, labels, first[1])[:2]
-    return Partition(labels, first[1], quality, edges)
+    return Partition(labels, first[1])
 
 
 def _union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
@@ -369,14 +277,14 @@ class _SplitTree:
 
     Tree nodes are numbered in creation order: the start balls first, then
     the two children of each accepted split. Per tree node: size, quality,
-    internal edge count, smallest member, and offset, the start of its
-    members in the layout where every subtree is one contiguous run, child
-    a before child b. Per split attempt: the parent's tree node, the
-    children's qualities, whether it was accepted, the tree node of child a
-    when it was (child b is the next one, -1 otherwise), and its round.
+    smallest member, and offset, the start of its members in the layout
+    where every subtree is one contiguous run, child a before child b. Per
+    split attempt: the parent's tree node, the quality of each child,
+    whether it was accepted, the tree node of child a when it was (child b
+    is the next one, -1 otherwise), and its round.
     """
 
-    NODES = ("size", "quality", "edges", "smallest", "offset")
+    NODES = ("size", "quality", "smallest", "offset")
     SPLITS = ("parent", "quality_a", "quality_b", "accepted", "child", "depth")
     # a column is joined into one array once it has this many pieces, which
     # bounds the array headers a long run of small rounds (a path) keeps
@@ -441,18 +349,18 @@ def _refine(
     frontier dies, the unseen nodes going to B, since every path from A to
     them passes through a node B owns. Start balls from the initial growth
     and every child B are connected, and a child A is when its parent is.
-    With `gated`, a split is kept only when the children's qualities sum to
-    more than the parent's; without it, every ball splits down to single
-    nodes. Also returns the deepest tree node of every graph node.
+    With `gated`, a split is kept only when the children's quality sum
+    exceeds the parent's quality; without it, every ball splits down to
+    single nodes. Also returns the deepest tree node of every graph node.
     """
     n = g.n
     u, v = g.edge_arrays()
-    quality, edges, (u, v), (tx, ty, tz) = _ball_measures(n, u, v, labels, ball_count)
+    quality, _, (u, v), (tx, ty, tz) = _ball_measures(n, u, v, labels, ball_count)
     by_ball = np.argsort(labels, kind="stable")
     size = np.bincount(labels, minlength=ball_count)
     offset = np.cumsum(size) - size
     tree = _SplitTree()
-    tree.add_nodes(size=size, quality=quality, edges=edges, smallest=by_ball[offset], offset=offset)
+    tree.add_nodes(size=size, quality=quality, smallest=by_ball[offset], offset=offset)
 
     # the live balls, one slot each, their members grouped by slot in
     # ascending order in `members`
@@ -542,7 +450,6 @@ def _refine(
         child_tree[split] = tree.add_nodes(
             size=child_size[split],
             quality=child_quality[split],
-            edges=child_total[split] // 2,
             smallest=child_smallest[split],
             offset=child_offset[split],
         )
@@ -661,9 +568,7 @@ def coarsen_many(
         first_label = list(range(len(graphs) + 1))
         connected = np.zeros(len(graphs), dtype=bool)
     else:
-        targets = [
-            (None if ratio else cfg.init_ball_target) or default_init_target(g.n) for g in graphs
-        ]
+        targets = [default_init_target(g.n) for g in graphs]
         labels, first_label = _init_labels(union, bounds, targets, stats)
         connected = np.ones(first_label[-1], dtype=bool)
     count = first_label[-1]
@@ -683,30 +588,17 @@ def coarsen_many(
             final[tree.column("parent")[tree.column("accepted")]] = False
             if decisions is not None:
                 decisions.extend(_decisions(tree))
-        quality, edges, offset = tree.column("quality"), tree.column("edges"), tree.column("offset")
+        offset = tree.column("offset")
         leaves = np.flatnonzero(final)
-        leaves = leaves[np.argsort(offset[leaves])]
-        starts = offset[leaves]
+        starts = np.sort(offset[leaves])
         ball = np.searchsorted(starts, offset[deepest], side="right") - 1
-        quality, edges = quality[leaves], edges[leaves]
         first_ball = np.searchsorted(starts, bounds).tolist()
     else:
-        u, v = union.edge_arrays()
-        quality, edges = _ball_measures(union.n, u, v, labels, count)[:2]
         ball, first_ball = labels, first_label
-
-    parts = []
-    for j in range(len(graphs)):
-        lo, hi = first_ball[j], first_ball[j + 1]
-        parts.append(
-            Partition(
-                ball[bounds[j] : bounds[j + 1]] - lo,
-                hi - lo,
-                quality[lo:hi].copy(),
-                edges[lo:hi].copy(),
-            )
-        )
-    return parts
+    return [
+        Partition(ball[lo:hi] - first, last - first)
+        for lo, hi, first, last in zip(bounds, bounds[1:], first_ball, first_ball[1:])
+    ]
 
 
 def coarsen(
@@ -717,32 +609,6 @@ def coarsen(
 ) -> Partition:
     """Coarsen one graph as cfg says; see coarsen_many."""
     return coarsen_many([g], cfg, decisions, stats)[0]
-
-
-def adaptive_coarsen(
-    g: Graph,
-    cfg: CoarsenConfig | None = None,
-    decisions: list[SplitDecision] | None = None,
-) -> Partition:
-    """Full adaptive pipeline: initialization then gated binary splitting.
-
-    Ablations: "no_split" returns the initial partition as-is; "no_init"
-    starts the splitting from a single whole-graph ball.
-    """
-    cfg = replace(cfg or CoarsenConfig(), mode="adaptive", ratio=None)
-    return coarsen(g, cfg, decisions)
-
-
-def ratio_coarsen(g: Graph, r: float) -> Partition:
-    """Non-adaptive variant: split greedily until the ball count reaches
-    max(1, ceil(r * N)).
-
-    Starts from the usual initialization; if that already has enough balls
-    it is returned unchanged. Otherwise the splittable ball with the
-    largest quality gain goes first (ties: larger ball, then lowest
-    smallest member), with no acceptance gate.
-    """
-    return coarsen(g, CoarsenConfig(mode="ratio", ratio=r))
 
 
 def achieved_ratio(p: Partition, n: int) -> float:

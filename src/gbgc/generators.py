@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from .engine import Partition
 from .errors import GraphValidationError
 from .graph import Graph, from_edge_list
@@ -55,10 +57,7 @@ def random_partition(g: Graph, ball_count: int, seed: int) -> Partition:
     order = list(range(g.n))
     random.Random(seed).shuffle(order)
     base, extra = divmod(g.n, ball_count)
-    groups = []
-    start = 0
-    for i in range(ball_count):
-        size = base + (1 if i < extra else 0)
-        groups.append(order[start : start + size])
-        start += size
-    return Partition.from_member_groups(g, groups)
+    sizes = [base + 1] * extra + [base] * (ball_count - extra)
+    assignment = np.empty(g.n, dtype=np.int64)
+    assignment[order] = np.repeat(np.arange(ball_count, dtype=np.int64), sizes)
+    return Partition(assignment, ball_count)

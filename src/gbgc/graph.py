@@ -73,9 +73,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

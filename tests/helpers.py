@@ -7,9 +7,11 @@ The graph kernels below (per-node neighbour tuples, induced subgraphs, BFS
 layers, components, triangle and wedge counts) are used only by the tests,
 and the reference engine keeps the recursive refinement as first written,
 recomputing every ball from the graph, as the oracle for the round-based
-engine. `make_ball`, `ball_quality` and `split_ball` are the exceptions: they score one ball, or
-split it once, through the package's own kernels, so the tests can compare
-single balls and splits with the oracles. The
+engine. A `GranularBall` is a ball with its quality and internal edge count;
+the package itself keeps only a partition's assignment. `balls`,
+`make_ball`, `ball_quality` and `split_ball` are the exceptions to the
+independence: they score balls, or split one once, through the package's
+own kernels, so the tests can compare them with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
 vectorized ones. The reference evaluation keeps `evaluate` as it was before
 it solved the original spectrum first, with the Laplacian scaled by out-of-place
@@ -27,7 +29,6 @@ import numpy as np
 from gbgc import (
     CoarsenConfig,
     EvalConfig,
-    GranularBall,
     Graph,
     GraphValidationError,
     Partition,
@@ -37,7 +38,7 @@ from gbgc import (
     init_balls,
 )
 from gbgc.coarse import superedge_graph
-from gbgc.engine import _refine, achieved_ratio
+from gbgc.engine import _ball_measures, _refine, achieved_ratio
 from gbgc.spectral import (
     SpectralReport,
     _rayleigh_test_vectors,
@@ -309,13 +310,58 @@ def _ball_stats(g, member_set):
     return edges, quality
 
 
+@dataclass(frozen=True)
+class GranularBall:
+    """A node subset with its quality and internal edge count."""
+
+    members: tuple[int, ...]  # sorted ascending, global indices
+    quality: float
+    internal_edge_count: int
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def partition_of(g, groups):
+    """The Partition of g whose ball i holds the nodes of groups[i]; the
+    groups must be disjoint, and Partition checks that they are nonempty
+    and cover every node."""
+    assignment = np.full(g.n, -1, dtype=np.int64)
+    groups = [list(members) for members in groups]
+    for ball, members in enumerate(groups):
+        assignment[members] = ball
+    return Partition(assignment, len(groups))
+
+
+def balls(g, part):
+    """The balls of a partition in ball order, scored by the package's
+    kernel from the graph and the assignment alone."""
+    u, v = g.edge_arrays()
+    quality, edges = _ball_measures(g.n, u, v, part.assignment, part.ball_count)[:2]
+    order = np.argsort(part.assignment, kind="stable")
+    sizes = np.bincount(part.assignment, minlength=part.ball_count)
+    return [
+        GranularBall(tuple(members.tolist()), q, e)
+        for members, q, e in zip(
+            np.split(order, np.cumsum(sizes)[:-1]), quality.tolist(), edges.tolist()
+        )
+    ]
+
+
 def make_ball(g, members):
-    """The ball on `members` (nonempty) as the package scores it."""
-    member_set = set(members)
-    if not member_set:
+    """The ball on `members` (nonempty), scored by the package's kernel on
+    the subgraph they induce."""
+    mapping = sorted(set(members))
+    if not mapping:
         raise GraphValidationError("ball members must be nonempty")
-    others = [[v] for v in range(g.n) if v not in member_set]
-    return Partition.from_member_groups(g, [member_set, *others]).balls[0]
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[mapping] = np.arange(len(mapping))
+    u, v = (local[ends] for ends in g.edge_arrays())
+    inside = (u >= 0) & (v >= 0)
+    k = len(mapping)
+    quality, edges = _ball_measures(k, u[inside], v[inside], np.zeros(k, dtype=np.int64), 1)[:2]
+    return GranularBall(tuple(mapping), float(quality[0]), int(edges[0]))
 
 
 def ball_quality(g, members):
@@ -336,14 +382,17 @@ def split_ball(g, ball):
     connected = np.ones(count, dtype=bool)
     connected[0] = False
     tree, deepest = _refine(g, labels, count, connected, False, None)
-    size, quality, edges, offset = (tree.column(c) for c in ("size", "quality", "edges", "offset"))
+    size, quality, offset = (tree.column(c) for c in ("size", "quality", "offset"))
+    u, v = g.edge_arrays()
     children = []
     for child in (tree.column("child")[0], tree.column("child")[0] + 1):
         lo = offset[child]
         inside = (offset[deepest] >= lo) & (offset[deepest] < lo + size[child])
         children.append(
             GranularBall(
-                tuple(np.flatnonzero(inside).tolist()), float(quality[child]), int(edges[child])
+                tuple(np.flatnonzero(inside).tolist()),
+                float(quality[child]),
+                int(np.count_nonzero(inside[u] & inside[v])),
             )
         )
     return tuple(children)
@@ -432,7 +481,7 @@ def reference_refine(g, start, decisions):
 
 def _reference_init(g):
     part = init_balls(g, default_init_target(g.n))
-    return [reference_make_ball(g, ball.members) for ball in part.balls]
+    return [reference_make_ball(g, ball.members) for ball in balls(g, part)]
 
 
 def reference_ratio_coarsen(g, r):
@@ -440,7 +489,7 @@ def reference_ratio_coarsen(g, r):
     start = _reference_init(g)
     count = len(start)
     if count >= k:
-        return Partition.from_balls(g.n, start)
+        return start
 
     heap = []
 
@@ -471,11 +520,12 @@ def reference_ratio_coarsen(g, r):
         else:
             stack.append(split[1])
             stack.append(split[0])
-    return Partition.from_balls(g.n, final)
+    return final
 
 
 def reference_coarsen(g, cfg: CoarsenConfig, decisions=None):
-    """The reference engine behind gbgc.coarsen: same modes and ablations."""
+    """The final balls of the reference engine behind gbgc.coarsen, in
+    ball order: same modes and ablations."""
     if cfg.mode == "ratio":
         return reference_ratio_coarsen(g, cfg.ratio)
     if cfg.ablation == "no_init":
@@ -483,8 +533,8 @@ def reference_coarsen(g, cfg: CoarsenConfig, decisions=None):
     else:
         start = _reference_init(g)
         if cfg.ablation == "no_split":
-            return Partition.from_balls(g.n, start)
-    return Partition.from_balls(g.n, reference_refine(g, start, decisions))
+            return start
+    return reference_refine(g, start, decisions)
 
 
 # Reference parsers: the per-line readers the vectorized ones replaced, kept

@@ -17,8 +17,9 @@ import gbgc.cli as cli
 from gbgc import (
     CoarsenConfig,
     Partition,
-    adaptive_coarsen,
     build_coarse_graph,
+    coarsen,
+    coarsen_many,
     default_init_target,
     eigenvalues_symmetric,
     erdos_renyi,
@@ -29,7 +30,6 @@ from gbgc import (
     parse_edge_list,
     parse_tudataset,
     random_partition,
-    ratio_coarsen,
     rayleigh_pair,
     spectral_distance,
 )
@@ -40,10 +40,12 @@ from conftest import BARBELL_EDGES
 from helpers import (
     adjacency_matrix,
     ball_quality,
+    balls,
     bfs_layers,
     brute_connected,
     brute_quality,
     enumerate_graphs,
+    partition_of,
     split_ball,
 )
 import tests_support
@@ -77,7 +79,7 @@ def adaptive_runs(er_suite):
     runs = []
     for g in er_suite:
         decisions = []
-        part = adaptive_coarsen(g, CoarsenConfig(), decisions=decisions)
+        part = coarsen(g, CoarsenConfig(), decisions=decisions)
         runs.append((g, part, decisions))
     return runs
 
@@ -110,11 +112,11 @@ def test_criterion_02_hand_traced_fixtures():
         and ball_quality(graphs["star3"], range(4)) == 0.75
         and ball_quality(graphs["barbell"], range(6)) == 7 / 6 + 3 / 5
     )
-    part = adaptive_coarsen(graphs["barbell"], CoarsenConfig(ablation="no_init"))
+    part = coarsen(graphs["barbell"], CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(graphs["barbell"], part)
     ok = (
         ok
-        and [b.members for b in part.balls] == [(0, 1, 2), (3, 4, 5)]
+        and [b.members for b in balls(graphs["barbell"], part)] == [(0, 1, 2), (3, 4, 5)]
         and cg.superedges.tolist() == [[0, 1]]
     )
     report(2, ok, "quality fixtures exact; barbell no-init trace exact")
@@ -124,7 +126,7 @@ def test_criterion_03_partition_invariants(adaptive_runs):
     violations = 0
     for g, part, decisions in adaptive_runs:
         covered = set()
-        for ball in part.balls:
+        for ball in balls(g, part):
             if not ball.members or covered & set(ball.members):
                 violations += 1
             covered.update(ball.members)
@@ -132,7 +134,7 @@ def test_criterion_03_partition_invariants(adaptive_runs):
             violations += 1
 
         init = init_balls(g, default_init_target(g.n))
-        for ball in init.balls:
+        for ball in balls(g, init):
             allowed = set(ball.members)
             if bfs_layers(g, ball.members[0], allowed=allowed).visited != allowed:
                 violations += 1
@@ -141,14 +143,14 @@ def test_criterion_03_partition_invariants(adaptive_runs):
             gain = d.child_a_quality + d.child_b_quality - d.parent_quality
             if (gain > 0) != d.accepted:
                 violations += 1
-        for ball in part.balls:
+        for ball in balls(g, part):
             if ball.size >= 2:
                 child_a, child_b = split_ball(g, ball)
                 if child_a.quality + child_b.quality > ball.quality:
                     violations += 1
 
-        ratio_part = ratio_coarsen(g, 0.3)
-        flat = [v for ball in ratio_part.balls for v in ball.members]
+        ratio_part = coarsen(g, CoarsenConfig(mode="ratio", ratio=0.3))
+        flat = [v for ball in balls(g, ratio_part) for v in ball.members]
         if sorted(flat) != list(range(g.n)):
             violations += 1
     report(3, violations == 0, f"200 graphs, adaptive+ratio, {violations} violations")
@@ -167,7 +169,7 @@ def test_criterion_04_spectral_correctness():
         np.allclose(eigenvalues_symmetric(laplacian(graphs["p3"])), [0, 1, 3], atol=1e-8)
     )
     for g in graphs.values():
-        ident = Partition.from_member_groups(g, [[v] for v in range(g.n)])
+        ident = Partition(np.arange(g.n), g.n)
         cg = build_coarse_graph(g, ident)
         ok &= evaluate(g, cg, ident).sd <= 1e-8
     ok &= spectral_distance(np.array([0.0, 2.0]), np.array([0.0])) == 2.0
@@ -188,8 +190,8 @@ def test_criterion_05_coarse_laplacian_identities(adaptive_runs):
         lap = cg.projected_laplacian
         if not np.all(lap.sum(axis=1) == 0.0):
             bad += 1
-        degrees = [g.degree(v) for v in range(g.n)]
-        for a, ball in enumerate(part.balls):
+        degrees = np.diff(g.indptr).tolist()
+        for a, ball in enumerate(balls(g, part)):
             expected = sum(degrees[v] for v in ball.members) - 2 * ball.internal_edge_count
             if lap[a, a] != expected:
                 bad += 1
@@ -205,7 +207,7 @@ def test_criterion_06_rayleigh_identity_specialization():
     ]
     ok = True
     for g in fixtures:
-        ident = Partition.from_member_groups(g, [[v] for v in range(g.n)])
+        ident = Partition(np.arange(g.n), g.n)
         cg = build_coarse_graph(g, ident)
         rep = evaluate(g, cg, ident)
         ok &= len(rep.rayleigh_samples) == 16
@@ -222,7 +224,7 @@ def test_criterion_07_sd_dominance_over_random():
     gbgc_sd, random_sd = [], []
     for i in range(30):
         g = erdos_renyi(200, 4.0, seed=1000 + i)
-        part = adaptive_coarsen(g, CoarsenConfig())
+        part = coarsen(g, CoarsenConfig())
         cg = build_coarse_graph(g, part)
         gbgc_sd.append(evaluate(g, cg, part).sd)
         control = random_partition(g, part.ball_count, seed=2000 + i)
@@ -238,7 +240,7 @@ def test_criterion_07_sd_dominance_over_random():
         # that inflation regardless of structure).
         matched_sd = []
         for g, part, i in cases:
-            matched = _size_matched_random(g, [b.size for b in part.balls], 3000 + i)
+            matched = _size_matched_random(g, [b.size for b in balls(g, part)], 3000 + i)
             cg_m = build_coarse_graph(g, matched)
             matched_sd.append(evaluate(g, cg_m, matched).sd)
         med_m = statistics.median(matched_sd)
@@ -261,7 +263,7 @@ def _size_matched_random(g, sizes, seed):
     for s in sizes:
         groups.append(order[start : start + s])
         start += s
-    return Partition.from_member_groups(g, groups)
+    return partition_of(g, groups)
 
 
 def test_criterion_08_determinism_and_parallel_consistency(tmp_path):
@@ -285,11 +287,11 @@ def test_criterion_08_determinism_and_parallel_consistency(tmp_path):
 def test_criterion_09_scaling():
     g10 = erdos_renyi(10_000, 4.0, seed=10_000)
     t0 = time.perf_counter()
-    adaptive_coarsen(g10, CoarsenConfig())
+    coarsen(g10, CoarsenConfig())
     tok = time.perf_counter() - t0
     g50 = erdos_renyi(50_000, 4.0, seed=50_000)
     t0 = time.perf_counter()
-    adaptive_coarsen(g50, CoarsenConfig())
+    coarsen(g50, CoarsenConfig())
     t50 = time.perf_counter() - t0
     factor = t50 / max(tok, 1e-9)
     report(
@@ -301,11 +303,14 @@ def test_criterion_09_scaling():
 
 def test_criterion_10_ratio_mode(er_suite):
     bad = 0
-    for g in er_suite:
+    # one block call per ratio; each graph's partition is the one it gets alone
+    ratios = [i / 10 for i in range(1, 10)]
+    runs = [coarsen_many(er_suite, CoarsenConfig(mode="ratio", ratio=r)) for r in ratios]
+    for j, g in enumerate(er_suite):
         t0 = init_balls(g, default_init_target(g.n)).ball_count
         previous = 0
-        for r in [i / 10 for i in range(1, 10)]:
-            part = ratio_coarsen(g, r)
+        for r, parts in zip(ratios, runs):
+            part = parts[j]
             k = max(1, math.ceil(r * g.n))
             if part.ball_count != max(k, t0):
                 bad += 1

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,17 @@ def test_gbgc_jobs_env(monkeypatch):
     assert args.jobs == 7
 
 
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_gbgc_jobs_fails_like_the_flag(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("GBGC_JOBS", value)
+    inp = write_barbell_edgelist(tmp_path / "barbell.txt")
+    with pytest.raises(SystemExit) as exc:
+        run(["coarsen", "--input", str(inp), "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_small(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "BENCH_SIZES", (40, 80))
     out = tmp_path / "bench"
@@ -304,21 +319,35 @@ def test_bench_rejects_jobs(capsys):
     assert exc.value.code == 2
 
 
-def test_memory_error_in_one_graph_reports_it_and_writes_the_rest(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError, "graph 1: out of memory"),
+        (RuntimeError("boom"), "graph 1: internal error: RuntimeError: boom"),
+    ],
+    ids=["memory", "internal"],
+)
+def test_memory_error_in_one_graph_reports_it_and_writes_the_rest(
+    tmp_path, monkeypatch, capsys, error, message, jobs
+):
     real_coarsen_many = cli.coarsen_many
 
     def coarsen_many_failing_on_two_nodes(graphs, cfg):
         if any(g.n == 2 for g in graphs):  # the second graph of the tiny dataset
-            raise MemoryError
+            raise error
         return real_coarsen_many(graphs, cfg)
 
-    # the engine fails on that graph whether it runs in a block or alone
+    # the engine fails on that graph whether it runs in a block or alone;
+    # forked pool workers inherit the patches
     monkeypatch.setattr(cli, "coarsen_many", coarsen_many_failing_on_two_nodes)
     monkeypatch.setattr(cli, "coarsen", lambda g, cfg: coarsen_many_failing_on_two_nodes([g], cfg)[0])
     data = write_tiny_tud(tmp_path / "tiny")
     out = tmp_path / "out"
-    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1
-    assert "graph 1: out of memory" in capsys.readouterr().err
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
     assert [row["graph_index"] for row in read_report(out)] == ["0"]
     assert json.loads((out / "mapping.jsonl").read_text())["graph_index"] == 0
     assert (out / "coarse_edges.txt").read_text().startswith("graph 0\n")
@@ -334,3 +363,34 @@ def test_memory_error_in_parent_exit_1(tmp_path, monkeypatch, capsys):
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
     assert not (out / "mapping.jsonl").exists()
+
+
+def test_internal_error_in_evaluate_exit_1(tmp_path, monkeypatch, capsys):
+    inp = write_barbell_edgelist(tmp_path / "barbell.txt")
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(inp), "--output", str(out), "--skip-sd"]) == 0
+
+    def failing_evaluate(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "evaluate", failing_evaluate)
+    capsys.readouterr()
+    assert run(["evaluate", "--input", str(inp), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "graph 0: internal error: RuntimeError: boom\n"
+
+
+def test_traced_pass_runs(tmp_path):
+    # the benchmark's traced pass patches package names by path; a name it
+    # dereferences that the package no longer has makes every traced run fail
+    root = Path(__file__).resolve().parents[1]
+    inp = write_barbell_edgelist(tmp_path / "barbell.txt")
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), "coarsen",
+         "--input", str(inp), "--output", str(tmp_path / "out"), "--jobs", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert spans.is_file() and spans.stat().st_size > 0

@@ -3,6 +3,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gbgc import (
@@ -503,7 +504,7 @@ def test_parsed_graphs_are_views_of_one_csr(tmp_path):
 def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
     n = 3 * dataio._WRITE_ROWS + 5
     g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
-    part = Partition.from_member_groups(g, [[v] for v in range(n)])
+    part = Partition(np.arange(n), n)
     cg = build_coarse_graph(g, part)
     assert len(cg.superedges) == n > 2 * dataio._WRITE_ROWS
     records = [

@@ -5,26 +5,30 @@ from gbgc import (
     CoarsenConfig,
     GraphValidationError,
     achieved_ratio,
-    adaptive_coarsen,
+    coarsen,
     default_init_target,
     erdos_renyi,
     from_edge_list,
     init_balls,
-    ratio_coarsen,
 )
 
-from helpers import ball_quality, bfs_layers, make_ball, split_ball
+from helpers import ball_quality, balls, bfs_layers, make_ball, split_ball
 
 
-def assert_valid_partition(part, n):
+def ratio_config(r):
+    return CoarsenConfig(mode="ratio", ratio=r)
+
+
+def assert_valid_partition(g, part):
+    n = g.n
     seen = set()
-    for ball in part.balls:
+    for ball in balls(g, part):
         assert ball.members
         assert not (seen & set(ball.members))
         seen.update(ball.members)
     assert seen == set(range(n))
     assert len(part.assignment) == n
-    for idx, ball in enumerate(part.balls):
+    for idx, ball in enumerate(balls(g, part)):
         for v in ball.members:
             assert part.assignment[v] == idx
 
@@ -52,13 +56,13 @@ def test_default_init_target():
 
 def test_init_balls_k3(k3):
     part = init_balls(k3, 1)
-    assert [b.members for b in part.balls] == [(0, 1, 2)]
+    assert [b.members for b in balls(k3, part)] == [(0, 1, 2)]
 
 
 def test_init_balls_path5():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     part = init_balls(g, 2)
-    assert [b.members for b in part.balls] == [(0, 1, 2, 3, 4)]
+    assert [b.members for b in balls(g, part)] == [(0, 1, 2, 3, 4)]
 
 
 def test_init_balls_star5():
@@ -83,10 +87,10 @@ def test_init_balls_cover_connected_and_work():
         g = erdos_renyi(n, 3.0, seed=seed)
         stats = {}
         part = init_balls(g, default_init_target(n), stats=stats)
-        assert_valid_partition(part, n)
+        assert_valid_partition(g, part)
         assert stats["nodes_visited"] == n
         assert stats["edge_traversals"] <= 2 * g.edge_count
-        for ball in part.balls:
+        for ball in balls(g, part):
             allowed = set(ball.members)
             layering = bfs_layers(g, ball.members[0], allowed=allowed)
             assert layering.visited == allowed  # ball induces a connected subgraph
@@ -130,38 +134,38 @@ def test_split_disconnected_ball_goes_to_a():
 
 
 def test_adaptive_no_init_barbell(barbell):
-    part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
-    assert [b.members for b in part.balls] == [(0, 1, 2), (3, 4, 5)]
+    part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
+    assert [b.members for b in balls(barbell, part)] == [(0, 1, 2), (3, 4, 5)]
     assert part.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_adaptive_no_init_k3(k3):
-    part = adaptive_coarsen(k3, CoarsenConfig(ablation="no_init"))
+    part = coarsen(k3, CoarsenConfig(ablation="no_init"))
     assert part.ball_count == 1
 
 
 def test_adaptive_no_split_equals_init(barbell):
-    part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_split"))
+    part = coarsen(barbell, CoarsenConfig(ablation="no_split"))
     init = init_balls(barbell, default_init_target(6))
-    assert [b.members for b in part.balls] == [b.members for b in init.balls]
+    assert [b.members for b in balls(barbell, part)] == [b.members for b in balls(barbell, init)]
 
 
 def test_adaptive_empty_graph():
     with pytest.raises(GraphValidationError):
-        adaptive_coarsen(from_edge_list(0, []), CoarsenConfig())
+        coarsen(from_edge_list(0, []), CoarsenConfig())
 
 
 def test_adaptive_decisions_sound():
     for seed in range(10):
         g = erdos_renyi(40 + 11 * seed, 4.0, seed=100 + seed)
         decisions = []
-        part = adaptive_coarsen(g, CoarsenConfig(), decisions=decisions)
-        assert_valid_partition(part, g.n)
+        part = coarsen(g, CoarsenConfig(), decisions=decisions)
+        assert_valid_partition(g, part)
         for d in decisions:
             gain = d.child_a_quality + d.child_b_quality - d.parent_quality
             assert (gain > 0) == d.accepted
         # every final multi-node ball must fail the gate for its own split
-        for ball in part.balls:
+        for ball in balls(g, part):
             if ball.size >= 2:
                 child_a, child_b = split_ball(g, ball)
                 assert child_a.quality + child_b.quality <= ball.quality
@@ -169,26 +173,26 @@ def test_adaptive_decisions_sound():
 
 def test_adaptive_deterministic():
     g = erdos_renyi(120, 5.0, seed=2024)
-    first = adaptive_coarsen(g, CoarsenConfig())
-    second = adaptive_coarsen(g, CoarsenConfig())
+    first = coarsen(g, CoarsenConfig())
+    second = coarsen(g, CoarsenConfig())
     assert first.assignment.tolist() == second.assignment.tolist()
-    assert [b.members for b in first.balls] == [b.members for b in second.balls]
+    assert [b.members for b in balls(g, first)] == [b.members for b in balls(g, second)]
 
 
 def test_ratio_barbell(barbell):
-    part = ratio_coarsen(barbell, 2 / 6)
-    assert [b.members for b in part.balls] == [(0, 1, 2), (3, 4, 5)]
+    part = coarsen(barbell, ratio_config(2 / 6))
+    assert [b.members for b in balls(barbell, part)] == [(0, 1, 2), (3, 4, 5)]
 
 
 def test_ratio_k2(k2):
-    part = ratio_coarsen(k2, 0.5)
-    assert [b.members for b in part.balls] == [(0, 1)]
+    part = coarsen(k2, ratio_config(0.5))
+    assert [b.members for b in balls(k2, part)] == [(0, 1)]
 
 
 def test_ratio_validation(barbell):
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(GraphValidationError):
-            ratio_coarsen(barbell, bad)
+            coarsen(barbell, ratio_config(bad))
     with pytest.raises(GraphValidationError):
         CoarsenConfig(mode="ratio", ratio=None)
 
@@ -201,8 +205,8 @@ def test_ratio_reaches_target_and_monotone():
         t0 = init_balls(g, default_init_target(g.n)).ball_count
         previous = 0
         for r in [i / 10 for i in range(1, 10)]:
-            part = ratio_coarsen(g, r)
-            assert_valid_partition(part, g.n)
+            part = coarsen(g, ratio_config(r))
+            assert_valid_partition(g, part)
             k = max(1, math.ceil(r * g.n))
             assert part.ball_count == max(k, t0)
             assert part.ball_count >= previous
@@ -210,9 +214,9 @@ def test_ratio_reaches_target_and_monotone():
 
 
 def test_achieved_ratio(barbell):
-    two = ratio_coarsen(barbell, 2 / 6)
+    two = coarsen(barbell, ratio_config(2 / 6))
     assert achieved_ratio(two, 6) == pytest.approx(1 / 3)
-    identity = ratio_coarsen(barbell, 0.99)
+    identity = coarsen(barbell, ratio_config(0.99))
     assert achieved_ratio(identity, 6) == 1.0
-    one = adaptive_coarsen(from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    one = coarsen(from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), CoarsenConfig())
     assert 0 < achieved_ratio(one, 4) <= 1.0

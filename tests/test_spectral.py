@@ -10,7 +10,6 @@ from gbgc import (
     EvalConfig,
     GraphValidationError,
     Partition,
-    adaptive_coarsen,
     build_coarse_graph,
     coarsen,
     eigenvalues_symmetric,
@@ -27,6 +26,7 @@ from gbgc.spectral import SYMMETRY_BLOCK_BYTES, SYMMETRY_RTOL
 from helpers import (
     adjacency_matrix,
     charpoly_eigenvalues,
+    partition_of,
     reference_evaluate,
     reference_rayleigh_pair,
 )
@@ -40,7 +40,7 @@ BARBELL_TWO_BALL_SD = 5.8098010937350238
 
 
 def identity_partition(g):
-    return Partition.from_member_groups(g, [[v] for v in range(g.n)])
+    return Partition(np.arange(g.n), g.n)
 
 
 def test_laplacian_k2(k2):
@@ -80,9 +80,8 @@ def test_eigenvalues_charpoly_oracle():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = from_edge_list(n, edges)
         adj = adjacency_matrix(g)
-        lap_int = [
-            [g.degree(i) if i == j else -adj[i][j] for j in range(n)] for i in range(n)
-        ]
+        deg = np.diff(g.indptr).tolist()
+        lap_int = [[deg[i] if i == j else -adj[i][j] for j in range(n)] for i in range(n)]
         expected = charpoly_eigenvalues(lap_int)
         got = eigenvalues_symmetric(laplacian(g))
         assert got == pytest.approx(expected, abs=1e-8)
@@ -131,7 +130,7 @@ def test_rayleigh_identity_exact(barbell):
 
 
 def test_rayleigh_all_ones_zero(barbell):
-    part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
+    part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
     r_o, r_c = rayleigh_pair(barbell, cg, part, np.ones(6))
     assert abs(r_o) <= 1e-12
@@ -140,7 +139,7 @@ def test_rayleigh_all_ones_zero(barbell):
 
 
 def test_rayleigh_barbell_sign_vector(barbell):
-    part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
+    part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
     x = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     r_o, r_c = rayleigh_pair(barbell, cg, part, x)
@@ -164,7 +163,7 @@ def test_evaluate_rejects_a_partition_that_does_not_fit(k3, barbell):
         GraphValidationError, match="assignment length 3 does not match graph with 6 nodes"
     ):
         evaluate(barbell, cg, part)
-    one_ball = Partition.from_member_groups(k3, [[0, 1, 2]])
+    one_ball = partition_of(k3, [[0, 1, 2]])
     with pytest.raises(
         GraphValidationError, match="partition has 1 balls but coarse graph has 3 supernodes"
     ):
@@ -182,7 +181,7 @@ def test_evaluate_identity(barbell):
 
 
 def test_evaluate_k2_one_ball(k2):
-    part = Partition.from_member_groups(k2, [[0, 1]])
+    part = partition_of(k2, [[0, 1]])
     cg = build_coarse_graph(k2, part)
     report = evaluate(k2, cg, part)
     assert report.sd == pytest.approx(2.0, abs=1e-8)
@@ -190,14 +189,14 @@ def test_evaluate_k2_one_ball(k2):
 
 
 def test_evaluate_barbell_frozen_oracle(barbell):
-    part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
+    part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
     report = evaluate(barbell, cg, part)
     assert report.sd == pytest.approx(BARBELL_TWO_BALL_SD, abs=1e-8)
 
 
 def test_evaluate_unweighted_mode(barbell):
-    part = adaptive_coarsen(barbell, CoarsenConfig(ablation="no_init"))
+    part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
     report = evaluate(barbell, cg, part, EvalConfig(sd_mode="unweighted"))
     # coarse side is K2's Laplacian: same spectrum {0, 2} here
@@ -207,7 +206,7 @@ def test_evaluate_unweighted_mode(barbell):
 
 def test_evaluate_normalized_kind():
     g = erdos_renyi(30, 4.0, seed=8)
-    part = adaptive_coarsen(g, CoarsenConfig())
+    part = coarsen(g, CoarsenConfig())
     cg = build_coarse_graph(g, part)
     report = evaluate(g, cg, part, EvalConfig(laplacian_kind="normalized"))
     assert math.isfinite(report.sd) and report.sd >= 0
@@ -221,7 +220,7 @@ def test_evaluate_normalized_kind():
 @pytest.mark.parametrize("mode", ["projected", "unweighted"])
 def test_evaluate_without_probes_computes_sd_only(monkeypatch, kind, mode):
     for g in er_suite()[::40]:
-        part = adaptive_coarsen(g, CoarsenConfig())
+        part = coarsen(g, CoarsenConfig())
         cg = build_coarse_graph(g, part)
         probed = evaluate(g, cg, part, EvalConfig(kind, mode, rayleigh_vectors=16))
         with monkeypatch.context() as m:
@@ -294,7 +293,7 @@ def test_evaluate_rejects_bad_kind_before_any_laplacian(monkeypatch, barbell):
 @pytest.mark.parametrize("kind, mode", MODES)
 def test_evaluate_holds_one_dense_original_matrix(kind, mode, probes):
     g = erdos_renyi(1000, 4.0, seed=1000)
-    part = adaptive_coarsen(g, CoarsenConfig())
+    part = coarsen(g, CoarsenConfig())
     cg = build_coarse_graph(g, part)
     cfg = EvalConfig(kind, mode, rayleigh_vectors=probes)
     tracemalloc.start()
