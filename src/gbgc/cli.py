@@ -107,12 +107,11 @@ def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, sk
         t0 = time.perf_counter()
         cg = build_coarse_graph(g, part)
         if skip_sd:
-            sd = float("nan")
-            r_a = achieved_ratio(part, g.n)
+            sd, r_a, gap = float("nan"), achieved_ratio(part, g.n), None
         else:
             report = evaluate(g, cg, part, eval_cfg)
-            sd = report.sd
-            r_a = report.r_a
+            sd, r_a = report.sd, report.r_a
+            gap = max((s[2] for s in report.rayleigh_samples), default=None)
         elapsed = int((engine_s + time.perf_counter() - t0) * 1e6)
     except Exception as exc:
         return index, None, _error_text(exc)
@@ -125,6 +124,7 @@ def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, sk
         r_a=r_a,
         elapsed_micros=elapsed,
         edge_count=g.edge_count,
+        rayleigh_gap=gap,
     )
     return index, record, None
 
@@ -195,6 +195,20 @@ def _map_tasks(tasks, jobs: int):
     return [result for block in results for result in block]
 
 
+def _collect(results) -> tuple[list[CoarsenRecord], int]:
+    """The records of (index, record, error) results and the failure count;
+    each failure is printed as "graph i: <error>"."""
+    records: list[CoarsenRecord] = []
+    failures = 0
+    for index, record, err in results:
+        if err is not None:
+            failures += 1
+            print(f"graph {index}: {err}", file=sys.stderr)
+        else:
+            records.append(record)
+    return records, failures
+
+
 def run_coarsen(args) -> int:
     cfg = CoarsenConfig(
         mode=args.mode,
@@ -213,14 +227,7 @@ def run_coarsen(args) -> int:
         (block.start, graphs[block.start : block.stop], cfg, eval_cfg, args.skip_sd)
         for block in _blocks(graphs, jobs)
     ]
-    records: list[CoarsenRecord] = []
-    failures = 0
-    for index, record, err in _map_tasks(tasks, jobs):
-        if err is not None:
-            failures += 1
-            print(f"graph {index}: {err}", file=sys.stderr)
-        else:
-            records.append(record)
+    records, failures = _collect(_map_tasks(tasks, jobs))
     write_results(records, args.output)
     total = time.perf_counter() - t0
     finite_sd = [r.sd for r in records if not math.isnan(r.sd)]
@@ -233,46 +240,35 @@ def run_coarsen(args) -> int:
     return 1 if failures else 0
 
 
+def _evaluate_graph(index: int, g: Graph, row: dict | None, eval_cfg):
+    """One graph's (index, record, error) from its mapping.jsonl row."""
+    if row is None:
+        return index, None, "no mapping row"
+    t0 = time.perf_counter()
+    try:
+        part = Partition.from_assignment(row["assignment"], row["supernode_count"])
+    except Exception as exc:
+        return index, None, _error_text(exc)
+    return _finish(index, g, part, time.perf_counter() - t0, eval_cfg, skip_sd=False)
+
+
 def run_evaluate(args) -> int:
+    """report.csv from mapping.jsonl; as under coarsen, a graph that fails
+    is reported and the others are still written."""
     bundle = _load_bundle(args)
     out_dir = Path(args.output)
     rows = read_mapping(out_dir / "mapping.jsonl", len(bundle.graphs))
     eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
     by_index = {row["graph_index"]: row for row in rows}
-    records: list[CoarsenRecord] = []
-    gap_max = 0.0
-    for i, g in enumerate(bundle.graphs):
-        row = by_index.get(i)
-        if row is None:
-            print(f"graph {i}: no mapping row", file=sys.stderr)
-            return 1
-        try:
-            t0 = time.perf_counter()
-            part = Partition.from_assignment(row["assignment"], row["supernode_count"])
-            cg = build_coarse_graph(g, part)
-            report = evaluate(g, cg, part, eval_cfg)
-            elapsed = int((time.perf_counter() - t0) * 1e6)
-        except Exception as exc:
-            print(f"graph {i}: {_error_text(exc)}", file=sys.stderr)
-            return 1
-        if report.rayleigh_samples:
-            gap_max = max(gap_max, max(s[2] for s in report.rayleigh_samples))
-        records.append(
-            CoarsenRecord(
-                graph_index=i,
-                assignment=part.assignment,
-                supernode_count=row["supernode_count"],
-                superedges=cg.superedges,
-                sd=report.sd,
-                r_a=report.r_a,
-                elapsed_micros=elapsed,
-                edge_count=g.edge_count,
-            )
-        )
+    # one graph at a time, so at most one dense n x n matrix is alive
+    records, failures = _collect(
+        _evaluate_graph(i, g, by_index.get(i), eval_cfg) for i, g in enumerate(bundle.graphs)
+    )
     write_report_csv(records, out_dir / "report.csv")
     mean_sd = sum(r.sd for r in records) / len(records) if records else float("nan")
+    gap_max = max((r.rayleigh_gap for r in records if r.rayleigh_gap is not None), default=0.0)
     print(f"graphs={len(records)} mean_sd={mean_sd:.6f} max_rayleigh_gap={gap_max:.6f}")
-    return 0
+    return 1 if failures else 0
 
 
 def run_bench(args) -> int:

@@ -1,11 +1,9 @@
-"""Coarsened-graph construction: superedges and the projected Laplacian.
+"""Coarsened-graph construction: superedges and their multiplicities.
 
-The coarse graph is kept sparse: its superedges plus, for each, the number of
-original edges that cross between the two balls. The projected Laplacian,
-the congruence transform of the original combinatorial Laplacian by the
-binary node-to-supernode projection matrix (a partition's assignment), is
-built densely from those integer multiplicities only when it is read, so
-row sums are exactly zero.
+The coarse graph is plain sparse data: its superedges plus, for each, the
+number of original edges that cross between its two balls. That is all
+`spectral.projected_laplacian` needs to build C^T L C, where C is the
+binary node-to-supernode projection (a partition's assignment).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Partition
-from .graph import Graph, from_edge_list
+from .graph import Graph
 
 
 @dataclass
@@ -23,21 +21,6 @@ class CoarsenedGraph:
     supernode_count: int
     superedges: np.ndarray  # (k, 2) int64 rows (a, b), a < b, sorted
     weights: np.ndarray  # int64 crossing-edge count of each superedge, aligned
-
-    @property
-    def projected_laplacian(self) -> np.ndarray:
-        """Dense t x t C^T L C, built anew on every read.
-
-        Symmetric, float entries of exact integers: off-diagonals are minus
-        the superedge multiplicities, diagonals the balls' crossing degrees.
-        """
-        t = self.supernode_count
-        lap = np.zeros((t, t))
-        a, b = self.superedges[:, 0], self.superedges[:, 1]
-        lap[a, b] = -self.weights
-        lap[b, a] = -self.weights
-        np.fill_diagonal(lap, -lap.sum(axis=1))  # integer sums, exact in float64
-        return lap
 
 
 def build_coarse_graph(g: Graph, p: Partition) -> CoarsenedGraph:
@@ -60,11 +43,6 @@ def build_coarse_graph(g: Graph, p: Partition) -> CoarsenedGraph:
         superedges=superedges,
         weights=weights.astype(np.int64, copy=False),
     )
-
-
-def superedge_graph(cg: CoarsenedGraph) -> Graph:
-    """The unweighted coarse graph over supernodes."""
-    return from_edge_list(cg.supernode_count, cg.superedges)
 
 
 # perfbench/tracer.py dereferences coarse.ProjectionMap, the class that held

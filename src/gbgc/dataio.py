@@ -45,6 +45,7 @@ class CoarsenRecord:
     r_a: float
     elapsed_micros: int
     edge_count: int = 0  # original edge count, needed for report.csv
+    rayleigh_gap: float | None = None  # worst gap of the Rayleigh probes, if any; not written
 
     @property
     def node_count(self) -> int:

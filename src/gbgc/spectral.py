@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coarse import CoarsenedGraph, superedge_graph
+from .coarse import CoarsenedGraph
 from .engine import Partition, achieved_ratio
 from .errors import GraphValidationError
 from .graph import Graph
@@ -43,21 +43,70 @@ class SpectralReport:
     sd_mode: SdMode = "projected"
 
 
-def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
-    """Dense graph Laplacian. Normalized kind zeroes rows of isolated nodes."""
-    n = g.n
-    deg = np.diff(g.indptr)
-    lap = np.zeros((n, n))
-    lap[np.repeat(np.arange(n), deg), g.indices] = -1.0
-    lap[np.diag_indices(n)] = deg
-    if kind == "combinatorial":
-        return lap
+def _dense_laplacian(size, rows, cols, weights, diag, kind="combinatorial") -> np.ndarray:
+    """The one dense Laplacian builder: -weights at (rows, cols), both ways
+    round for each edge, and diag on the diagonal. The normalized kind scales
+    it in place by D^-1/2 of degrees diag, rows first (degree 0 gives 0)."""
+    if kind not in ("combinatorial", "normalized"):
+        raise GraphValidationError(f"unknown laplacian kind {kind!r}")
+    lap = np.zeros((size, size))
+    lap[rows, cols] = -weights
+    lap[np.diag_indices(size)] = diag
     if kind == "normalized":
-        scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        scale = np.where(diag > 0, 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0)), 0.0)
         lap *= scale[:, None]
         lap *= scale[None, :]
-        return lap
-    raise GraphValidationError(f"unknown laplacian kind {kind!r}")
+    return lap
+
+
+def _both_ways(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of each pair (a, b) of a (k, 2) array and of (b, a)."""
+    return pairs.ravel(), pairs[:, ::-1].ravel()
+
+
+def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
+    """Dense graph Laplacian. Normalized kind zeroes rows of isolated nodes."""
+    deg = np.diff(g.indptr)
+    return _dense_laplacian(g.n, np.repeat(np.arange(g.n), deg), g.indices, 1.0, deg, kind)
+
+
+def projected_laplacian(cg: CoarsenedGraph) -> np.ndarray:
+    """Dense t x t C^T L C: off-diagonals are minus the superedge
+    multiplicities, diagonals minus the off-diagonal row sums (exact). So a
+    ball with no superedge gets -0.0; keep that sign, eigvalsh's last bits
+    depend on it (the cast is for no superedges, where bincount gives ints)."""
+    t = cg.supernode_count
+    rows, cols = _both_ways(cg.superedges)
+    weights = np.repeat(cg.weights, 2)
+    row_sums = np.bincount(rows, -weights, minlength=t)
+    return _dense_laplacian(t, rows, cols, weights, -row_sums.astype(float))
+
+
+def superedge_laplacian(cg: CoarsenedGraph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
+    """Dense Laplacian of the unweighted graph whose edges are the superedges."""
+    rows, cols = _both_ways(cg.superedges)
+    degree = np.bincount(rows, minlength=cg.supernode_count)
+    return _dense_laplacian(cg.supernode_count, rows, cols, 1.0, degree, kind)
+
+
+def projected_normalized_laplacian(g: Graph, p: Partition) -> np.ndarray:
+    """C^T L_norm C from the edges, with no n x t indicator. Edge (u, v)
+    weighs 1/sqrt(d_u d_v); a superedge's entry is minus the sum, in edge
+    order, of its crossing edges' weights, and a ball's diagonal its count of
+    members of non-zero degree minus twice its inside edges' weights."""
+    t = p.ball_count
+    col = p.assignment
+    u, v = g.edge_arrays()
+    deg = np.diff(g.indptr)
+    a, b = col[u], col[v]
+    weights = 1.0 / np.sqrt(deg[u] * deg[v])
+    inside = a == b
+    keys, slot = np.unique((np.minimum(a, b) * t + np.maximum(a, b))[~inside], return_inverse=True)
+    rows, cols = _both_ways(np.stack(np.divmod(keys, t), axis=1))
+    sums = np.repeat(np.bincount(slot, weights[~inside]), 2)
+    inner = np.bincount(a[inside], weights=weights[inside], minlength=t)
+    diag = np.bincount(col[deg > 0], minlength=t) - 2 * inner
+    return _dense_laplacian(t, rows, cols, sums, diag)
 
 
 def _check_symmetric(m: np.ndarray) -> None:
@@ -100,7 +149,7 @@ def eigenvalues_symmetric(
     _check_symmetric(m)
     if with_vectors:
         return np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
-    return np.sort(np.linalg.eigvalsh(m)) if m.size else np.zeros(0)
+    return np.linalg.eigvalsh(m) if m.size else np.zeros(0)
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -117,11 +166,6 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 def project_vector(p: Partition, x: np.ndarray) -> np.ndarray:
     """C^T x: per-supernode sums of the node vector x."""
     return np.bincount(p.assignment, weights=x, minlength=p.ball_count)
-
-
-def lift_vector(p: Partition, y: np.ndarray) -> np.ndarray:
-    """C y: each node takes its supernode's value."""
-    return np.asarray(y, dtype=float)[p.assignment]
 
 
 def rayleigh_pair(
@@ -153,32 +197,10 @@ def rayleigh_pair(
     return r_o, r_c
 
 
-def projected_normalized_laplacian(g: Graph, p: Partition) -> np.ndarray:
-    """C^T L_norm C accumulated edge by edge into t x t, no n x t indicator.
-
-    Each ball's diagonal gets +1 per member of non-zero degree; each edge
-    (u, v) adds -1/sqrt(d_u d_v) at (col u, col v) and (col v, col u), so an
-    edge inside a ball adds twice that to its diagonal.
-    """
-    t = p.ball_count
-    col = p.assignment
-    u, v = g.edge_arrays()
-    deg = np.diff(g.indptr)
-    a, b = col[u], col[v]
-    upper = np.bincount(
-        np.minimum(a, b) * t + np.maximum(a, b),
-        weights=-1.0 / np.sqrt(deg[u] * deg[v]),
-        minlength=t * t,
-    ).reshape(t, t)
-    lap = upper + upper.T
-    lap[np.diag_indices(t)] += np.bincount(col[deg > 0], minlength=t)
-    return lap
-
-
 def _rayleigh_test_vectors(p: Partition, eigvecs: np.ndarray, k: int) -> list[np.ndarray]:
     """Up to k deterministic probes: lifted coarse eigenvectors (columns of
     eigvecs, ascending eigenvalue) first, then indicators of the largest balls."""
-    vectors = [lift_vector(p, eigvecs[:, i]) for i in range(min(k, eigvecs.shape[1]))]
+    vectors = [eigvecs[p.assignment, i] for i in range(min(k, eigvecs.shape[1]))]
     if len(vectors) < k:
         sizes = np.bincount(p.assignment, minlength=p.ball_count)
         by_size = np.lexsort((np.arange(len(sizes)), -sizes))
@@ -195,15 +217,15 @@ def evaluate(
 ) -> SpectralReport:
     """Spectral distance plus Rayleigh diagnostics for a coarsening result.
 
-    sd_mode "projected" compares against the projected Laplacian of the
-    chosen kind; "unweighted" builds that kind's Laplacian on the
-    superedge graph instead. Rayleigh quotients always use the
-    combinatorial pair (original Laplacian, projected Laplacian). With
-    probes asked for, the dense projected Laplacian is built and factored
-    once: its eigenvectors are the probes, and in combinatorial projected
-    mode its eigenvalues are the coarse spectrum. With
-    ``cfg.rayleigh_vectors == 0`` only eigenvalues are computed, and only
-    those the SD needs.
+    The original graph's `laplacian` of the chosen kind is compared with a
+    coarse matrix: under sd_mode "projected", `projected_laplacian` (C^T L C)
+    or `projected_normalized_laplacian` (C^T L_norm C); under "unweighted",
+    `superedge_laplacian` of the chosen kind. Rayleigh quotients always use
+    the combinatorial pair (original Laplacian, C^T L C). With probes asked
+    for, C^T L C is built and factored once: its eigenvectors are the probes,
+    and in combinatorial projected mode its eigenvalues are the coarse
+    spectrum. With ``cfg.rayleigh_vectors == 0`` only eigenvalues
+    are computed, and only those the SD needs.
 
     Solve order, so that at most one dense n x n matrix is alive at a time
     (plus the working copy LAPACK makes of it): the original Laplacian of
@@ -227,12 +249,12 @@ def evaluate(
 
     if probing:
         proj_eigvals, proj_eigvecs = eigenvalues_symmetric(
-            cg.projected_laplacian, with_vectors=True
+            projected_laplacian(cg), with_vectors=True
         )
     if cfg.sd_mode == "unweighted":
-        coarse_eigvals = eigenvalues_symmetric(laplacian(superedge_graph(cg), cfg.laplacian_kind))
+        coarse_eigvals = eigenvalues_symmetric(superedge_laplacian(cg, cfg.laplacian_kind))
     elif cfg.laplacian_kind == "combinatorial":
-        coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
+        coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(projected_laplacian(cg))
     else:
         coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, p))
     sd = spectral_distance(orig_eigvals, coarse_eigvals)

@@ -15,7 +15,11 @@ own kernels, so the tests can compare them with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
 vectorized ones. The reference evaluation keeps `evaluate` as it was before
 it solved the original spectrum first, with the Laplacian scaled by out-of-place
-products, as the oracle for the reordered one.
+products, as the oracle for the reordered one. Its coarse matrices come from
+the builders that preceded the package's single dense Laplacian builder: C^T L C
+with its diagonal set to minus the row sums, the unweighted superedge graph
+sent through a `Graph`, and C^T L_norm C accumulated into a t^2 upper
+triangle and added to its transpose.
 """
 
 import heapq
@@ -37,14 +41,12 @@ from gbgc import (
     from_edge_list,
     init_balls,
 )
-from gbgc.coarse import superedge_graph
 from gbgc.engine import _ball_measures, _refine, achieved_ratio
 from gbgc.spectral import (
     SpectralReport,
     _rayleigh_test_vectors,
     eigenvalues_symmetric,
     project_vector,
-    projected_normalized_laplacian,
     spectral_distance,
 )
 
@@ -624,6 +626,40 @@ def reference_laplacian(g: Graph, kind="combinatorial"):
     raise GraphValidationError(f"unknown laplacian kind {kind!r}")
 
 
+def reference_projected_laplacian(cg):
+    """Dense t x t C^T L C with the diagonal set to minus the row sums."""
+    t = cg.supernode_count
+    lap = np.zeros((t, t))
+    a, b = cg.superedges[:, 0], cg.superedges[:, 1]
+    lap[a, b] = -cg.weights
+    lap[b, a] = -cg.weights
+    np.fill_diagonal(lap, -lap.sum(axis=1))  # integer sums, exact in float64
+    return lap
+
+
+def superedge_graph(cg):
+    """The unweighted coarse graph over supernodes."""
+    return from_edge_list(cg.supernode_count, cg.superedges)
+
+
+def reference_projected_normalized_laplacian(g, p):
+    """C^T L_norm C accumulated edge by edge into a t^2 upper triangle,
+    then mirrored."""
+    t = p.ball_count
+    col = p.assignment
+    u, v = g.edge_arrays()
+    deg = np.diff(g.indptr)
+    a, b = col[u], col[v]
+    upper = np.bincount(
+        np.minimum(a, b) * t + np.maximum(a, b),
+        weights=-1.0 / np.sqrt(deg[u] * deg[v]),
+        minlength=t * t,
+    ).reshape(t, t)
+    lap = upper + upper.T
+    lap[np.diag_indices(t)] += np.bincount(col[deg > 0], minlength=t)
+    return lap
+
+
 def reference_rayleigh_pair(lap, lap_coarse, p, x):
     """Rayleigh quotients x^T L x / x^T x and y^T L_c y / y^T y, y = C^T x,
     from the dense Laplacians."""
@@ -648,16 +684,20 @@ def reference_evaluate(g, cg, p, cfg=None):
     lap_orig = reference_laplacian(g, cfg.laplacian_kind)
     probing = cfg.rayleigh_vectors > 0
     if probing:
-        lap_proj = cg.projected_laplacian
+        lap_proj = reference_projected_laplacian(cg)
         proj_eigvals, proj_eigvecs = eigenvalues_symmetric(lap_proj, with_vectors=True)
     if cfg.sd_mode == "unweighted":
         coarse_eigvals = eigenvalues_symmetric(
             reference_laplacian(superedge_graph(cg), cfg.laplacian_kind)
         )
     elif cfg.laplacian_kind == "combinatorial":
-        coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(cg.projected_laplacian)
+        coarse_eigvals = (
+            proj_eigvals
+            if probing
+            else eigenvalues_symmetric(reference_projected_laplacian(cg))
+        )
     else:
-        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, p))
+        coarse_eigvals = eigenvalues_symmetric(reference_projected_normalized_laplacian(g, p))
     sd = spectral_distance(eigenvalues_symmetric(lap_orig), coarse_eigvals)
 
     samples = []

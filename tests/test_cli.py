@@ -305,6 +305,36 @@ def test_evaluate_duplicate_or_unknown_index_exit_1(tmp_path, capsys, indices, m
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "graph_1_row, message",
+    [
+        ({"graph_index": 1, "assignment": [0, 5], "supernode_count": 1},
+         "graph 1: node 1 mapped to invalid supernode 5"),
+        (None, "graph 1: no mapping row"),
+    ],
+    ids=["bad-row", "missing-row"],
+)
+def test_evaluate_reports_a_failing_graph_and_writes_the_rest(
+    tmp_path, capsys, graph_1_row, message
+):
+    data = write_tiny_tud(tmp_path / "tiny")
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out)]) == 0
+    sd_0 = read_report(out)[0]["sd"]
+    graph_0_row = (out / "mapping.jsonl").read_text().splitlines()[0]
+    rows = [graph_0_row] + ([json.dumps(graph_1_row)] if graph_1_row else [])
+    (out / "mapping.jsonl").write_text("\n".join(rows) + "\n")
+    (out / "report.csv").unlink()
+    capsys.readouterr()
+    assert run(["evaluate", "--input", str(data), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert "graphs=1 " in captured.out
+    report = read_report(out)
+    assert [row["graph_index"] for row in report] == ["0"]
+    assert report[0]["sd"] == sd_0
+
+
 @pytest.mark.parametrize("flag", [["--skip-sd"], ["--jobs", "2"]])
 def test_evaluate_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,11 @@ from helpers import (
     charpoly_eigenvalues,
     partition_of,
     reference_evaluate,
+    reference_laplacian,
+    reference_projected_laplacian,
+    reference_projected_normalized_laplacian,
     reference_rayleigh_pair,
+    superedge_graph,
 )
 from tests_support import er_suite
 
@@ -51,6 +55,19 @@ def test_laplacian_k2(k2):
 def test_laplacian_isolated_normalized():
     g = from_edge_list(1, [])
     assert laplacian(g, "normalized").tolist() == [[0.0]]
+
+
+def test_laplacian_rejects_a_bad_kind_before_allocating():
+    n = 2_000
+    g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphValidationError, match="unknown laplacian kind"):
+            laplacian(g, "signless")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 100
 
 
 def test_known_spectra(k2, k3, p3):
@@ -244,10 +261,46 @@ PARTITIONS = [
 ]
 
 
+
+
+def isolated_graph():
+    """Nodes 7 and 8 are isolated."""
+    return from_edge_list(9, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)])
+
+
+@pytest.fixture(scope="module")
+def coarsened_suite():
+    """(graph, [(partition, coarse graph) per PARTITIONS config]) for the
+    ER suite and the isolated-node graph."""
+    cases = []
+    for g in [*er_suite(), isolated_graph()]:
+        parts = [coarsen(g, cfg) for cfg in PARTITIONS]
+        cases.append((g, [(part, build_coarse_graph(g, part)) for part in parts]))
+    return cases
+
+
+@pytest.mark.parametrize("kind, mode", MODES)
+def test_sd_matrices_match_the_builders_they_replace(kind, mode, coarsened_suite):
+    for g, coarsened in coarsened_suite:
+        assert np.array_equal(laplacian(g, kind), reference_laplacian(g, kind))
+        for part, cg in coarsened:
+            if mode == "unweighted":
+                got = spectral.superedge_laplacian(cg, kind)
+                want = reference_laplacian(superedge_graph(cg), kind)
+            elif kind == "combinatorial":
+                got = spectral.projected_laplacian(cg)
+                want = reference_projected_laplacian(cg)
+            else:
+                got = spectral.projected_normalized_laplacian(g, part)
+                want = reference_projected_normalized_laplacian(g, part)
+            assert np.array_equal(got, want)
+            # the signs of zeros too: eigvalsh's last bits depend on them
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind, mode", MODES)
 def test_evaluate_matches_reference_exactly(kind, mode):
-    isolated = from_edge_list(9, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)])
-    for g in [*er_suite()[::20], isolated]:
+    for g in [*er_suite()[::20], isolated_graph()]:
         for coarsen_cfg in PARTITIONS:
             part = coarsen(g, coarsen_cfg)
             cg = build_coarse_graph(g, part)
@@ -269,7 +322,7 @@ def test_rayleigh_pair_matches_the_dense_form():
     for g in er_suite()[::10]:
         part = coarsen(g, CoarsenConfig())
         cg = build_coarse_graph(g, part)
-        lap, lap_coarse = laplacian(g), cg.projected_laplacian
+        lap, lap_coarse = laplacian(g), spectral.projected_laplacian(cg)
         for x in rng.uniform(-1, 1, size=(8, g.n)):
             got = rayleigh_pair(g, cg, part, x)
             assert got == pytest.approx(
