@@ -18,7 +18,6 @@ from .engine import (
     CoarsenConfig,
     Partition,
     SplitDecision,
-    achieved_ratio,
     coarsen,
     coarsen_many,
     default_init_target,
@@ -52,7 +51,6 @@ __all__ = [
     "Partition",
     "SpectralReport",
     "SplitDecision",
-    "achieved_ratio",
     "build_coarse_graph",
     "coarsen",
     "coarsen_many",

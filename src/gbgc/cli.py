@@ -25,7 +25,7 @@ from .dataio import (
     write_report_csv,
     write_results,
 )
-from .engine import CoarsenConfig, Partition, achieved_ratio, coarsen, coarsen_many
+from .engine import CoarsenConfig, Partition, coarsen, coarsen_many
 from .errors import GbgcError
 from .generators import erdos_renyi, random_partition
 from .graph import Graph
@@ -107,11 +107,10 @@ def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, sk
         t0 = time.perf_counter()
         cg = build_coarse_graph(g, part)
         if skip_sd:
-            sd, r_a, gap = float("nan"), achieved_ratio(part, g.n), None
+            sd, gap = float("nan"), None
         else:
-            report = evaluate(g, cg, part, eval_cfg)
-            sd, r_a = report.sd, report.r_a
-            gap = max((s[2] for s in report.rayleigh_samples), default=None)
+            report = evaluate(cg, eval_cfg)
+            sd, gap = report.sd, max((s[2] for s in report.rayleigh_samples), default=None)
         elapsed = int((engine_s + time.perf_counter() - t0) * 1e6)
     except Exception as exc:
         return index, None, _error_text(exc)
@@ -121,7 +120,6 @@ def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, sk
         supernode_count=part.ball_count,
         superedges=cg.superedges,
         sd=sd,
-        r_a=r_a,
         elapsed_micros=elapsed,
         edge_count=g.edge_count,
         rayleigh_gap=gap,
@@ -280,7 +278,7 @@ def run_bench(args) -> int:
         t0 = time.perf_counter()
         part = coarsen(g, CoarsenConfig())
         elapsed = int((time.perf_counter() - t0) * 1e6)
-        r_a = achieved_ratio(part, g.n)
+        r_a = part.ball_count / g.n
         rows.append((n, g.edge_count, part.ball_count, r_a, elapsed))
         print(f"n={n} e={g.edge_count} n_bar={part.ball_count} r_a={r_a:.6f} elapsed_us={elapsed}")
     with open(out_dir / "bench.csv", "w") as fh:
@@ -295,9 +293,9 @@ def run_bench(args) -> int:
         eval_cfg = EvalConfig(
             laplacian_kind=args.laplacian, sd_mode=args.sd_mode, rayleigh_vectors=0
         )
-        gbgc_sd = evaluate(g, build_coarse_graph(g, part), part, eval_cfg).sd
+        gbgc_sd = evaluate(build_coarse_graph(g, part), eval_cfg).sd
         control = random_partition(g, part.ball_count, seed=n)
-        random_sd = evaluate(g, build_coarse_graph(g, control), control, eval_cfg).sd
+        random_sd = evaluate(build_coarse_graph(g, control), eval_cfg).sd
         with open(out_dir / "bench_sd.csv", "w") as fh:
             fh.write("n,gbgc_sd,random_sd\n")
             fh.write(f"{n},{gbgc_sd:.6f},{random_sd:.6f}\n")
@@ -326,10 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "evaluate":
             return run_evaluate(args)
         return run_bench(args)
-    except GbgcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GbgcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

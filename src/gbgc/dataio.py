@@ -42,14 +42,18 @@ class CoarsenRecord:
     supernode_count: int
     superedges: np.ndarray  # (k, 2) int64, as CoarsenedGraph.superedges
     sd: float
-    r_a: float
     elapsed_micros: int
-    edge_count: int = 0  # original edge count, needed for report.csv
+    edge_count: int  # original edge count, needed for report.csv
     rayleigh_gap: float | None = None  # worst gap of the Rayleigh probes, if any; not written
 
     @property
     def node_count(self) -> int:
         return len(self.assignment)
+
+    @property
+    def r_a(self) -> float:
+        """Achieved coarsening ratio: supernode count over node count."""
+        return self.supernode_count / self.node_count
 
 
 # Input grammar, shared by the vectorized pass and the per-line reader: a

@@ -41,8 +41,8 @@ class Partition:
     `assignment` is the binary node-to-ball projection matrix C in sparse
     form: node v's row has its one 1 in column assignment[v]. The
     constructor checks that every index lies in [0, ball_count) and that no
-    ball is empty, so the coarse graph and the spectral code only check
-    that the partition's length and ball count fit their other arguments.
+    ball is empty, so `build_coarse_graph` only checks that its length fits
+    the graph.
     """
 
     __slots__ = ("assignment", "ball_count")
@@ -57,13 +57,6 @@ class Partition:
             raise GraphValidationError("supernode indices are not dense: empty supernode present")
         self.assignment = assignment
         self.ball_count = ball_count
-
-    def check_node_count(self, n: int) -> None:
-        """Raise unless the partition assigns exactly n nodes."""
-        if len(self.assignment) != n:
-            raise GraphValidationError(
-                f"assignment length {len(self.assignment)} does not match graph with {n} nodes"
-            )
 
     @classmethod
     def from_assignment(cls, assignment, ball_count: int) -> "Partition":
@@ -609,10 +602,3 @@ def coarsen(
 ) -> Partition:
     """Coarsen one graph as cfg says; see coarsen_many."""
     return coarsen_many([g], cfg, decisions, stats)[0]
-
-
-def achieved_ratio(p: Partition, n: int) -> float:
-    """Achieved coarsening ratio: ball count over original node count."""
-    if n <= 0:
-        raise GraphValidationError("original node count must be positive")
-    return p.ball_count / n

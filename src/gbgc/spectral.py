@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 
 from .coarse import CoarsenedGraph
-from .engine import Partition, achieved_ratio
+from .engine import Partition
 from .errors import GraphValidationError
 from .graph import Graph
 
@@ -29,18 +29,28 @@ SYMMETRY_BLOCK_BYTES = 2 << 20
 
 @dataclass
 class EvalConfig:
+    """What `evaluate` compares: the Laplacian kind, the coarse side of the
+    SD (C^T L C, or the unweighted superedge graph), and how many Rayleigh
+    probes to run (0 for none)."""
+
     laplacian_kind: LaplacianKind = "combinatorial"
     sd_mode: SdMode = "projected"
     rayleigh_vectors: int = 16
+
+    def __post_init__(self):
+        if self.laplacian_kind not in ("combinatorial", "normalized"):
+            raise GraphValidationError(f"unknown laplacian kind {self.laplacian_kind!r}")
+        if self.sd_mode not in ("projected", "unweighted"):
+            raise GraphValidationError(f"unknown sd mode {self.sd_mode!r}")
+        k = self.rayleigh_vectors
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise GraphValidationError(f"rayleigh_vectors must be an integer >= 0, got {k!r}")
 
 
 @dataclass
 class SpectralReport:
     sd: float
-    r_a: float
     rayleigh_samples: list[tuple[float, float, float]] = field(default_factory=list)
-    laplacian_kind: LaplacianKind = "combinatorial"
-    sd_mode: SdMode = "projected"
 
 
 def _dense_laplacian(size, rows, cols, weights, diag, kind="combinatorial") -> np.ndarray:
@@ -89,13 +99,13 @@ def superedge_laplacian(cg: CoarsenedGraph, kind: LaplacianKind = "combinatorial
     return _dense_laplacian(cg.supernode_count, rows, cols, 1.0, degree, kind)
 
 
-def projected_normalized_laplacian(g: Graph, p: Partition) -> np.ndarray:
+def projected_normalized_laplacian(cg: CoarsenedGraph) -> np.ndarray:
     """C^T L_norm C from the edges, with no n x t indicator. Edge (u, v)
     weighs 1/sqrt(d_u d_v); a superedge's entry is minus the sum, in edge
     order, of its crossing edges' weights, and a ball's diagonal its count of
     members of non-zero degree minus twice its inside edges' weights."""
-    t = p.ball_count
-    col = p.assignment
+    g, t = cg.graph, cg.supernode_count
+    col = cg.partition.assignment
     u, v = g.edge_arrays()
     deg = np.diff(g.indptr)
     a, b = col[u], col[v]
@@ -168,24 +178,24 @@ def project_vector(p: Partition, x: np.ndarray) -> np.ndarray:
     return np.bincount(p.assignment, weights=x, minlength=p.ball_count)
 
 
-def rayleigh_pair(
-    g: Graph, cg: CoarsenedGraph, p: Partition, x: np.ndarray
-) -> tuple[float, float]:
-    """Rayleigh quotients of x on the original combinatorial Laplacian and
-    of C^T x on the projected one, in O(m + k) with no dense matrix.
+def rayleigh_pair(cg: CoarsenedGraph, x: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotients of the node vector x on the original graph's
+    combinatorial Laplacian and of C^T x on the projected one, in O(m + k)
+    with no dense matrix.
 
     x^T L x is the sum over edges (u, v) of (x_u - x_v)^2, and
     y^T C^T L C y the sum over superedges (a, b) of their weight times
-    (y_a - y_b)^2.
+    (y_a - y_b)^2. x must have one entry per original node, and neither x
+    nor C^T x may be zero.
     """
-    p.check_node_count(g.n)
+    g = cg.graph
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise GraphValidationError(f"expected vector of length {g.n}, got {x.shape}")
     denom = float(x @ x)
     if denom == 0.0:
         raise GraphValidationError("x must not be the zero vector")
-    xc = project_vector(p, x)
+    xc = project_vector(cg.partition, x)
     denom_c = float(xc @ xc)
     if denom_c == 0.0:
         raise GraphValidationError("projected vector C^T x is zero")
@@ -209,13 +219,9 @@ def _rayleigh_test_vectors(p: Partition, eigvecs: np.ndarray, k: int) -> list[np
     return vectors
 
 
-def evaluate(
-    g: Graph,
-    cg: CoarsenedGraph,
-    p: Partition,
-    cfg: EvalConfig | None = None,
-) -> SpectralReport:
-    """Spectral distance plus Rayleigh diagnostics for a coarsening result.
+def evaluate(cg: CoarsenedGraph, cfg: EvalConfig | None = None) -> SpectralReport:
+    """Spectral distance plus Rayleigh diagnostics for a coarsening: the
+    coarse graph `cg` against the original graph it was built from.
 
     The original graph's `laplacian` of the chosen kind is compared with a
     coarse matrix: under sd_mode "projected", `projected_laplacian` (C^T L C)
@@ -234,18 +240,8 @@ def evaluate(
     solved. Last, the probes run over the edge lists, with no n x n matrix.
     """
     cfg = cfg or EvalConfig()
-    p.check_node_count(g.n)
-    if p.ball_count != cg.supernode_count:
-        raise GraphValidationError(
-            f"partition has {p.ball_count} balls but coarse graph has "
-            f"{cg.supernode_count} supernodes"
-        )
-    if cfg.laplacian_kind not in ("combinatorial", "normalized"):
-        raise GraphValidationError(f"unknown laplacian kind {cfg.laplacian_kind!r}")
-    if cfg.sd_mode not in ("projected", "unweighted"):
-        raise GraphValidationError(f"unknown sd mode {cfg.sd_mode!r}")
     probing = cfg.rayleigh_vectors > 0
-    orig_eigvals = eigenvalues_symmetric(laplacian(g, cfg.laplacian_kind))
+    orig_eigvals = eigenvalues_symmetric(laplacian(cg.graph, cfg.laplacian_kind))
 
     if probing:
         proj_eigvals, proj_eigvecs = eigenvalues_symmetric(
@@ -256,20 +252,14 @@ def evaluate(
     elif cfg.laplacian_kind == "combinatorial":
         coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(projected_laplacian(cg))
     else:
-        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(g, p))
+        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(cg))
     sd = spectral_distance(orig_eigvals, coarse_eigvals)
 
     samples = []
     if probing:
-        for x in _rayleigh_test_vectors(p, proj_eigvecs, cfg.rayleigh_vectors):
-            r_o, r_c = rayleigh_pair(g, cg, p, x)
+        for x in _rayleigh_test_vectors(cg.partition, proj_eigvecs, cfg.rayleigh_vectors):
+            r_o, r_c = rayleigh_pair(cg, x)
             scale = max(abs(r_o), abs(r_c))
             gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
             samples.append((r_o, r_c, gap))
-    return SpectralReport(
-        sd=sd,
-        r_a=achieved_ratio(p, g.n),
-        rayleigh_samples=samples,
-        laplacian_kind=cfg.laplacian_kind,
-        sd_mode=cfg.sd_mode,
-    )
+    return SpectralReport(sd=sd, rayleigh_samples=samples)

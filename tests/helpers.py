@@ -41,7 +41,7 @@ from gbgc import (
     from_edge_list,
     init_balls,
 )
-from gbgc.engine import _ball_measures, _refine, achieved_ratio
+from gbgc.engine import _ball_measures, _refine
 from gbgc.spectral import (
     SpectralReport,
     _rayleigh_test_vectors,
@@ -708,10 +708,4 @@ def reference_evaluate(g, cg, p, cfg=None):
             scale = max(abs(r_o), abs(r_c))
             gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
             samples.append((r_o, r_c, gap))
-    return SpectralReport(
-        sd=sd,
-        r_a=achieved_ratio(p, g.n),
-        rayleigh_samples=samples,
-        laplacian_kind=cfg.laplacian_kind,
-        sd_mode=cfg.sd_mode,
-    )
+    return SpectralReport(sd=sd, rayleigh_samples=samples)

@@ -172,7 +172,7 @@ def test_criterion_04_spectral_correctness():
     for g in graphs.values():
         ident = Partition(np.arange(g.n), g.n)
         cg = build_coarse_graph(g, ident)
-        ok &= evaluate(g, cg, ident).sd <= 1e-8
+        ok &= evaluate(cg).sd <= 1e-8
     ok &= spectral_distance(np.array([0.0, 2.0]), np.array([0.0])) == 2.0
     for comps, g in (
         (1, from_edge_list(4, [(0, 1), (1, 2), (2, 3)])),
@@ -210,10 +210,10 @@ def test_criterion_06_rayleigh_identity_specialization():
     for g in fixtures:
         ident = Partition(np.arange(g.n), g.n)
         cg = build_coarse_graph(g, ident)
-        rep = evaluate(g, cg, ident)
+        rep = evaluate(cg)
         ok &= len(rep.rayleigh_samples) == 16
         ok &= all(gap <= 1e-12 for _, _, gap in rep.rayleigh_samples)
-        r_o, r_c = rayleigh_pair(g, cg, ident, np.ones(g.n))
+        r_o, r_c = rayleigh_pair(cg, np.ones(g.n))
         ok &= abs(r_o) <= 1e-12 and abs(r_c) <= 1e-12
     report(6, ok, "identity projection: R_c == R_o on 16 vectors; all-ones gives 0")
 
@@ -227,10 +227,10 @@ def test_criterion_07_sd_dominance_over_random():
         g = erdos_renyi(200, 4.0, seed=1000 + i)
         part = coarsen(g, CoarsenConfig())
         cg = build_coarse_graph(g, part)
-        gbgc_sd.append(evaluate(g, cg, part).sd)
+        gbgc_sd.append(evaluate(cg).sd)
         control = random_partition(g, part.ball_count, seed=2000 + i)
         cg_control = build_coarse_graph(g, control)
-        random_sd.append(evaluate(g, cg_control, control).sd)
+        random_sd.append(evaluate(cg_control).sd)
         cases.append((g, part, i))
     med_g, med_r = statistics.median(gbgc_sd), statistics.median(random_sd)
     detail = f"median SD gbgc={med_g:.3f} vs random={med_r:.3f} on 30 ER(200, deg 4)"
@@ -243,7 +243,7 @@ def test_criterion_07_sd_dominance_over_random():
         for g, part, i in cases:
             matched = _size_matched_random(g, [b.size for b in balls(g, part)], 3000 + i)
             cg_m = build_coarse_graph(g, matched)
-            matched_sd.append(evaluate(g, cg_m, matched).sd)
+            matched_sd.append(evaluate(cg_m).sd)
         med_m = statistics.median(matched_sd)
         violation = (med_g - med_r) / med_r
         detail += (

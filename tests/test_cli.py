@@ -212,9 +212,9 @@ def test_coarsen_asks_for_no_rayleigh_probes(tmp_path, monkeypatch):
     configs = []
     real_evaluate = cli.evaluate
 
-    def recording_evaluate(g, cg, p, cfg=None):
+    def recording_evaluate(cg, cfg=None):
         configs.append(cfg)
-        return real_evaluate(g, cg, p, cfg)
+        return real_evaluate(cg, cfg)
 
     monkeypatch.setattr(cli, "evaluate", recording_evaluate)
     inp = write_barbell_edgelist(tmp_path / "barbell.txt")
@@ -415,12 +415,16 @@ def test_traced_pass_runs(tmp_path):
     # dereferences that the package no longer has makes every traced run fail
     root = Path(__file__).resolve().parents[1]
     inp = write_barbell_edgelist(tmp_path / "barbell.txt")
-    spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), "coarsen",
-         "--input", str(inp), "--output", str(tmp_path / "out"), "--jobs", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert spans.is_file() and spans.stat().st_size > 0
+    # coarsen writes the mapping.jsonl that evaluate then reads back
+    for spans, subcommand, *extra in [
+        (tmp_path / "spans.json", "coarsen", "--jobs", "1"),
+        (tmp_path / "spans2.json", "evaluate"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), subcommand,
+             "--input", str(inp), "--output", str(tmp_path / "out"), *extra],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert spans.is_file() and spans.stat().st_size > 0

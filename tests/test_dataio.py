@@ -123,7 +123,6 @@ def test_write_results_report_row(tmp_path):
         supernode_count=1,
         superedges=[],
         sd=2.0,
-        r_a=0.5,
         elapsed_micros=123,
         edge_count=1,
     )
@@ -149,7 +148,6 @@ def test_write_results_barbell_mapping(tmp_path):
         supernode_count=2,
         superedges=[(0, 1)],
         sd=5.809801,
-        r_a=1 / 3,
         elapsed_micros=10,
         edge_count=7,
     )
@@ -168,7 +166,6 @@ def test_report_csv_parse_back(tmp_path):
             supernode_count=1,
             superedges=[],
             sd=1.234567 + i,
-            r_a=0.25,
             elapsed_micros=i,
             edge_count=3,
         )
@@ -239,7 +236,6 @@ def make_record(index, sd=0.5):
         supernode_count=2,
         superedges=[(0, 1)],
         sd=sd,
-        r_a=2 / 3,
         elapsed_micros=1,
         edge_count=2,
     )
@@ -508,7 +504,10 @@ def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
     cg = build_coarse_graph(g, part)
     assert len(cg.superedges) == n > 2 * dataio._WRITE_ROWS
     records = [
-        CoarsenRecord(i, part.assignment, n, cg.superedges, 0.0, 1.0, 0, g.edge_count)
+        CoarsenRecord(
+            i, part.assignment, n, cg.superedges, sd=0.0, elapsed_micros=0,
+            edge_count=g.edge_count,
+        )
         for i in range(2)
     ]
     write_results(records, tmp_path)

@@ -4,7 +4,6 @@ import pytest
 from gbgc import (
     CoarsenConfig,
     GraphValidationError,
-    achieved_ratio,
     coarsen,
     default_init_target,
     erdos_renyi,
@@ -211,12 +210,3 @@ def test_ratio_reaches_target_and_monotone():
             assert part.ball_count == max(k, t0)
             assert part.ball_count >= previous
             previous = part.ball_count
-
-
-def test_achieved_ratio(barbell):
-    two = coarsen(barbell, ratio_config(2 / 6))
-    assert achieved_ratio(two, 6) == pytest.approx(1 / 3)
-    identity = coarsen(barbell, ratio_config(0.99))
-    assert achieved_ratio(identity, 6) == 1.0
-    one = coarsen(from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), CoarsenConfig())
-    assert 0 < achieved_ratio(one, 4) <= 1.0

@@ -142,14 +142,14 @@ def test_rayleigh_identity_exact(barbell):
     rng = random.Random(3)
     for _ in range(16):
         x = np.array([rng.uniform(-1, 1) for _ in range(6)])
-        r_o, r_c = rayleigh_pair(barbell, cg, part, x)
+        r_o, r_c = rayleigh_pair(cg, x)
         assert r_c == pytest.approx(r_o, rel=1e-12)
 
 
 def test_rayleigh_all_ones_zero(barbell):
     part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
-    r_o, r_c = rayleigh_pair(barbell, cg, part, np.ones(6))
+    r_o, r_c = rayleigh_pair(cg, np.ones(6))
     assert abs(r_o) <= 1e-12
     # both barbell balls have size 3, so the projected vector stays constant
     assert abs(r_c) <= 1e-12
@@ -159,7 +159,7 @@ def test_rayleigh_barbell_sign_vector(barbell):
     part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
     x = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    r_o, r_c = rayleigh_pair(barbell, cg, part, x)
+    r_o, r_c = rayleigh_pair(cg, x)
     assert r_o == pytest.approx(4 / 6, abs=1e-12)
     assert r_c == pytest.approx(2.0, abs=1e-12)
 
@@ -168,31 +168,16 @@ def test_rayleigh_degenerate_inputs(k3):
     part = identity_partition(k3)
     cg = build_coarse_graph(k3, part)
     with pytest.raises(GraphValidationError):
-        rayleigh_pair(k3, cg, part, np.zeros(3))
+        rayleigh_pair(cg, np.zeros(3))
     with pytest.raises(GraphValidationError):
-        rayleigh_pair(k3, cg, part, np.zeros(4))
-
-
-def test_evaluate_rejects_a_partition_that_does_not_fit(k3, barbell):
-    part = identity_partition(k3)
-    cg = build_coarse_graph(k3, part)
-    with pytest.raises(
-        GraphValidationError, match="assignment length 3 does not match graph with 6 nodes"
-    ):
-        evaluate(barbell, cg, part)
-    one_ball = partition_of(k3, [[0, 1, 2]])
-    with pytest.raises(
-        GraphValidationError, match="partition has 1 balls but coarse graph has 3 supernodes"
-    ):
-        evaluate(k3, cg, one_ball)
+        rayleigh_pair(cg, np.zeros(4))
 
 
 def test_evaluate_identity(barbell):
     part = identity_partition(barbell)
     cg = build_coarse_graph(barbell, part)
-    report = evaluate(barbell, cg, part)
+    report = evaluate(cg)
     assert report.sd <= 1e-8
-    assert report.r_a == 1.0
     assert report.rayleigh_samples
     assert all(gap <= 1e-12 for _, _, gap in report.rayleigh_samples)
 
@@ -200,36 +185,34 @@ def test_evaluate_identity(barbell):
 def test_evaluate_k2_one_ball(k2):
     part = partition_of(k2, [[0, 1]])
     cg = build_coarse_graph(k2, part)
-    report = evaluate(k2, cg, part)
+    report = evaluate(cg)
     assert report.sd == pytest.approx(2.0, abs=1e-8)
-    assert report.r_a == 0.5
 
 
 def test_evaluate_barbell_frozen_oracle(barbell):
     part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
-    report = evaluate(barbell, cg, part)
+    report = evaluate(cg)
     assert report.sd == pytest.approx(BARBELL_TWO_BALL_SD, abs=1e-8)
 
 
 def test_evaluate_unweighted_mode(barbell):
     part = coarsen(barbell, CoarsenConfig(ablation="no_init"))
     cg = build_coarse_graph(barbell, part)
-    report = evaluate(barbell, cg, part, EvalConfig(sd_mode="unweighted"))
+    report = evaluate(cg, EvalConfig(sd_mode="unweighted"))
     # coarse side is K2's Laplacian: same spectrum {0, 2} here
     assert report.sd == pytest.approx(BARBELL_TWO_BALL_SD, abs=1e-8)
-    assert report.sd_mode == "unweighted"
 
 
 def test_evaluate_normalized_kind():
     g = erdos_renyi(30, 4.0, seed=8)
     part = coarsen(g, CoarsenConfig())
     cg = build_coarse_graph(g, part)
-    report = evaluate(g, cg, part, EvalConfig(laplacian_kind="normalized"))
+    report = evaluate(cg, EvalConfig(laplacian_kind="normalized"))
     assert math.isfinite(report.sd) and report.sd >= 0
     identity = identity_partition(g)
     cg_i = build_coarse_graph(g, identity)
-    report_i = evaluate(g, cg_i, identity, EvalConfig(laplacian_kind="normalized"))
+    report_i = evaluate(cg_i, EvalConfig(laplacian_kind="normalized"))
     assert report_i.sd <= 1e-8
 
 
@@ -239,10 +222,10 @@ def test_evaluate_without_probes_computes_sd_only(monkeypatch, kind, mode):
     for g in er_suite()[::40]:
         part = coarsen(g, CoarsenConfig())
         cg = build_coarse_graph(g, part)
-        probed = evaluate(g, cg, part, EvalConfig(kind, mode, rayleigh_vectors=16))
+        probed = evaluate(cg, EvalConfig(kind, mode, rayleigh_vectors=16))
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", None)  # only eigenvalues may be computed
-            bare = evaluate(g, cg, part, EvalConfig(kind, mode, rayleigh_vectors=0))
+            bare = evaluate(cg, EvalConfig(kind, mode, rayleigh_vectors=0))
         assert bare.rayleigh_samples == []
         assert probed.rayleigh_samples
         assert bare.sd == pytest.approx(probed.sd, abs=1e-10)
@@ -291,7 +274,7 @@ def test_sd_matrices_match_the_builders_they_replace(kind, mode, coarsened_suite
                 got = spectral.projected_laplacian(cg)
                 want = reference_projected_laplacian(cg)
             else:
-                got = spectral.projected_normalized_laplacian(g, part)
+                got = spectral.projected_normalized_laplacian(cg)
                 want = reference_projected_normalized_laplacian(g, part)
             assert np.array_equal(got, want)
             # the signs of zeros too: eigvalsh's last bits depend on them
@@ -306,10 +289,9 @@ def test_evaluate_matches_reference_exactly(kind, mode):
             cg = build_coarse_graph(g, part)
             for k in (0, 16):
                 cfg = EvalConfig(kind, mode, rayleigh_vectors=k)
-                got = evaluate(g, cg, part, cfg)
+                got = evaluate(cg, cfg)
                 want = reference_evaluate(g, cg, part, cfg)
                 assert got.sd == want.sd
-                assert got.r_a == want.r_a
                 # the probes sum over edges where the reference multiplies
                 # dense matrices, so they agree to rounding
                 assert len(got.rayleigh_samples) == len(want.rayleigh_samples)
@@ -324,22 +306,29 @@ def test_rayleigh_pair_matches_the_dense_form():
         cg = build_coarse_graph(g, part)
         lap, lap_coarse = laplacian(g), spectral.projected_laplacian(cg)
         for x in rng.uniform(-1, 1, size=(8, g.n)):
-            got = rayleigh_pair(g, cg, part, x)
+            got = rayleigh_pair(cg, x)
             assert got == pytest.approx(
                 reference_rayleigh_pair(lap, lap_coarse, part, x), rel=1e-12, abs=1e-12
             )
 
 
-def test_evaluate_rejects_bad_kind_before_any_laplacian(monkeypatch, barbell):
-    part = identity_partition(barbell)
-    cg = build_coarse_graph(barbell, part)
-
-    def no_laplacian(*args, **kwargs):
-        raise AssertionError("laplacian built before the kind was checked")
-
-    monkeypatch.setattr(spectral, "laplacian", no_laplacian)
+def test_eval_config_rejects_a_bad_kind_or_mode():
+    # checked when the config is built, so before evaluate builds any Laplacian
     with pytest.raises(GraphValidationError, match="unknown laplacian kind"):
-        evaluate(barbell, cg, part, EvalConfig(laplacian_kind="signless"))
+        EvalConfig(laplacian_kind="signless")
+    with pytest.raises(GraphValidationError, match="unknown sd mode"):
+        EvalConfig(sd_mode="weighted")
+
+
+@pytest.mark.parametrize("probes", [-3, 2.5, True, "16", None])
+def test_eval_config_rejects_a_bad_probe_count(probes):
+    with pytest.raises(GraphValidationError, match="rayleigh_vectors must be an integer >= 0"):
+        EvalConfig(rayleigh_vectors=probes)
+
+
+@pytest.mark.parametrize("probes", [0, np.int64(16)])
+def test_eval_config_accepts_a_probe_count(probes):
+    assert EvalConfig(rayleigh_vectors=probes).rayleigh_vectors == probes
 
 
 @pytest.mark.parametrize("probes", [0, 16])
@@ -351,7 +340,7 @@ def test_evaluate_holds_one_dense_original_matrix(kind, mode, probes):
     cfg = EvalConfig(kind, mode, rayleigh_vectors=probes)
     tracemalloc.start()
     try:
-        evaluate(g, cg, part, cfg)
+        evaluate(cg, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
