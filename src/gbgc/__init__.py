@@ -6,7 +6,7 @@ well the reduction preserves structure via spectral distance and
 Rayleigh-quotient diagnostics.
 """
 
-from .coarse import CoarsenedGraph, build_coarse_graph
+from .coarse import CoarsenedGraph, build_coarse_graph, build_coarse_graphs
 from .dataio import (
     CoarsenRecord,
     DatasetBundle,
@@ -31,6 +31,7 @@ from .spectral import (
     SpectralReport,
     eigenvalues_symmetric,
     evaluate,
+    evaluate_many,
     laplacian,
     rayleigh_pair,
     spectral_distance,
@@ -52,12 +53,14 @@ __all__ = [
     "SpectralReport",
     "SplitDecision",
     "build_coarse_graph",
+    "build_coarse_graphs",
     "coarsen",
     "coarsen_many",
     "default_init_target",
     "eigenvalues_symmetric",
     "erdos_renyi",
     "evaluate",
+    "evaluate_many",
     "from_edge_list",
     "init_balls",
     "laplacian",

@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .coarse import build_coarse_graph
+from .coarse import build_coarse_graph, build_coarse_graphs
 from .dataio import (
     CoarsenRecord,
     DatasetBundle,
@@ -29,7 +29,7 @@ from .engine import CoarsenConfig, Partition, coarsen, coarsen_many
 from .errors import GbgcError
 from .generators import erdos_renyi, random_partition
 from .graph import Graph
-from .spectral import EvalConfig, evaluate
+from .spectral import EvalConfig, evaluate, evaluate_many
 
 BENCH_SIZES = (1_000, 5_000, 10_000, 50_000)
 BENCH_MEAN_DEGREE = 4.0
@@ -101,39 +101,57 @@ def _error_text(exc: Exception) -> str:
     return f"internal error: {type(exc).__name__}: {exc}"
 
 
-def _finish(index: int, g: Graph, part: Partition, engine_s: float, eval_cfg, skip_sd: bool):
-    """One graph's coarse graph, SD and record, from its partition."""
+def _finish_block(indices, graphs, parts, prep_s: float, eval_cfg, skip_sd: bool):
+    """(index, record or None, error or None) for each graph of a block, from
+    its partition: the block's coarse graphs and SDs are built at once.
+
+    `prep_s`, the time it took to get the partitions, and the finish's own
+    time are shared out among the graphs' elapsed_micros in proportion to
+    n + m. If the finish fails, each graph is finished alone, so a failure
+    is reported for the graph that caused it.
+    """
+    sizes = [g.n + g.edge_count for g in graphs]
+    total = max(1, sum(sizes))
     try:
         t0 = time.perf_counter()
-        cg = build_coarse_graph(g, part)
-        if skip_sd:
+        cgs = build_coarse_graphs(graphs, parts)
+        reports = None if skip_sd else evaluate_many(cgs, eval_cfg)
+        spent = prep_s + time.perf_counter() - t0
+    except Exception as exc:
+        if len(graphs) == 1:
+            return [(indices[0], None, _error_text(exc))]
+        return [
+            result
+            for i, g, part, size in zip(indices, graphs, parts, sizes)
+            for result in _finish_block([i], [g], [part], prep_s * size / total, eval_cfg, skip_sd)
+        ]
+    results = []
+    for k, (index, g, cg, size) in enumerate(zip(indices, graphs, cgs, sizes)):
+        if reports is None:
             sd, gap = float("nan"), None
         else:
-            report = evaluate(cg, eval_cfg)
-            sd, gap = report.sd, max((s[2] for s in report.rayleigh_samples), default=None)
-        elapsed = int((engine_s + time.perf_counter() - t0) * 1e6)
-    except Exception as exc:
-        return index, None, _error_text(exc)
-    record = CoarsenRecord(
-        graph_index=index,
-        assignment=part.assignment,
-        supernode_count=part.ball_count,
-        superedges=cg.superedges,
-        sd=sd,
-        elapsed_micros=elapsed,
-        edge_count=g.edge_count,
-        rayleigh_gap=gap,
-    )
-    return index, record, None
+            sd = reports[k].sd
+            gap = max((s[2] for s in reports[k].rayleigh_samples), default=None)
+        record = CoarsenRecord(
+            graph_index=index,
+            assignment=cg.partition.assignment,
+            supernode_count=cg.supernode_count,
+            superedges=cg.superedges,
+            sd=sd,
+            elapsed_micros=int(spent * size / total * 1e6),
+            edge_count=g.edge_count,
+            rayleigh_gap=gap,
+        )
+        results.append((index, record, None))
+    return results
 
 
 def _coarsen_block(task) -> list[tuple[int, CoarsenRecord | None, str | None]]:
     """(index, record or None, error or None) for each graph of one block.
 
-    One engine call coarsens the whole block; its time is shared out among
-    the graphs' elapsed_micros in proportion to n + m. If the call fails,
-    each graph is coarsened alone, so a failure is reported for the graph
-    that caused it.
+    One engine call coarsens the whole block, and `_finish_block` builds its
+    coarse graphs and SDs. If the engine call fails, each graph is coarsened
+    alone, so a failure is reported for the graph that caused it.
     """
     first, graphs, cfg, eval_cfg, skip_sd = task
     try:
@@ -150,18 +168,14 @@ def _coarsen_block(task) -> list[tuple[int, CoarsenRecord | None, str | None]]:
             for i, g in enumerate(graphs)
             for result in _coarsen_block((first + i, [g], cfg, eval_cfg, skip_sd))
         ]
-    sizes = [g.n + g.edge_count for g in graphs]
-    total = sum(sizes)
-    return [
-        _finish(first + i, g, part, engine_s * size / total, eval_cfg, skip_sd)
-        for i, (g, part, size) in enumerate(zip(graphs, parts, sizes))
-    ]
+    indices = range(first, first + len(graphs))
+    return _finish_block(indices, graphs, parts, engine_s, eval_cfg, skip_sd)
 
 
 def _blocks(graphs: list[Graph], jobs: int) -> list[range]:
-    """Contiguous runs of graph indices, one engine call each: at least
-    4 * jobs runs when jobs > 1, and no run over BLOCK_NODES nodes unless
-    one graph alone is larger."""
+    """Contiguous runs of graph indices, one engine call and one finish
+    each: at least 4 * jobs runs when jobs > 1, and no run over BLOCK_NODES
+    nodes unless one graph alone is larger."""
     per_block = max(1, len(graphs) // (jobs * 4)) if jobs > 1 else len(graphs)
     blocks = []
     start = nodes = 0
@@ -238,16 +252,27 @@ def run_coarsen(args) -> int:
     return 1 if failures else 0
 
 
-def _evaluate_graph(index: int, g: Graph, row: dict | None, eval_cfg):
-    """One graph's (index, record, error) from its mapping.jsonl row."""
-    if row is None:
-        return index, None, "no mapping row"
+def _evaluate_block(graphs: list[Graph], block: range, by_index: dict, eval_cfg):
+    """(index, record or None, error or None) for each graph of a block, in
+    index order, from its mapping.jsonl row; the graphs whose rows give a
+    partition are finished together."""
     t0 = time.perf_counter()
-    try:
-        part = Partition.from_assignment(row["assignment"], row["supernode_count"])
-    except Exception as exc:
-        return index, None, _error_text(exc)
-    return _finish(index, g, part, time.perf_counter() - t0, eval_cfg, skip_sd=False)
+    results, indices, parts = [], [], []
+    for i in block:
+        row = by_index.get(i)
+        if row is None:
+            results.append((i, None, "no mapping row"))
+            continue
+        try:
+            parts.append(Partition.from_assignment(row["assignment"], row["supernode_count"]))
+        except Exception as exc:
+            results.append((i, None, _error_text(exc)))
+            continue
+        indices.append(i)
+    prep_s = time.perf_counter() - t0
+    finished = [graphs[i] for i in indices]
+    results += _finish_block(indices, finished, parts, prep_s, eval_cfg, skip_sd=False)
+    return sorted(results, key=lambda result: result[0])
 
 
 def run_evaluate(args) -> int:
@@ -258,9 +283,11 @@ def run_evaluate(args) -> int:
     rows = read_mapping(out_dir / "mapping.jsonl", len(bundle.graphs))
     eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
     by_index = {row["graph_index"]: row for row in rows}
-    # one graph at a time, so at most one dense n x n matrix is alive
+    graphs = bundle.graphs
     records, failures = _collect(
-        _evaluate_graph(i, g, by_index.get(i), eval_cfg) for i, g in enumerate(bundle.graphs)
+        result
+        for block in _blocks(graphs, 1)
+        for result in _evaluate_block(graphs, block, by_index, eval_cfg)
     )
     write_report_csv(records, out_dir / "report.csv")
     mean_sd = sum(r.sd for r in records) / len(records) if records else float("nan")

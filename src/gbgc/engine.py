@@ -258,7 +258,10 @@ def _union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
     bounds = np.concatenate([[0], np.cumsum([g.n for g in graphs])]).astype(np.int64).tolist()
     if len(graphs) == 1:
         return graphs[0], bounds
-    degrees = np.concatenate([np.diff(g.indptr) for g in graphs])
+    # the graphs' indptr arrays end to end: a step across the seam between
+    # two graphs is not a degree, and is dropped
+    steps = np.diff(np.concatenate([g.indptr for g in graphs]))
+    degrees = np.delete(steps, np.asarray(bounds[1:-1]) + np.arange(len(graphs) - 1))
     indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     shift = np.repeat(bounds[:-1], [len(g.indices) for g in graphs])

@@ -8,13 +8,14 @@ preserves the magnitude ordering).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .coarse import CoarsenedGraph
-from .engine import Partition
+from .coarse import CoarsenedGraph, _block_assignment
+from .engine import Partition, _union
 from .errors import GraphValidationError
 from .graph import Graph
 
@@ -25,6 +26,9 @@ SYMMETRY_RTOL = 1e-12
 # rows of the symmetry check are compared this many bytes at a time, so the
 # check's temporaries stay small next to an n x n matrix
 SYMMETRY_BLOCK_BYTES = 2 << 20
+# most bytes of one stack of same-size dense matrices built and solved
+# together; a larger matrix is a stack of one
+STACK_BYTES = 64 << 20
 
 
 @dataclass
@@ -53,20 +57,32 @@ class SpectralReport:
     rayleigh_samples: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def _dense_laplacian(size, rows, cols, weights, diag, kind="combinatorial") -> np.ndarray:
-    """The one dense Laplacian builder: -weights at (rows, cols), both ways
-    round for each edge, and diag on the diagonal. The normalized kind scales
-    it in place by D^-1/2 of degrees diag, rows first (degree 0 gives 0)."""
+class _Laplacians(NamedTuple):
+    """k Laplacians in sparse form, ready to be built densely a stack at a
+    time. Matrix i has first[i + 1] - first[i] rows. Its off-diagonal
+    entries are at rows[j], cols[j] (its own indices) for j in
+    entry_ptr[i]:entry_ptr[i + 1], with values[j] there (or `values`
+    everywhere, for a float), and its diagonal is diag[first[i]:first[i + 1]].
+    The normalized kind scales each matrix by D^-1/2 of its diagonal as
+    degrees, rows first (degree 0 gives 0)."""
+
+    first: np.ndarray
+    entry_ptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray | float
+    diag: np.ndarray
+    normalized: bool = False
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.first)
+
+
+def _normalized(kind: str) -> bool:
     if kind not in ("combinatorial", "normalized"):
         raise GraphValidationError(f"unknown laplacian kind {kind!r}")
-    lap = np.zeros((size, size))
-    lap[rows, cols] = -weights
-    lap[np.diag_indices(size)] = diag
-    if kind == "normalized":
-        scale = np.where(diag > 0, 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0)), 0.0)
-        lap *= scale[:, None]
-        lap *= scale[None, :]
-    return lap
+    return kind == "normalized"
 
 
 def _both_ways(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,103 +90,235 @@ def _both_ways(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs.ravel(), pairs[:, ::-1].ravel()
 
 
-def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
-    """Dense graph Laplacian. Normalized kind zeroes rows of isolated nodes."""
-    deg = np.diff(g.indptr)
-    return _dense_laplacian(g.n, np.repeat(np.arange(g.n), deg), g.indices, 1.0, deg, kind)
+def _graph_laplacians(graphs: Sequence[Graph], kind: LaplacianKind) -> _Laplacians:
+    """The graphs' Laplacians; the normalized kind zeroes rows of isolated
+    nodes."""
+    normalized = _normalized(kind)
+    union, bounds = _union(graphs)
+    first = np.asarray(bounds, dtype=np.int64)
+    deg = np.diff(union.indptr)
+    start = np.repeat(first[:-1], np.diff(first))  # each node's graph's first node
+    return _Laplacians(
+        first,
+        union.indptr[first],
+        np.repeat(np.arange(union.n) - start, deg),
+        union.indices - np.repeat(start, deg),
+        -1.0,
+        deg.astype(float),
+        normalized,
+    )
 
 
-def projected_laplacian(cg: CoarsenedGraph) -> np.ndarray:
-    """Dense t x t C^T L C: off-diagonals are minus the superedge
-    multiplicities, diagonals minus the off-diagonal row sums (exact). So a
-    ball with no superedge gets -0.0; keep that sign, eigvalsh's last bits
-    depend on it (the cast is for no superedges, where bincount gives ints)."""
-    t = cg.supernode_count
-    rows, cols = _both_ways(cg.superedges)
-    weights = np.repeat(cg.weights, 2)
-    row_sums = np.bincount(rows, -weights, minlength=t)
-    return _dense_laplacian(t, rows, cols, weights, -row_sums.astype(float))
+def _superedge_entries(cgs: Sequence[CoarsenedGraph]):
+    """(first ball of each graph then the ball count, entry_ptr, rows, cols,
+    block-wide rows, weights) of the coarse graphs' superedges, each both
+    ways round."""
+    first = np.concatenate([[0], np.cumsum([cg.supernode_count for cg in cgs])]).astype(np.int64)
+    counts = 2 * np.array([len(cg.weights) for cg in cgs], dtype=np.int64)
+    rows, cols = _both_ways(np.concatenate([cg.superedges for cg in cgs]))
+    weights = np.repeat(np.concatenate([cg.weights for cg in cgs]), 2)
+    entry_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return first, entry_ptr, rows, cols, rows + np.repeat(first[:-1], counts), weights
 
 
-def superedge_laplacian(cg: CoarsenedGraph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
-    """Dense Laplacian of the unweighted graph whose edges are the superedges."""
-    rows, cols = _both_ways(cg.superedges)
-    degree = np.bincount(rows, minlength=cg.supernode_count)
-    return _dense_laplacian(cg.supernode_count, rows, cols, 1.0, degree, kind)
+def _projected_laplacians(cgs: Sequence[CoarsenedGraph]) -> _Laplacians:
+    """Each C^T L C: off-diagonals are minus the superedge multiplicities,
+    diagonals minus the off-diagonal row sums (exact). So a ball with no
+    superedge gets -0.0; keep that sign, eigvalsh's last bits depend on it
+    (the cast is for no superedges, where bincount gives ints)."""
+    first, entry_ptr, rows, cols, block_rows, weights = _superedge_entries(cgs)
+    row_sums = np.bincount(block_rows, -weights, minlength=first[-1])
+    return _Laplacians(first, entry_ptr, rows, cols, -weights, -row_sums.astype(float))
 
 
-def projected_normalized_laplacian(cg: CoarsenedGraph) -> np.ndarray:
-    """C^T L_norm C from the edges, with no n x t indicator. Edge (u, v)
-    weighs 1/sqrt(d_u d_v); a superedge's entry is minus the sum, in edge
-    order, of its crossing edges' weights, and a ball's diagonal its count of
-    members of non-zero degree minus twice its inside edges' weights."""
-    g, t = cg.graph, cg.supernode_count
-    col = cg.partition.assignment
-    u, v = g.edge_arrays()
-    deg = np.diff(g.indptr)
+def _superedge_laplacians(cgs: Sequence[CoarsenedGraph], kind: LaplacianKind) -> _Laplacians:
+    """The Laplacians of the unweighted graphs whose edges are the superedges."""
+    normalized = _normalized(kind)
+    first, entry_ptr, rows, cols, block_rows, _ = _superedge_entries(cgs)
+    degree = np.bincount(block_rows, minlength=first[-1]).astype(float)
+    return _Laplacians(first, entry_ptr, rows, cols, -1.0, degree, normalized)
+
+
+def _projected_normalized_laplacians(cgs: Sequence[CoarsenedGraph]) -> _Laplacians:
+    """Each C^T L_norm C from the edges, with no n x t indicator. Edge
+    (u, v) weighs 1/sqrt(d_u d_v); a superedge's entry is minus the sum, in
+    edge order, of its crossing edges' weights, and a ball's diagonal its
+    count of members of non-zero degree minus twice its inside edges'
+    weights. All graphs of the block are one union with block-wide ball ids,
+    as in `coarse.build_coarse_graphs`."""
+    union, _ = _union([cg.graph for cg in cgs])
+    first, col = _block_assignment([cg.partition for cg in cgs])
+    t = int(first[-1])
+    u, v = union.edge_arrays()
+    deg = np.diff(union.indptr)
     a, b = col[u], col[v]
     weights = 1.0 / np.sqrt(deg[u] * deg[v])
     inside = a == b
     keys, slot = np.unique((np.minimum(a, b) * t + np.maximum(a, b))[~inside], return_inverse=True)
-    rows, cols = _both_ways(np.stack(np.divmod(keys, t), axis=1))
+    low, high = np.divmod(keys, t)
+    own_first = first[np.searchsorted(first, low, side="right") - 1]
+    rows, cols = _both_ways(np.stack([low - own_first, high - own_first], axis=1))
     sums = np.repeat(np.bincount(slot, weights[~inside]), 2)
     inner = np.bincount(a[inside], weights=weights[inside], minlength=t)
     diag = np.bincount(col[deg > 0], minlength=t) - 2 * inner
-    return _dense_laplacian(t, rows, cols, sums, diag)
+    return _Laplacians(first, 2 * np.searchsorted(keys, first * t), rows, cols, -sums, diag)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
+    end to end."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+
+
+def _dense_laplacian(laps: _Laplacians, mats: np.ndarray, size: int) -> np.ndarray:
+    """Matrices `mats` of laps, each of `size` rows, as one dense
+    (len(mats), size, size) stack built in place: the entries go in by one
+    flat scatter at slot * size^2 + row * size + col, the diagonals by one
+    strided write, and the normalized kind is scaled in place."""
+    lo = laps.entry_ptr[mats]
+    counts = laps.entry_ptr[mats + 1] - lo
+    entries = _ranges(lo, counts)
+    slot = np.repeat(np.arange(len(mats)), counts)
+    stack = np.zeros((len(mats), size, size))
+    values = laps.values if isinstance(laps.values, float) else laps.values[entries]
+    stack.reshape(-1)[(slot * size + laps.rows[entries]) * size + laps.cols[entries]] = values
+    diag = laps.diag[laps.first[mats][:, None] + np.arange(size)]
+    stack.reshape(len(mats), size * size)[:, :: size + 1] = diag
+    if laps.normalized:
+        scale = np.where(diag > 0, 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0)), 0.0)
+        stack *= scale[:, :, None]
+        stack *= scale[:, None, :]
+    return stack
+
+
+def _one(laps: _Laplacians) -> np.ndarray:
+    """The dense matrix of a one-matrix `_Laplacians`."""
+    return _dense_laplacian(laps, np.zeros(1, dtype=np.int64), int(laps.first[1]))[0]
+
+
+def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
+    """Dense graph Laplacian. Normalized kind zeroes rows of isolated nodes."""
+    return _one(_graph_laplacians([g], kind))
+
+
+def projected_laplacian(cg: CoarsenedGraph) -> np.ndarray:
+    """Dense t x t C^T L C (see `_projected_laplacians`)."""
+    return _one(_projected_laplacians([cg]))
+
+
+def superedge_laplacian(cg: CoarsenedGraph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
+    """Dense Laplacian of the unweighted graph whose edges are the superedges."""
+    return _one(_superedge_laplacians([cg], kind))
+
+
+def projected_normalized_laplacian(cg: CoarsenedGraph) -> np.ndarray:
+    """Dense t x t C^T L_norm C (see `_projected_normalized_laplacians`)."""
+    return _one(_projected_normalized_laplacians([cg]))
 
 
 def _check_symmetric(m: np.ndarray) -> None:
-    """Reject m unless max |m - m^T| <= SYMMETRY_RTOL * max(1, max |m|).
+    """Reject a matrix, or a stack of them, unless each matrix has
+    max |m - m^T| <= SYMMETRY_RTOL * max(1, max |m|).
 
-    Row blocks m[i:j] are compared with m[:, i:j]^T, so no temporary is
-    larger than SYMMETRY_BLOCK_BYTES. A NaN entry makes its block's skew NaN,
+    Whole matrices are compared a few at a time, or, when one is larger than
+    SYMMETRY_BLOCK_BYTES, its row blocks m[i:j] with m[:, i:j]^T, so no
+    temporary is larger than that. A NaN entry makes its matrix's skew NaN,
     and the matrix passes, as it does when the whole-matrix maximum is NaN.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise GraphValidationError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    rows = max(1, SYMMETRY_BLOCK_BYTES // (m.itemsize * max(1, n)))
-    peak = skew = 0.0
-    for i in range(0, n, rows):
-        block = m[i : i + rows]
-        peak = max(peak, float(np.abs(block).max()))
-        diff = block - m[:, i : i + rows].T
-        block_skew = float(np.abs(diff, out=diff).max())
-        del diff
-        if block_skew != block_skew:
-            return
-        skew = max(skew, block_skew)
-    if skew > SYMMETRY_RTOL * max(1.0, peak):
+    stack = m[None] if m.ndim == 2 else m
+    k, n = stack.shape[0], stack.shape[-1]
+    if n == 0:
+        return
+    per = max(1, SYMMETRY_BLOCK_BYTES // (stack.itemsize * n * n))
+    rows = min(n, max(1, SYMMETRY_BLOCK_BYTES // (stack.itemsize * n)))
+    peak, skew = np.zeros(k), np.zeros(k)
+    for i in range(0, k, per):
+        for j in range(0, n, rows):
+            block = stack[i : i + per, j : j + rows]
+            np.maximum(peak[i : i + per], np.abs(block).max(axis=(1, 2)), out=peak[i : i + per])
+            diff = block - stack[i : i + per, :, j : j + rows].transpose(0, 2, 1)
+            block_skew = np.abs(diff, out=diff).max(axis=(1, 2))
+            del diff
+            # np.maximum keeps a NaN, so a NaN matrix never compares above
+            np.maximum(skew[i : i + per], block_skew, out=skew[i : i + per])
+    if (skew > SYMMETRY_RTOL * np.maximum(1.0, peak)).any():
         raise GraphValidationError("matrix is not symmetric")
 
 
 def eigenvalues_symmetric(
     m: np.ndarray, with_vectors: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of a symmetric matrix, sorted ascending; with
+    """All eigenvalues of a symmetric matrix, sorted ascending, or those of
+    each matrix of a (k, n, n) stack as a (k, n) array; with
     `with_vectors`, the pair (eigenvalues, eigenvectors as columns).
 
     Backed by LAPACK's symmetric solvers, eigvalsh or eigh, which comfortably
     meet the 1e-8 accuracy contract on the dense graph Laplacians this
-    toolkit produces.
+    toolkit produces. A stack is solved matrix by matrix with the same
+    routine, so each matrix gets the bits it gets alone. This is the one
+    place the package calls them.
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    if with_vectors:
-        return np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
-    return np.linalg.eigvalsh(m) if m.size else np.zeros(0)
+    if not m.size:
+        values = np.zeros(m.shape[:-1])
+        return (values, np.zeros(m.shape)) if with_vectors else values
+    return np.linalg.eigh(m) if with_vectors else np.linalg.eigvalsh(m)
+
+
+def _groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(size, the ascending indices of that size) for each distinct size."""
+    order = np.argsort(sizes, kind="stable")
+    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+    return [(int(sizes[members[0]]), members) for members in np.split(order, cuts)]
+
+
+def _solved(laps: _Laplacians, with_vectors: bool = False):
+    """(matrix indices, `eigenvalues_symmetric` of them) for each stack of
+    same-size matrices of laps, in chunks of at most STACK_BYTES; a larger
+    matrix is a chunk of one. Each stack is dropped before the next is
+    built."""
+    for size, members in _groups(laps.sizes):
+        per = max(1, STACK_BYTES // (8 * max(1, size * size)))
+        for i in range(0, len(members), per):
+            mats = members[i : i + per]
+            yield mats, eigenvalues_symmetric(_dense_laplacian(laps, mats, size), with_vectors)
+
+
+def _spectra(laps: _Laplacians) -> list[np.ndarray]:
+    """The ascending eigenvalues of each matrix of laps, in order."""
+    spectra = [None] * len(laps.sizes)
+    for mats, values in _solved(laps):
+        for i, row in zip(mats.tolist(), values):
+            spectra[i] = row
+    return spectra
+
+
+def _padded_low(spectra: Sequence[np.ndarray], length: int) -> np.ndarray:
+    """One row of `length` per spectrum: the spectrum at the high end, zeros
+    below it."""
+    lens = np.array([len(s) for s in spectra], dtype=np.int64)
+    rows = np.zeros((len(spectra), length))
+    starts = np.arange(len(spectra)) * length + length - lens
+    rows.reshape(-1)[_ranges(starts, lens)] = np.concatenate(spectra)
+    return rows
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each row of a to the same row of b."""
+    return np.sqrt(np.sum((a - b) ** 2, axis=1))
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between ascending spectra, shorter zero-padded low."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    if len(a) < len(b):
-        a = np.concatenate([np.zeros(len(b) - len(a)), a])
-    elif len(b) < len(a):
-        b = np.concatenate([np.zeros(len(a) - len(b)), b])
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+    length = max(len(a), len(b))
+    return float(_distances(_padded_low([a], length), _padded_low([b], length))[0])
 
 
 def project_vector(p: Partition, x: np.ndarray) -> np.ndarray:
@@ -219,47 +367,75 @@ def _rayleigh_test_vectors(p: Partition, eigvecs: np.ndarray, k: int) -> list[np
     return vectors
 
 
-def evaluate(cg: CoarsenedGraph, cfg: EvalConfig | None = None) -> SpectralReport:
-    """Spectral distance plus Rayleigh diagnostics for a coarsening: the
-    coarse graph `cg` against the original graph it was built from.
+def _probe(cg: CoarsenedGraph, eigvecs: np.ndarray, k: int) -> list[tuple[float, float, float]]:
+    """(r_o, r_c, relative gap) of each Rayleigh probe of cg."""
+    samples = []
+    for x in _rayleigh_test_vectors(cg.partition, eigvecs, k):
+        r_o, r_c = rayleigh_pair(cg, x)
+        scale = max(abs(r_o), abs(r_c))
+        samples.append((r_o, r_c, abs(r_o - r_c) / scale if scale > 0 else 0.0))
+    return samples
 
-    The original graph's `laplacian` of the chosen kind is compared with a
-    coarse matrix: under sd_mode "projected", `projected_laplacian` (C^T L C)
-    or `projected_normalized_laplacian` (C^T L_norm C); under "unweighted",
-    `superedge_laplacian` of the chosen kind. Rayleigh quotients always use
-    the combinatorial pair (original Laplacian, C^T L C). With probes asked
-    for, C^T L C is built and factored once: its eigenvectors are the probes,
-    and in combinatorial projected mode its eigenvalues are the coarse
-    spectrum. With ``cfg.rayleigh_vectors == 0`` only eigenvalues
-    are computed, and only those the SD needs.
 
-    Solve order, so that at most one dense n x n matrix is alive at a time
-    (plus the working copy LAPACK makes of it): the original Laplacian of
-    the chosen kind is built, its spectrum solved and the matrix dropped
-    before any coarse matrix exists. Then the coarse matrices are built and
-    solved. Last, the probes run over the edge lists, with no n x n matrix.
+def evaluate_many(
+    cgs: Sequence[CoarsenedGraph], cfg: EvalConfig | None = None
+) -> list[SpectralReport]:
+    """Spectral distance plus Rayleigh diagnostics for each coarsening of a
+    block: each coarse graph against the original graph it was built from.
+    Each report is the one its coarse graph gets alone, bit for bit.
+
+    The original graph's Laplacian of the chosen kind is compared with a
+    coarse matrix: under sd_mode "projected", C^T L C or C^T L_norm C; under
+    "unweighted", the Laplacian of the chosen kind of the unweighted
+    superedge graph. Rayleigh quotients always use the combinatorial pair
+    (original Laplacian, C^T L C). With probes asked for, C^T L C is built
+    and factored once: its eigenvectors are the probes, and in combinatorial
+    projected mode its eigenvalues are the coarse spectrum. With
+    ``cfg.rayleigh_vectors == 0`` only eigenvalues are computed, and only
+    those the SD needs.
+
+    Solve order: first the original Laplacians, grouped by n, then the
+    coarse matrices, grouped by t. A group is built and solved in stacks of
+    at most STACK_BYTES, each dropped before the next is built, and a
+    larger matrix is a stack of one; so a lone large graph holds one dense
+    n x n matrix at a time (plus the working copy LAPACK makes of it). The
+    probes of a stack run over the edge lists as soon as it is factored, so
+    only that stack's eigenvectors are kept. Last, the SDs of each n-group
+    are computed in one pass over its spectra.
     """
     cfg = cfg or EvalConfig()
+    if not cgs:
+        return []
+    kind = cfg.laplacian_kind
     probing = cfg.rayleigh_vectors > 0
-    orig_eigvals = eigenvalues_symmetric(laplacian(cg.graph, cfg.laplacian_kind))
+    orig = _spectra(_graph_laplacians([cg.graph for cg in cgs], kind))
 
+    samples = [[] for _ in cgs]
     if probing:
-        proj_eigvals, proj_eigvecs = eigenvalues_symmetric(
-            projected_laplacian(cg), with_vectors=True
-        )
+        proj = [None] * len(cgs)
+        for mats, (values, vectors) in _solved(_projected_laplacians(cgs), with_vectors=True):
+            for i, eigvals, eigvecs in zip(mats.tolist(), values, vectors):
+                proj[i] = eigvals
+                samples[i] = _probe(cgs[i], eigvecs, cfg.rayleigh_vectors)
     if cfg.sd_mode == "unweighted":
-        coarse_eigvals = eigenvalues_symmetric(superedge_laplacian(cg, cfg.laplacian_kind))
-    elif cfg.laplacian_kind == "combinatorial":
-        coarse_eigvals = proj_eigvals if probing else eigenvalues_symmetric(projected_laplacian(cg))
+        coarse = _spectra(_superedge_laplacians(cgs, kind))
+    elif kind == "combinatorial":
+        coarse = proj if probing else _spectra(_projected_laplacians(cgs))
     else:
-        coarse_eigvals = eigenvalues_symmetric(projected_normalized_laplacian(cg))
-    sd = spectral_distance(orig_eigvals, coarse_eigvals)
+        coarse = _spectra(_projected_normalized_laplacians(cgs))
 
-    samples = []
-    if probing:
-        for x in _rayleigh_test_vectors(cg.partition, proj_eigvecs, cfg.rayleigh_vectors):
-            r_o, r_c = rayleigh_pair(cg, x)
-            scale = max(abs(r_o), abs(r_c))
-            gap = abs(r_o - r_c) / scale if scale > 0 else 0.0
-            samples.append((r_o, r_c, gap))
-    return SpectralReport(sd=sd, rayleigh_samples=samples)
+    sds = np.empty(len(cgs))
+    for n, members in _groups(np.array([cg.graph.n for cg in cgs])):
+        sds[members] = _distances(
+            _padded_low([orig[i] for i in members], n),
+            _padded_low([coarse[i] for i in members], n),
+        )
+    return [
+        SpectralReport(sd=sd, rayleigh_samples=probes)
+        for sd, probes in zip(sds.tolist(), samples)
+    ]
+
+
+def evaluate(cg: CoarsenedGraph, cfg: EvalConfig | None = None) -> SpectralReport:
+    """`evaluate_many` on a block of one coarse graph."""
+    return evaluate_many([cg], cfg)[0]

@@ -210,13 +210,13 @@ def test_jobs_capped_at_usable_cpus_and_tasks(tmp_path, monkeypatch, cpus, graph
 
 def test_coarsen_asks_for_no_rayleigh_probes(tmp_path, monkeypatch):
     configs = []
-    real_evaluate = cli.evaluate
+    real_evaluate_many = cli.evaluate_many
 
-    def recording_evaluate(cg, cfg=None):
+    def recording_evaluate_many(cgs, cfg=None):
         configs.append(cfg)
-        return real_evaluate(cg, cfg)
+        return real_evaluate_many(cgs, cfg)
 
-    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    monkeypatch.setattr(cli, "evaluate_many", recording_evaluate_many)
     inp = write_barbell_edgelist(tmp_path / "barbell.txt")
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(inp), "--output", str(out)]) == 0
@@ -400,14 +400,44 @@ def test_internal_error_in_evaluate_exit_1(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(inp), "--output", str(out), "--skip-sd"]) == 0
 
-    def failing_evaluate(*args):
+    def failing_evaluate_many(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "evaluate", failing_evaluate)
+    monkeypatch.setattr(cli, "evaluate_many", failing_evaluate_many)
     capsys.readouterr()
     assert run(["evaluate", "--input", str(inp), "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "graph 0: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_block_finish_reports_only_its_graph(tmp_path, monkeypatch, capsys, jobs):
+    real_evaluate_many = cli.evaluate_many
+    culprit = 19  # the only synthetic graph of the 40 with 10 + (19 * 7) % 41 = 20 nodes
+
+    def evaluate_many_failing_on_culprit(cgs, cfg=None):
+        if any(cg.graph.n == 20 for cg in cgs):
+            raise RuntimeError("boom")
+        return real_evaluate_many(cgs, cfg)
+
+    # forked pool workers inherit the patch
+    monkeypatch.setattr(cli, "evaluate_many", evaluate_many_failing_on_culprit)
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"graph {culprit}: internal error: RuntimeError: boom\n"
+    written = [int(row["graph_index"]) for row in read_report(out)]
+    assert written == [i for i in range(40) if i != culprit]
+    mapping = (out / "mapping.jsonl").read_text().splitlines()
+    assert [json.loads(line)["graph_index"] for line in mapping] == written
+
+    monkeypatch.setattr(cli, "evaluate_many", real_evaluate_many)
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 0
+    monkeypatch.setattr(cli, "evaluate_many", evaluate_many_failing_on_culprit)
+    capsys.readouterr()
+    assert run(["evaluate", "--input", str(data), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"graph {culprit}: internal error: RuntimeError: boom\n"
+    assert [int(row["graph_index"]) for row in read_report(out)] == written
 
 
 def test_traced_pass_runs(tmp_path):

@@ -8,7 +8,9 @@ from gbgc import (
     GraphValidationError,
     Partition,
     build_coarse_graph,
+    build_coarse_graphs,
     coarsen,
+    coarsen_many,
     erdos_renyi,
     from_edge_list,
     laplacian,
@@ -21,7 +23,7 @@ from gbgc.spectral import (
 )
 
 from helpers import balls, indicator_matrix, partition_of, reference_coarse_graph
-from tests_support import er_suite
+from tests_support import er_suite, synthetic_graphs
 
 
 def identity_partition(g):
@@ -183,6 +185,46 @@ def test_sparse_build_matches_reference_er_suite():
     for g in er_suite():
         for part in partitions_to_check(g):
             assert_matches_reference(g, part)
+
+
+def assert_block_matches_reference(graphs, parts):
+    cgs = build_coarse_graphs(graphs, parts)
+    assert len(cgs) == len(graphs)
+    for g, part, cg in zip(graphs, parts, cgs):
+        superedges, weights, _ = reference_coarse_graph(g, part)
+        assert cg.graph is g and cg.partition is part
+        assert cg.superedges.dtype == np.int64 and cg.weights.dtype == np.int64
+        assert np.array_equal(cg.superedges, np.array(superedges, dtype=np.int64).reshape(-1, 2))
+        assert np.array_equal(cg.weights, np.array(weights, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [er_suite(), synthetic_graphs(300), er_suite()[150:151]],
+    ids=["er-suite", "synthetic", "one"],
+)
+def test_block_build_matches_reference(graphs):
+    for cfg in (
+        CoarsenConfig(),
+        CoarsenConfig(ablation="no_init"),
+        CoarsenConfig(ablation="no_split"),
+        CoarsenConfig(mode="ratio", ratio=0.3),
+    ):
+        assert_block_matches_reference(graphs, coarsen_many(graphs, cfg))
+    # every producer in one block, one-ball partitions (no superedge) among them
+    mixed = [list(partitions_to_check(g))[i % 7] for i, g in enumerate(graphs[:60])]
+    assert_block_matches_reference(graphs[:60], mixed)
+
+
+def test_block_build_checks_each_partition_length(k3, barbell):
+    parts = [partition_of(k3, [[0, 1, 2]]), partition_of(k3, [[0, 1, 2]])]
+    with pytest.raises(
+        GraphValidationError, match="assignment length 3 does not match graph with 6 nodes"
+    ):
+        build_coarse_graphs([k3, barbell], parts)
+    with pytest.raises(GraphValidationError, match="1 partitions for 2 graphs"):
+        build_coarse_graphs([k3, barbell], parts[:1])
+    assert build_coarse_graphs([], []) == []
 
 
 def test_normalized_projection_isolated_nodes():

@@ -3,8 +3,8 @@
 Usage:
     python tools/bench_stages.py SRC CASE
         SRC   the `src` directory of the gbgc checkout to import
-        CASE  er-N | path-N | grid-K | ratio-R-er-N   (for example er-50000,
-              grid-200, ratio-0.3-er-30000)
+        CASE  er-N | path-N | grid-K | ratio-R-er-N | tu-N   (for example
+              er-50000, grid-200, ratio-0.3-er-30000, tu-5000)
 
 Prints one JSON object: the seconds of each stage and the process's peak
 RSS. It uses only public API that every checkout has since
@@ -13,6 +13,13 @@ checkouts can be compared. Every timed call gets a fresh copy of the
 graph, so no cache built by one stage helps another. Stages: generate_s
 (build the graph), init_s (`init_balls` alone), coarsen_s (the whole
 engine: `coarsen`) and coarse_graph_s (`build_coarse_graph`).
+
+tu-N is N graphs of 10-50 nodes shaped like the benchmark's `tu_many_small`
+(seed 0), split into the blocks `gbgc coarsen --jobs 1` makes. Its stages
+are generate_s, coarsen_s (`coarsen_many` per block), coarse_graph_s and
+sd_s (the SD without probes, as `coarsen` computes it). A checkout with
+`build_coarse_graphs` and `evaluate_many` finishes each block with them;
+an older one finishes graph by graph.
 """
 
 import json
@@ -36,6 +43,8 @@ def main() -> int:
     )
 
     kind, *rest = case.split("-")
+    if kind == "tu":
+        return many_small(int(rest[0]))
     cfg = CoarsenConfig()
     if kind == "ratio":
         cfg = CoarsenConfig(mode="ratio", ratio=float(rest[0]))
@@ -74,6 +83,41 @@ def main() -> int:
     times["coarse_graph_s"] = time.perf_counter() - t0
     times["supernodes"] = part.ball_count
     times["superedges"] = len(cg.superedges)
+    times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps(times))
+    return 0
+
+
+def many_small(count: int) -> int:
+    import gbgc
+    from gbgc import CoarsenConfig, EvalConfig, coarsen_many, erdos_renyi
+    from gbgc.cli import _blocks
+
+    times = {}
+    t0 = time.perf_counter()
+    graphs = [erdos_renyi(10 + (i * 7) % 41, 2.0 + (i % 5), seed=i) for i in range(count)]
+    times["generate_s"] = time.perf_counter() - t0
+    blocks = [graphs[b.start : b.stop] for b in _blocks(graphs, 1)]
+    t0 = time.perf_counter()
+    parts = [coarsen_many(block, CoarsenConfig()) for block in blocks]
+    times["coarsen_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if hasattr(gbgc, "build_coarse_graphs"):
+        cgs = [gbgc.build_coarse_graphs(block, ps) for block, ps in zip(blocks, parts)]
+    else:
+        cgs = [[gbgc.build_coarse_graph(g, p) for g, p in zip(block, ps)]
+               for block, ps in zip(blocks, parts)]
+    times["coarse_graph_s"] = time.perf_counter() - t0
+    cfg = EvalConfig(rayleigh_vectors=0)
+    t0 = time.perf_counter()
+    if hasattr(gbgc, "evaluate_many"):
+        sds = [r.sd for block in cgs for r in gbgc.evaluate_many(block, cfg)]
+    else:
+        sds = [gbgc.evaluate(cg, cfg).sd for block in cgs for cg in block]
+    times["sd_s"] = time.perf_counter() - t0
+    times["supernodes"] = sum(cg.supernode_count for block in cgs for cg in block)
+    times["superedges"] = sum(len(cg.superedges) for block in cgs for cg in block)
+    times["sd_sum"] = sum(sds)
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(times))
     return 0
