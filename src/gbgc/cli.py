@@ -1,8 +1,10 @@
 """Command-line front end: coarsen, evaluate, bench.
 
-Per-graph work fans out over a process pool (`--jobs`, default from
-GBGC_JOBS); results are collected in graph-index order so output files are
-byte-identical regardless of parallel width.
+`coarsen` splits the graphs into contiguous blocks. Each block is one task
+for a process pool (`--jobs`, default from GBGC_JOBS), or runs in-process
+at `--jobs 1`, and comes back as its output text; the blocks are written in
+graph-index order, so output files are byte-identical regardless of
+parallel width.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from pathlib import Path
 
 from .coarse import build_coarse_graph, build_coarse_graphs
@@ -22,13 +26,14 @@ from .dataio import (
     parse_edge_list,
     parse_tudataset,
     read_mapping,
+    result_rows,
     write_report_csv,
-    write_results,
+    write_result_blocks,
 )
-from .engine import CoarsenConfig, Partition, coarsen, coarsen_many
+from .engine import CoarsenConfig, Partition, _union, coarsen, coarsen_many
 from .errors import GbgcError
 from .generators import erdos_renyi, random_partition
-from .graph import Graph
+from .graph import Graph, graph_views
 from .spectral import EvalConfig, evaluate, evaluate_many
 
 BENCH_SIZES = (1_000, 5_000, 10_000, 50_000)
@@ -146,14 +151,14 @@ def _finish_block(indices, graphs, parts, prep_s: float, eval_cfg, skip_sd: bool
     return results
 
 
-def _coarsen_block(task) -> list[tuple[int, CoarsenRecord | None, str | None]]:
-    """(index, record or None, error or None) for each graph of one block.
+def _coarsen_graphs(first: int, graphs: list[Graph], cfg, eval_cfg, skip_sd: bool):
+    """(index, record or None, error or None) for each graph of a block whose
+    first graph has index `first`.
 
     One engine call coarsens the whole block, and `_finish_block` builds its
     coarse graphs and SDs. If the engine call fails, each graph is coarsened
     alone, so a failure is reported for the graph that caused it.
     """
-    first, graphs, cfg, eval_cfg, skip_sd = task
     try:
         t0 = time.perf_counter()
         # a lone graph goes through coarsen, the one-graph entry point that
@@ -166,10 +171,46 @@ def _coarsen_block(task) -> list[tuple[int, CoarsenRecord | None, str | None]]:
         return [
             result
             for i, g in enumerate(graphs)
-            for result in _coarsen_block((first + i, [g], cfg, eval_cfg, skip_sd))
+            for result in _coarsen_graphs(first + i, [g], cfg, eval_cfg, skip_sd)
         ]
     indices = range(first, first + len(graphs))
     return _finish_block(indices, graphs, parts, engine_s, eval_cfg, skip_sd)
+
+
+class _Block:
+    """One `coarsen` task: a run of graphs starting at index `first`, and the
+    settings (cfg, eval_cfg, skip_sd) to coarsen them with. It pickles as
+    one graph, the union of its graphs (`engine._union`), and their node
+    bounds, built only as it is sent to a worker, which unpickles it as
+    views of that union, one per graph."""
+
+    def __init__(self, first: int, graphs: list[Graph], settings: tuple):
+        self.first, self.graphs, self.settings = first, graphs, settings
+
+    def __reduce__(self):
+        union, bounds = _union(self.graphs)
+        return _Block._from_union, (self.first, union, bounds, self.settings)
+
+    @classmethod
+    def _from_union(cls, first: int, union: Graph, bounds: list[int], settings) -> _Block:
+        if len(bounds) == 2:
+            return cls(first, [union], settings)
+        return cls(first, graph_views(union.indptr, union.indices.copy(), bounds), settings)
+
+
+def _coarsen_block(block: _Block):
+    """The block's output, all a worker sends back: the `result_rows` of its
+    graphs, its (index, error) failures, and the r_a and SD of each graph
+    written, in index order, as Python floats."""
+    results = _coarsen_graphs(block.first, block.graphs, *block.settings)
+    records = [record for _, record, err in results if err is None]
+    failures = [(index, err) for index, _, err in results if err is not None]
+    return (
+        result_rows(records),
+        failures,
+        [record.r_a for record in records],
+        [float(record.sd) for record in records],
+    )
 
 
 def _blocks(graphs: list[Graph], jobs: int) -> list[range]:
@@ -196,15 +237,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _map_tasks(tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [_coarsen_block(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_coarsen_block, tasks))
-    return [result for block in results for result in block]
 
 
 def _collect(results) -> tuple[list[CoarsenRecord], int]:
@@ -235,16 +267,47 @@ def run_coarsen(args) -> int:
     bundle = _load_bundle(args)
     t0 = time.perf_counter()
     graphs = bundle.graphs
-    tasks = [
-        (block.start, graphs[block.start : block.stop], cfg, eval_cfg, args.skip_sd)
+    settings = (cfg, eval_cfg, args.skip_sd)
+    blocks = [
+        _Block(block.start, graphs[block.start : block.stop], settings)
         for block in _blocks(graphs, jobs)
     ]
-    records, failures = _collect(_map_tasks(tasks, jobs))
-    write_results(records, args.output)
+    r_a: list[float] = []
+    sd: list[float] = []
+    failures: list[tuple[int, str]] = []
+
+    def rows(outputs):
+        """Each block's rows, in block order, as its output arrives; its
+        failures are printed and its floats kept on the way."""
+        for block_rows, block_failures, block_r_a, block_sd in outputs:
+            for index, err in block_failures:
+                print(f"graph {index}: {err}", file=sys.stderr)
+            failures.extend(block_failures)
+            r_a.extend(block_r_a)
+            sd.extend(block_sd)
+            yield block_rows
+
+    try:
+        with ExitStack() as stack:
+            if jobs > 1 and len(blocks) > 1:
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=min(jobs, len(blocks)))
+                )
+                # submits every block, so the workers start before any output is opened
+                outputs = pool.map(_coarsen_block, blocks)
+            else:
+                outputs = map(_coarsen_block, blocks)
+            write_result_blocks(rows(outputs), args.output)
+    except BrokenProcessPool:
+        print(
+            "error: a worker process died (killed, or out of memory); no output was written",
+            file=sys.stderr,
+        )
+        return 1
     total = time.perf_counter() - t0
-    finite_sd = [r.sd for r in records if not math.isnan(r.sd)]
-    mean_ra = sum(r.r_a for r in records) / len(records) if records else float("nan")
-    summary = f"graphs={len(records)} mean_r_a={mean_ra:.6f}"
+    finite_sd = [x for x in sd if not math.isnan(x)]
+    mean_ra = sum(r_a) / len(r_a) if r_a else float("nan")
+    summary = f"graphs={len(r_a)} mean_r_a={mean_ra:.6f}"
     if finite_sd:
         summary += f" mean_sd={sum(finite_sd) / len(finite_sd):.6f}"
     summary += f" total_s={total:.3f}"

@@ -113,6 +113,36 @@ def from_edge_list(node_count: int, edge_pairs: Iterable[tuple[int, int]] | np.n
     return Graph(node_count, indptr, indices)
 
 
+def graph_views(indptr: np.ndarray, indices: np.ndarray, bounds) -> list[Graph]:
+    """The graphs of a disjoint union in CSR form, graph i holding the nodes
+    bounds[i] .. bounds[i + 1], as views of two arrays. Rebases `indices`
+    to each graph's local ids in place.
+
+    Graph i's rows are the union's rows bounds[i] .. bounds[i + 1]. Its
+    indptr, rebased to start at 0, fills slots bounds[i] + i onwards of one
+    array of N + G offsets.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    first_node, node_counts = bounds[:-1], np.diff(bounds)
+    graph_count = len(node_counts)
+    edge_start = indptr[first_node]
+    edge_end = indptr[bounds[1:]]
+    indices -= np.repeat(first_node, edge_end - edge_start)
+    graph_of_slot = np.repeat(np.arange(graph_count), node_counts + 1)
+    local_indptr = indptr[np.arange(len(graph_of_slot)) - graph_of_slot]
+    local_indptr -= edge_start[graph_of_slot]
+    del graph_of_slot
+    return [
+        Graph(n, local_indptr[slot : slot + n + 1], indices[start:end])
+        for n, slot, start, end in zip(
+            node_counts.tolist(),
+            (first_node + np.arange(graph_count)).tolist(),
+            edge_start.tolist(),
+            edge_end.tolist(),
+        )
+    ]
+
+
 def edge_keys(node_count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Key min(u, v) * node_count + max(u, v) of every pair with u != v."""
     loop = u == v

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,17 @@ from pathlib import Path
 import pytest
 
 import gbgc.cli as cli
+from gbgc import (
+    CoarsenConfig,
+    CoarsenRecord,
+    EvalConfig,
+    Graph,
+    build_coarse_graph,
+    coarsen,
+    evaluate,
+    parse_tudataset,
+    write_results,
+)
 from tests_support import write_barbell_edgelist, write_synthetic_tud, write_tiny_tud
 
 
@@ -458,3 +470,106 @@ def test_traced_pass_runs(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         assert spans.is_file() and spans.stat().st_size > 0
+
+
+RESULT_FILES = ("mapping.jsonl", "coarse_edges.txt", "report.csv")
+
+
+def test_dead_worker_is_an_error_and_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--skip-sd"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == sorted(RESULT_FILES)
+
+    parent = os.getpid()
+    real_coarsen_many = cli.coarsen_many
+
+    def coarsen_many_dying_in_a_worker(graphs, cfg):
+        if any(g.n == 20 for g in graphs):  # the block of synthetic graph 19
+            assert os.getpid() != parent
+            os._exit(9)  # as the kernel's OOM killer ends a process: no exception, no cleanup
+        return real_coarsen_many(graphs, cfg)
+
+    # forked pool workers inherit the patch
+    monkeypatch.setattr(cli, "coarsen_many", coarsen_many_dying_in_a_worker)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    capsys.readouterr()
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: a worker process died (killed, or out of memory); no output was written\n"
+    )
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_outputs_are_write_results_of_the_library_records(tmp_path, monkeypatch, capsys, jobs):
+    real_evaluate_many = cli.evaluate_many
+    culprit = 19  # the only synthetic graph of the 40 with 20 nodes
+
+    def evaluate_many_failing_on_culprit(cgs, cfg=None):
+        if any(cg.graph.n == 20 for cg in cgs):
+            raise RuntimeError("boom")
+        return real_evaluate_many(cgs, cfg)
+
+    # forked pool workers inherit the patches
+    monkeypatch.setattr(cli, "evaluate_many", evaluate_many_failing_on_culprit)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"graph {culprit}: internal error: RuntimeError: boom\n"
+
+    # the library's records of the other graphs, each coarsened and evaluated
+    # alone; elapsed_micros is a timing, so it is taken from the CLI's report
+    elapsed = {int(row["graph_index"]): int(row["elapsed_micros"]) for row in read_report(out)}
+    records = []
+    for i, g in enumerate(parse_tudataset(data, "SYN").graphs):
+        if i == culprit:
+            continue
+        cg = build_coarse_graph(g, coarsen(g, CoarsenConfig()))
+        sd = evaluate(cg, EvalConfig(rayleigh_vectors=0)).sd
+        records.append(CoarsenRecord(
+            i, cg.partition.assignment, cg.supernode_count, cg.superedges, sd, elapsed[i],
+            g.edge_count,
+        ))
+    write_results(records, tmp_path / "library")
+    for name in RESULT_FILES:
+        assert (out / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+    mean_ra = sum(r.r_a for r in records) / len(records)
+    mean_sd = sum(r.sd for r in records) / len(records)
+    summary, total = captured.out.rsplit(" total_s=", 1)
+    assert summary == f"graphs=39 mean_r_a={mean_ra:.6f} mean_sd={mean_sd:.6f}"
+    assert float(total) >= 0
+
+
+def test_a_block_travels_as_one_union_and_comes_back_as_text(tmp_path):
+    graphs = parse_tudataset(write_synthetic_tud(tmp_path / "SYN", 40), "SYN").graphs
+    block = cli._Block(3, graphs[3:11], (CoarsenConfig(), EvalConfig(rayleigh_vectors=0), False))
+    _, args = block.__reduce__()
+    assert [type(arg) for arg in args].count(Graph) == 1
+    assert args[1].n == sum(g.n for g in graphs[3:11])
+    sent = pickle.loads(pickle.dumps(block))
+    assert sent.first == 3 and sent.graphs == graphs[3:11]
+    assert len({id(g.indices.base) for g in sent.graphs}) == 1
+
+    def leaves(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    output = cli._coarsen_block(sent)
+    assert {type(leaf) for leaf in leaves(output)} == {str, float}
+    rows, failures, r_a, sd = output
+    assert failures == [] and len(r_a) == len(sd) == 8
+    local = cli._coarsen_block(block)
+    # equal but for report.csv's elapsed_micros
+    assert rows[:2] == local[0][:2] and (failures, r_a, sd) == local[1:]
+    assert [row.rsplit(",", 1)[0] for row in rows[2]] == [
+        row.rsplit(",", 1)[0] for row in local[0][2]
+    ]

@@ -18,7 +18,13 @@ from gbgc import (
     write_results,
 )
 import gbgc.dataio as dataio
-from gbgc.dataio import read_mapping, write_edge_list, write_report_csv
+from gbgc.dataio import (
+    read_mapping,
+    result_rows,
+    write_edge_list,
+    write_report_csv,
+    write_result_blocks,
+)
 
 from helpers import plain, reference_parse_tudataset
 from tests_support import synthetic_graphs, write_synthetic_tud
@@ -272,6 +278,65 @@ def test_write_report_csv_failure_keeps_previous_report(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
+
+
+def test_streamed_write_of_a_failing_block_keeps_previous_files(tmp_path):
+    write_results([make_record(0), make_record(1)], tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def blocks():
+        yield result_rows([make_record(5)])
+        yield result_rows([make_record(6)])
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_result_blocks(blocks(), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_streamed_write_failing_on_disk_keeps_previous_files(tmp_path, monkeypatch):
+    write_results([make_record(0), make_record(1)], tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    written = []
+
+    class FillingFile:
+        """A file that takes one block's rows, then finds the disk full."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.fh.write(text)
+
+        def writelines(self, pieces):
+            if len(written) == 3:  # each of the three files has had the first block
+                raise OSError(28, "No space left on device")
+            written.append(pieces)
+            self.fh.writelines(pieces)
+
+    monkeypatch.setattr(dataio, "open", lambda path, mode: FillingFile(open(path, mode)),
+                        raising=False)
+    blocks = map(result_rows, [[make_record(5)], [make_record(6)]])
+    with pytest.raises(DatasetFormatError, match="No space left on device"):
+        write_result_blocks(blocks, tmp_path)
+    assert len(written) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_streamed_blocks_write_what_write_results_writes(tmp_path):
+    records = [make_record(i, sd=0.25 * i) for i in range(7)]
+    write_results(records, tmp_path / "whole")
+    write_result_blocks(
+        map(result_rows, [records[:2], [], records[2:3], records[3:]]), tmp_path / "blocks"
+    )
+    for name in ("mapping.jsonl", "coarse_edges.txt", "report.csv"):
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

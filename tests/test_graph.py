@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gbgc import CoarsenConfig, Graph, GraphValidationError, coarsen, erdos_renyi, from_edge_list
-from gbgc.graph import MAX_NODES
+from gbgc.engine import _union
+from gbgc.graph import MAX_NODES, graph_views
 
 from helpers import (
     adjacency,
@@ -178,3 +179,12 @@ def test_from_edge_list_node_count_bound():
         from_edge_list(MAX_NODES + 1, [])
     with pytest.raises(GraphValidationError, match=r"\(0, 10000000000000000000000\)"):
         from_edge_list(3, [(0, 10**22)])
+
+
+def test_graph_views_undo_the_union():
+    graphs = [erdos_renyi(n, 3.0, seed=n) for n in (1, 7, 30, 2, 12)]
+    union, bounds = _union(graphs)
+    views = graph_views(union.indptr, union.indices.copy(), bounds)
+    assert views == graphs
+    assert len({id(g.indices.base) for g in views}) == 1
+    assert len({id(g.indptr.base) for g in views}) == 1

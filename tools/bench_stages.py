@@ -16,15 +16,21 @@ engine: `coarsen`) and coarse_graph_s (`build_coarse_graph`).
 
 tu-N is N graphs of 10-50 nodes shaped like the benchmark's `tu_many_small`
 (seed 0), split into the blocks `gbgc coarsen --jobs 1` makes. Its stages
-are generate_s, coarsen_s (`coarsen_many` per block), coarse_graph_s and
-sd_s (the SD without probes, as `coarsen` computes it). A checkout with
+are generate_s, coarsen_s (`coarsen_many` per block), coarse_graph_s,
+sd_s (the SD without probes, as `coarsen` computes it) and write_s
+(formatting and writing the three output files into a temporary
+directory; bytes_written is their size). A checkout with
 `build_coarse_graphs` and `evaluate_many` finishes each block with them;
-an older one finishes graph by graph.
+an older one finishes graph by graph. A checkout with
+`dataio.write_result_blocks` writes block by block from each block's
+`result_rows`; an older one writes all records with `write_results`.
 """
 
 import json
+import os
 import resource
 import sys
+import tempfile
 import time
 
 
@@ -115,6 +121,25 @@ def many_small(count: int) -> int:
     else:
         sds = [gbgc.evaluate(cg, cfg).sd for block in cgs for cg in block]
     times["sd_s"] = time.perf_counter() - t0
+    sd_of = iter(sds)
+    record_blocks = [
+        [
+            gbgc.CoarsenRecord(
+                b.start + k, p.assignment, p.ball_count, cg.superedges, next(sd_of),
+                elapsed_micros=0, edge_count=g.edge_count,
+            )
+            for k, (g, p, cg) in enumerate(zip(block, ps, block_cgs))
+        ]
+        for b, block, ps, block_cgs in zip(_blocks(graphs, 1), blocks, parts, cgs)
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        if hasattr(gbgc.dataio, "write_result_blocks"):
+            gbgc.dataio.write_result_blocks(map(gbgc.dataio.result_rows, record_blocks), out)
+        else:
+            gbgc.write_results([r for records in record_blocks for r in records], out)
+        times["write_s"] = time.perf_counter() - t0
+        times["bytes_written"] = sum(entry.stat().st_size for entry in os.scandir(out))
     times["supernodes"] = sum(cg.supernode_count for block in cgs for cg in block)
     times["superedges"] = sum(len(cg.superedges) for block in cgs for cg in block)
     times["sd_sum"] = sum(sds)
