@@ -25,7 +25,7 @@ from .engine import (
 )
 from .errors import DatasetFormatError, GbgcError, GraphValidationError
 from .generators import erdos_renyi, random_partition
-from .graph import Graph, from_edge_list
+from .graph import Graph, GraphBlock, from_edge_list
 from .spectral import (
     EvalConfig,
     SpectralReport,
@@ -48,6 +48,7 @@ __all__ = [
     "EvalConfig",
     "GbgcError",
     "Graph",
+    "GraphBlock",
     "GraphValidationError",
     "Partition",
     "SpectralReport",

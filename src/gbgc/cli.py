@@ -1,10 +1,10 @@
 """Command-line front end: coarsen, evaluate, bench.
 
-`coarsen` splits the graphs into contiguous blocks. Each block is one task
-for a process pool (`--jobs`, default from GBGC_JOBS), or runs in-process
-at `--jobs 1`, and comes back as its output text; the blocks are written in
-graph-index order, so output files are byte-identical regardless of
-parallel width.
+`coarsen` splits the dataset's block into contiguous row slices. Each slice
+is one task for a process pool (`--jobs`, default from GBGC_JOBS), or runs
+in-process at `--jobs 1`, and comes back as its output text; the blocks are
+written in graph-index order, so output files are byte-identical regardless
+of parallel width.
 """
 
 from __future__ import annotations
@@ -19,22 +19,25 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from pathlib import Path
 
-from .coarse import build_coarse_graph, build_coarse_graphs
+import numpy as np
+
+from .coarse import build_coarse_graph, check_cover, coarse_block
 from .dataio import (
-    CoarsenRecord,
+    BlockResults,
     DatasetBundle,
+    block_rows,
     parse_edge_list,
     parse_tudataset,
     read_mapping,
-    result_rows,
+    report_rows,
     write_report_csv,
     write_result_blocks,
 )
-from .engine import CoarsenConfig, Partition, _union, coarsen, coarsen_many
+from .engine import CoarsenConfig, Partition, coarsen, coarsen_block
 from .errors import GbgcError
 from .generators import erdos_renyi, random_partition
-from .graph import Graph, graph_views
-from .spectral import EvalConfig, evaluate, evaluate_many
+from .graph import GraphBlock, _offsets
+from .spectral import EvalConfig, evaluate, evaluate_block
 
 BENCH_SIZES = (1_000, 5_000, 10_000, 50_000)
 BENCH_MEAN_DEGREE = 4.0
@@ -94,7 +97,7 @@ def _load_bundle(args) -> DatasetBundle:
     fmt = args.format or ("tudataset" if path.is_dir() else "edgelist")
     if fmt == "tudataset":
         return parse_tudataset(path, path.name)
-    return DatasetBundle(name=path.stem, graphs=[parse_edge_list(path)])
+    return DatasetBundle(name=path.stem, block=GraphBlock.join([parse_edge_list(path)]))
 
 
 def _error_text(exc: Exception) -> str:
@@ -106,128 +109,129 @@ def _error_text(exc: Exception) -> str:
     return f"internal error: {type(exc).__name__}: {exc}"
 
 
-def _finish_block(indices, graphs, parts, prep_s: float, eval_cfg, skip_sd: bool):
-    """(index, record or None, error or None) for each graph of a block, from
-    its partition: the block's coarse graphs and SDs are built at once.
+def _finish(indices, block, assignment, first_ball, prep_s, eval_cfg, skip_sd, done, failures):
+    """Finish the graphs of a block from their block-wide `assignment`:
+    build their coarse graphs and SDs at once, and append their
+    `BlockResults` to `done`. Graph i of the block has index indices[i].
 
-    `prep_s`, the time it took to get the partitions, and the finish's own
+    `prep_s`, the time it took to get the assignment, and the finish's own
     time are shared out among the graphs' elapsed_micros in proportion to
-    n + m. If the finish fails, each graph is finished alone, so a failure
-    is reported for the graph that caused it.
+    n + m. If the finish fails, each graph is finished alone from its
+    one-graph slice, so a failure is reported, as (index, error) in
+    `failures`, for the graph that caused it.
     """
-    sizes = [g.n + g.edge_count for g in graphs]
-    total = max(1, sum(sizes))
+    bounds = block.bounds
+    edge_count = np.diff(block.indptr[bounds]) // 2
+    sizes = np.diff(bounds) + edge_count
+    total = max(1, int(sizes.sum()))
     try:
         t0 = time.perf_counter()
-        cgs = build_coarse_graphs(graphs, parts)
-        reports = None if skip_sd else evaluate_many(cgs, eval_cfg)
+        cb = coarse_block(block, assignment, first_ball)
+        if skip_sd:
+            sd, samples = np.full(block.graph_count, np.nan), None
+        else:
+            sd, samples = evaluate_block(cb, eval_cfg)
         spent = prep_s + time.perf_counter() - t0
     except Exception as exc:
-        if len(graphs) == 1:
-            return [(indices[0], None, _error_text(exc))]
-        return [
-            result
-            for i, g, part, size in zip(indices, graphs, parts, sizes)
-            for result in _finish_block([i], [g], [part], prep_s * size / total, eval_cfg, skip_sd)
-        ]
-    results = []
-    for k, (index, g, cg, size) in enumerate(zip(indices, graphs, cgs, sizes)):
-        if reports is None:
-            sd, gap = float("nan"), None
-        else:
-            sd = reports[k].sd
-            gap = max((s[2] for s in reports[k].rayleigh_samples), default=None)
-        record = CoarsenRecord(
-            graph_index=index,
-            assignment=cg.partition.assignment,
-            supernode_count=cg.supernode_count,
-            superedges=cg.superedges,
-            sd=sd,
-            elapsed_micros=int(spent * size / total * 1e6),
-            edge_count=g.edge_count,
-            rayleigh_gap=gap,
-        )
-        results.append((index, record, None))
-    return results
+        if block.graph_count == 1:
+            failures.append((int(indices[0]), _error_text(exc)))
+            return
+        for i, share in enumerate((sizes / total).tolist()):
+            lo, hi = bounds[i : i + 2].tolist()
+            own = first_ball[i : i + 2] - first_ball[i]
+            _finish(indices[i : i + 1], block.slice(i, i + 1), assignment[lo:hi] - first_ball[i],
+                    own, prep_s * share, eval_cfg, skip_sd, done, failures)
+        return
+    gaps = None
+    if samples is not None:
+        gaps = np.array([max((s[2] for s in probes), default=np.nan) for probes in samples])
+    done.append(BlockResults(
+        indices, bounds, assignment, first_ball, cb.superedges, cb.cuts, edge_count, sd,
+        (spent * sizes / total * 1e6).astype(np.int64), gaps,
+    ))
 
 
-def _coarsen_graphs(first: int, graphs: list[Graph], cfg, eval_cfg, skip_sd: bool):
-    """(index, record or None, error or None) for each graph of a block whose
-    first graph has index `first`.
+def _coarsen(first: int, block: GraphBlock, cfg, eval_cfg, skip_sd: bool, done, failures):
+    """Coarsen and finish the graphs of a block whose first graph has index
+    `first`, appending to `done` and `failures` as `_finish` does.
 
-    One engine call coarsens the whole block, and `_finish_block` builds its
+    One engine call coarsens the whole block, and `_finish` builds its
     coarse graphs and SDs. If the engine call fails, each graph is coarsened
-    alone, so a failure is reported for the graph that caused it.
+    alone from its one-graph slice, so a failure is reported for the graph
+    that caused it.
     """
     try:
         t0 = time.perf_counter()
-        # a lone graph goes through coarsen, the one-graph entry point that
-        # perfbench's traced pass counts split decisions through
-        parts = coarsen_many(graphs, cfg) if len(graphs) > 1 else [coarsen(graphs[0], cfg)]
+        if block.graph_count > 1:
+            assignment, first_ball = coarsen_block(block, cfg)
+        else:
+            # a lone graph goes through coarsen, the one-graph entry point
+            # that perfbench's traced pass counts split decisions through
+            part = coarsen(block, cfg)
+            assignment, first_ball = part.assignment, np.array([0, part.ball_count])
         engine_s = time.perf_counter() - t0
     except Exception as exc:
-        if len(graphs) == 1:
-            return [(first, None, _error_text(exc))]
-        return [
-            result
-            for i, g in enumerate(graphs)
-            for result in _coarsen_graphs(first + i, [g], cfg, eval_cfg, skip_sd)
-        ]
-    indices = range(first, first + len(graphs))
-    return _finish_block(indices, graphs, parts, engine_s, eval_cfg, skip_sd)
+        if block.graph_count == 1:
+            failures.append((first, _error_text(exc)))
+            return
+        for i in range(block.graph_count):
+            _coarsen(first + i, block.slice(i, i + 1), cfg, eval_cfg, skip_sd, done, failures)
+        return
+    indices = np.arange(first, first + block.graph_count)
+    _finish(indices, block, assignment, first_ball, engine_s, eval_cfg, skip_sd, done, failures)
 
 
 class _Block:
-    """One `coarsen` task: a run of graphs starting at index `first`, and the
-    settings (cfg, eval_cfg, skip_sd) to coarsen them with. It pickles as
-    one graph, the union of its graphs (`engine._union`), and their node
-    bounds, built only as it is sent to a worker, which unpickles it as
-    views of that union, one per graph."""
+    """One `coarsen` task: graphs `graphs` of `block`, whose graph 0 has
+    index `first`, and the settings (cfg, eval_cfg, skip_sd) to coarsen
+    them with. It pickles as the row slice of those graphs alone, its
+    arrays narrowed (`GraphBlock.__reduce__`), cut only as it is sent to a
+    worker."""
 
-    def __init__(self, first: int, graphs: list[Graph], settings: tuple):
-        self.first, self.graphs, self.settings = first, graphs, settings
+    def __init__(self, first: int, block: GraphBlock, graphs: range, settings: tuple):
+        self.first, self.block, self.graphs, self.settings = first, block, graphs, settings
 
     def __reduce__(self):
-        union, bounds = _union(self.graphs)
-        return _Block._from_union, (self.first, union, bounds, self.settings)
+        return _Block, (self.graphs.start, self.rows(), self.graphs, self.settings)
 
-    @classmethod
-    def _from_union(cls, first: int, union: Graph, bounds: list[int], settings) -> _Block:
-        if len(bounds) == 2:
-            return cls(first, [union], settings)
-        return cls(first, graph_views(union.indptr, union.indices.copy(), bounds), settings)
+    def rows(self) -> GraphBlock:
+        """The task's graphs as a block of their own: views when the block
+        holds them alone, as a worker's does."""
+        return self.block.slice(self.graphs.start - self.first, self.graphs.stop - self.first)
 
 
-def _coarsen_block(block: _Block):
-    """The block's output, all a worker sends back: the `result_rows` of its
+def _run_block(task: _Block):
+    """The task's output, all a worker sends back: the `block_rows` of its
     graphs, its (index, error) failures, and the r_a and SD of each graph
     written, in index order, as Python floats."""
-    results = _coarsen_graphs(block.first, block.graphs, *block.settings)
-    records = [record for _, record, err in results if err is None]
-    failures = [(index, err) for index, _, err in results if err is not None]
-    return (
-        result_rows(records),
-        failures,
-        [record.r_a for record in records],
-        [float(record.sd) for record in records],
-    )
+    done: list[BlockResults] = []
+    failures: list[tuple[int, str]] = []
+    _coarsen(task.graphs.start, task.rows(), *task.settings, done, failures)
+    rows = ([], [], [])
+    for res in done:
+        for pieces, more in zip(rows, block_rows(res)):
+            pieces.extend(more)
+    r_a = [x for res in done for x in res.r_a.tolist()]
+    sd = [x for res in done for x in res.sd.tolist()]
+    return rows, failures, r_a, sd
 
 
-def _blocks(graphs: list[Graph], jobs: int) -> list[range]:
+def _blocks(block: GraphBlock, jobs: int) -> list[range]:
     """Contiguous runs of graph indices, one engine call and one finish
     each: at least 4 * jobs runs when jobs > 1, and no run over BLOCK_NODES
     nodes unless one graph alone is larger."""
-    per_block = max(1, len(graphs) // (jobs * 4)) if jobs > 1 else len(graphs)
+    count = block.graph_count
+    per_block = max(1, count // (jobs * 4)) if jobs > 1 else count
     blocks = []
     start = nodes = 0
-    for i, g in enumerate(graphs):
-        if i > start and (i - start >= per_block or nodes + g.n > BLOCK_NODES):
+    for i, n in enumerate(np.diff(block.bounds).tolist()):
+        if i > start and (i - start >= per_block or nodes + n > BLOCK_NODES):
             blocks.append(range(start, i))
             start = i
             nodes = 0
-        nodes += g.n
-    if start < len(graphs):
-        blocks.append(range(start, len(graphs)))
+        nodes += n
+    if start < count:
+        blocks.append(range(start, count))
     return blocks
 
 
@@ -237,20 +241,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _collect(results) -> tuple[list[CoarsenRecord], int]:
-    """The records of (index, record, error) results and the failure count;
-    each failure is printed as "graph i: <error>"."""
-    records: list[CoarsenRecord] = []
-    failures = 0
-    for index, record, err in results:
-        if err is not None:
-            failures += 1
-            print(f"graph {index}: {err}", file=sys.stderr)
-        else:
-            records.append(record)
-    return records, failures
 
 
 def run_coarsen(args) -> int:
@@ -266,12 +256,8 @@ def run_coarsen(args) -> int:
     jobs = min(args.jobs, _usable_cpus())
     bundle = _load_bundle(args)
     t0 = time.perf_counter()
-    graphs = bundle.graphs
     settings = (cfg, eval_cfg, args.skip_sd)
-    blocks = [
-        _Block(block.start, graphs[block.start : block.stop], settings)
-        for block in _blocks(graphs, jobs)
-    ]
+    blocks = [_Block(0, bundle.block, graphs, settings) for graphs in _blocks(bundle.block, jobs)]
     r_a: list[float] = []
     sd: list[float] = []
     failures: list[tuple[int, str]] = []
@@ -294,9 +280,9 @@ def run_coarsen(args) -> int:
                     ProcessPoolExecutor(max_workers=min(jobs, len(blocks)))
                 )
                 # submits every block, so the workers start before any output is opened
-                outputs = pool.map(_coarsen_block, blocks)
+                outputs = pool.map(_run_block, blocks)
             else:
-                outputs = map(_coarsen_block, blocks)
+                outputs = map(_run_block, blocks)
             write_result_blocks(rows(outputs), args.output)
     except BrokenProcessPool:
         print(
@@ -315,47 +301,62 @@ def run_coarsen(args) -> int:
     return 1 if failures else 0
 
 
-def _evaluate_block(graphs: list[Graph], block: range, by_index: dict, eval_cfg):
-    """(index, record or None, error or None) for each graph of a block, in
-    index order, from its mapping.jsonl row; the graphs whose rows give a
-    partition are finished together."""
+def _evaluate_run(block: GraphBlock, run: range, by_index: dict, eval_cfg, done, failures):
+    """Finish the graphs of a run of indices from their mapping.jsonl rows,
+    appending to `done` and `failures` as `_finish` does. Each row is
+    checked against its graph; the graphs between two that fail are
+    finished together, from their row slice of the block."""
     t0 = time.perf_counter()
-    results, indices, parts = [], [], []
-    for i in block:
+    sizes = np.diff(block.bounds)
+    mapped: list[tuple[int, Partition]] = []
+    for i in run:
         row = by_index.get(i)
         if row is None:
-            results.append((i, None, "no mapping row"))
+            failures.append((i, "no mapping row"))
             continue
         try:
-            parts.append(Partition.from_assignment(row["assignment"], row["supernode_count"]))
+            part = Partition.from_assignment(row["assignment"], row["supernode_count"])
+            check_cover(part, int(sizes[i]))
         except Exception as exc:
-            results.append((i, None, _error_text(exc)))
+            failures.append((i, _error_text(exc)))
             continue
-        indices.append(i)
+        mapped.append((i, part))
     prep_s = time.perf_counter() - t0
-    finished = [graphs[i] for i in indices]
-    results += _finish_block(indices, finished, parts, prep_s, eval_cfg, skip_sd=False)
-    return sorted(results, key=lambda result: result[0])
+    if not mapped:
+        return
+    total = max(1, int(sizes[run.start : run.stop].sum()))
+    indices = np.array([i for i, _ in mapped], dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(indices) != 1) + 1).tolist(), len(mapped)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = int(indices[lo]), int(indices[hi - 1]) + 1
+        parts = [part for _, part in mapped[lo:hi]]
+        first_ball = _offsets([part.ball_count for part in parts])
+        assignment = np.concatenate([part.assignment for part in parts])
+        assignment += np.repeat(first_ball[:-1], sizes[a:b])
+        share = prep_s * int(sizes[a:b].sum()) / total
+        _finish(indices[lo:hi], block.slice(a, b), assignment, first_ball, share, eval_cfg,
+                False, done, failures)
 
 
 def run_evaluate(args) -> int:
     """report.csv from mapping.jsonl; as under coarsen, a graph that fails
     is reported and the others are still written."""
-    bundle = _load_bundle(args)
+    block = _load_bundle(args).block
     out_dir = Path(args.output)
-    rows = read_mapping(out_dir / "mapping.jsonl", len(bundle.graphs))
+    rows = read_mapping(out_dir / "mapping.jsonl", block.graph_count)
     eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
     by_index = {row["graph_index"]: row for row in rows}
-    graphs = bundle.graphs
-    records, failures = _collect(
-        result
-        for block in _blocks(graphs, 1)
-        for result in _evaluate_block(graphs, block, by_index, eval_cfg)
-    )
-    write_report_csv(records, out_dir / "report.csv")
-    mean_sd = sum(r.sd for r in records) / len(records) if records else float("nan")
-    gap_max = max((r.rayleigh_gap for r in records if r.rayleigh_gap is not None), default=0.0)
-    print(f"graphs={len(records)} mean_sd={mean_sd:.6f} max_rayleigh_gap={gap_max:.6f}")
+    done: list[BlockResults] = []
+    failures: list[tuple[int, str]] = []
+    for run in _blocks(block, 1):
+        _evaluate_run(block, run, by_index, eval_cfg, done, failures)
+    for index, err in sorted(failures):
+        print(f"graph {index}: {err}", file=sys.stderr)
+    write_report_csv((row for res in done for row in report_rows(res)), out_dir / "report.csv")
+    sds = [x for res in done for x in res.sd.tolist()]
+    gaps = [x for res in done for x in res.rayleigh_gap.tolist() if not math.isnan(x)]
+    mean_sd = sum(sds) / len(sds) if sds else float("nan")
+    print(f"graphs={len(sds)} mean_sd={mean_sd:.6f} max_rayleigh_gap={max(gaps, default=0.0):.6f}")
     return 1 if failures else 0
 
 

@@ -14,24 +14,49 @@ import re
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DatasetFormatError, GbgcError
-from .graph import MAX_NODES, Graph, csr_from_keys, edge_keys, from_edge_list, graph_views
+from .graph import (
+    MAX_NODES,
+    Graph,
+    GraphBlock,
+    _offsets,
+    csr_from_keys,
+    edge_keys,
+    from_edge_list,
+)
 
 REPORT_HEADER = "graph_index,n,e,n_bar,e_bar,r_a,sd,elapsed_micros"
-# superedge rows formatted at once into coarse_edges.txt, which bounds the
-# Python objects alive for them
-_WRITE_ROWS = 4096
+# integers formatted at once into one piece of a result file, which bounds
+# the Python objects alive for them
+_WRITE_VALUES = 1 << 13
+# the pieces of text mapping.jsonl and coarse_edges.txt are made of, each
+# with the integers it holds: a mapping.jsonl row is a graph's index, its
+# nodes' balls and its ball count; coarse_edges.txt is a graph's index line,
+# then its superedges one line each
+_MAPPING_UNITS = ('{"graph_index":%d,"assignment":[', "%d,", '%d],"supernode_count":', "%d}\n")
+_EDGE_UNITS = ("graph %d\n", "%d %d\n")
+_REPORT_ROW = "%d,%d,%d,%d,%d,%.6f,%.6f,%d\n"
 
 
 @dataclass
 class DatasetBundle:
+    """A parsed dataset: its graphs as one block, and their labels if it
+    has them. `graphs` are the block's graphs one by one, as views made the
+    first time it is read."""
+
     name: str
-    graphs: list[Graph]
+    block: GraphBlock
     graph_labels: list[int] | None = None
+
+    @cached_property
+    def graphs(self) -> list[Graph]:
+        return self.block.graphs()
 
 
 @dataclass
@@ -55,6 +80,49 @@ class CoarsenRecord:
     def r_a(self) -> float:
         """Achieved coarsening ratio: supernode count over node count."""
         return self.supernode_count / self.node_count
+
+
+class BlockResults(NamedTuple):
+    """What the three result files hold for a run of graphs, as arrays.
+    Graph i of the run has index graph_index[i]. Its nodes are bounds[i] ..
+    bounds[i + 1] - 1 of `assignment`, whose ball ids run across the run:
+    the graph's own are first_ball[i] .. first_ball[i + 1] - 1. Its
+    superedges are rows cuts[i] .. cuts[i + 1] - 1, in its own ball ids."""
+
+    graph_index: np.ndarray  # int64
+    bounds: np.ndarray  # int64, one more than the graphs
+    assignment: np.ndarray  # int64
+    first_ball: np.ndarray  # int64, one more than the graphs
+    superedges: np.ndarray  # (k, 2) int64
+    cuts: np.ndarray  # int64, one more than the graphs
+    edge_count: np.ndarray  # int64 original edge count of each graph
+    sd: np.ndarray  # float
+    elapsed_micros: np.ndarray  # int64
+    rayleigh_gap: np.ndarray | None = None  # worst probe gap of each graph, if any; not written
+
+    @classmethod
+    def of_records(cls, records: list[CoarsenRecord]) -> BlockResults:
+        """The records taken as one run of graphs."""
+        sizes = [len(rec.assignment) for rec in records]
+        first_ball = _offsets([rec.supernode_count for rec in records])
+        own = [np.asarray(rec.assignment, dtype=np.int64) for rec in records]
+        superedges = [np.asarray(rec.superedges, dtype=np.int64).reshape(-1, 2) for rec in records]
+        return cls(
+            np.array([rec.graph_index for rec in records], dtype=np.int64),
+            _offsets(sizes),
+            np.concatenate(own or [np.zeros(0, dtype=np.int64)]) + np.repeat(first_ball[:-1], sizes),
+            first_ball,
+            np.concatenate(superedges or [np.zeros((0, 2), dtype=np.int64)]),
+            _offsets([len(edges) for edges in superedges]),
+            np.array([rec.edge_count for rec in records], dtype=np.int64),
+            np.array([rec.sd for rec in records], dtype=float),
+            np.array([rec.elapsed_micros for rec in records], dtype=np.int64),
+        )
+
+    @property
+    def r_a(self) -> np.ndarray:
+        """Achieved coarsening ratio of each graph: supernode count over node count."""
+        return np.diff(self.first_ball) / np.diff(self.bounds)
 
 
 # Input grammar, shared by the vectorized pass and the per-line reader: a
@@ -326,8 +394,9 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
     chunk by chunk in vectorized passes; only a file those reject is read
     again line by line, to name the first bad line.
 
-    The whole dataset is one CSR over graph-major node ids, built once; each
-    Graph holds views of its two arrays, rebased to local ids.
+    The whole dataset is one `GraphBlock`, a CSR over graph-major node ids,
+    built once; `DatasetBundle.graphs` cuts per-graph views from it only
+    when read.
     """
     directory = Path(directory)
     a_path = directory / f"{name}_A.txt"
@@ -374,8 +443,8 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
 
     indptr, indices = csr_from_keys(node_count, keys)
     del keys
-    graphs = graph_views(indptr, indices, np.concatenate([[0], np.cumsum(node_counts)]))
-    return DatasetBundle(name=name, graphs=graphs, graph_labels=labels)
+    block = GraphBlock(indptr, indices, _offsets(node_counts))
+    return DatasetBundle(name=name, block=block, graph_labels=labels)
 
 
 def _edge_list_header(data: bytes) -> tuple[int | None, int] | None:
@@ -473,48 +542,100 @@ def _replacing(path: str | Path):
         raise
 
 
-def report_rows(records: list[CoarsenRecord]) -> list[str]:
-    """report.csv's row of each record; reals carry six fractional digits."""
+def _filled(units: tuple[str, ...], kinds: np.ndarray, values: np.ndarray) -> list[str]:
+    """The units units[kinds[j]] end to end, their %d directives filled in
+    order from `values`, as pieces of at most _WRITE_VALUES values.
+
+    A piece's template is one string multiplication per run of equal units,
+    filled by one printf-style format: about twice as fast as a str() per
+    integer, and with no string per integer.
+    """
+    widths = np.array([unit.count("%d") for unit in units])
+    per = _WRITE_VALUES // int(widths.max())
+    pieces = []
+    lo = 0
+    for a in range(0, len(kinds), per):
+        k = kinds[a : a + per]
+        cuts = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+        runs = zip(k[cuts[:-1]].tolist(), cuts, cuts[1:])
+        template = "".join([units[kind] * (stop - start) for kind, start, stop in runs])
+        hi = lo + int(widths[k].sum())
+        pieces.append(template % tuple(values[lo:hi].tolist()))
+        lo = hi
+    return pieces
+
+
+def _mapping_rows(res: BlockResults) -> list[str]:
+    """mapping.jsonl's rows, each the compact JSON of {"graph_index",
+    "assignment", "supernode_count"}: per graph, its index, its nodes' own
+    ball ids and its ball count, in slots bounds[i] + 2i onwards."""
+    graphs = np.arange(len(res.graph_index))
+    head = res.bounds[:-1] + 2 * graphs
+    tail = res.bounds[1:] + 2 * graphs + 1
+    values = np.empty(int(res.bounds[-1]) + 2 * len(graphs), dtype=np.int64)
+    kinds = np.ones(len(values), dtype=np.int8)
+    body = np.ones(len(values), dtype=bool)
+    body[head] = body[tail] = False
+    values[head], kinds[head] = res.graph_index, 0
+    values[tail], kinds[tail] = np.diff(res.first_ball), 3
+    kinds[tail - 1] = 2  # a graph's last node closes its assignment
+    values[body] = res.assignment - np.repeat(res.first_ball[:-1], np.diff(res.bounds))
+    return _filled(_MAPPING_UNITS, kinds, values)
+
+
+def _edge_rows(res: BlockResults) -> list[str]:
+    """coarse_edges.txt's rows: per graph, "graph <index>" and then its
+    superedges, one row each; graph i's rows start at row cuts[i] + i."""
+    graphs = np.arange(len(res.graph_index))
+    kinds = np.ones(len(res.superedges) + len(graphs), dtype=np.int8)
+    kinds[res.cuts[:-1] + graphs] = 0
+    head = 2 * res.cuts[:-1] + graphs  # the value slot of each graph's index
+    values = np.empty(2 * len(res.superedges) + len(graphs), dtype=np.int64)
+    body = np.ones(len(values), dtype=bool)
+    body[head] = False
+    values[head] = res.graph_index
+    values[body] = res.superedges.ravel()
+    return _filled(_EDGE_UNITS, kinds, values)
+
+
+def report_rows(res: BlockResults) -> list[str]:
+    """report.csv's rows; reals carry six fractional digits."""
+    count = len(res.graph_index)
+    cells = np.empty((count, 8), dtype=object)
+    for column, values in enumerate((
+        res.graph_index,
+        np.diff(res.bounds),
+        res.edge_count,
+        np.diff(res.first_ball),
+        np.diff(res.cuts),
+        res.r_a,
+        res.sd,
+        res.elapsed_micros,
+    )):
+        cells[:, column] = values.tolist()
+    per = _WRITE_VALUES // 8
     return [
-        f"{rec.graph_index},{rec.node_count},{rec.edge_count},"
-        f"{rec.supernode_count},{len(rec.superedges)},"
-        f"{rec.r_a:.6f},{rec.sd:.6f},{rec.elapsed_micros}\n"
-        for rec in records
+        _REPORT_ROW * len(rows) % tuple(rows.ravel().tolist())
+        for rows in (cells[i : i + per] for i in range(0, count, per))
     ]
 
 
+def block_rows(res: BlockResults) -> tuple[list[str], list[str], list[str]]:
+    """The rows of mapping.jsonl, coarse_edges.txt and report.csv for a run
+    of graphs, each file's as pieces of text to be written in order."""
+    return _mapping_rows(res), _edge_rows(res), report_rows(res)
+
+
 def result_rows(records: list[CoarsenRecord]) -> tuple[list[str], list[str], list[str]]:
-    """The rows of mapping.jsonl, coarse_edges.txt and report.csv for the
-    records, each file's as pieces of text to be written in order. A
-    piece of coarse_edges.txt holds at most _WRITE_ROWS superedges.
-
-    Each run of integers is filled into one printf-style format, about
-    twice as fast as a str() per integer and with no string per integer.
-    """
-    mapping = []
-    for rec in records:
-        # the compact JSON of {"graph_index", "assignment", "supernode_count"}
-        values = np.asarray(rec.assignment).tolist()
-        assignment = ",".join(["%d"] * len(values)) % tuple(values)
-        mapping.append(
-            f'{{"graph_index":{rec.graph_index},"assignment":[{assignment}],'
-            f'"supernode_count":{rec.supernode_count}}}\n'
-        )
-    edges = []
-    for rec in records:
-        edges.append(f"graph {rec.graph_index}\n")
-        superedges = np.asarray(rec.superedges, dtype=np.int64).reshape(-1, 2)
-        for i in range(0, len(superedges), _WRITE_ROWS):
-            rows = superedges[i : i + _WRITE_ROWS]
-            edges.append("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
-    return mapping, edges, report_rows(records)
+    """`block_rows` of the records taken as one run of graphs."""
+    return block_rows(BlockResults.of_records(records))
 
 
-def write_report_csv(records: list[CoarsenRecord], path: str | Path) -> None:
-    """Fixed-schema per-graph report, replaced whole."""
+def write_report_csv(rows: Iterable[str], path: str | Path) -> None:
+    """Fixed-schema per-graph report of `report_rows` pieces, replaced whole."""
     with _replacing(path) as fh:
         fh.write(REPORT_HEADER + "\n")
-        fh.writelines(report_rows(records))
+        fh.writelines(rows)
 
 
 def write_result_blocks(blocks: Iterable[tuple[list[str], ...]], out_dir: str | Path) -> None:

@@ -27,7 +27,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import GraphValidationError
-from .graph import Graph
+from .graph import Graph, GraphBlock
 
 Ablation = Literal["none", "no_split", "no_init"]
 
@@ -40,28 +40,22 @@ class Partition:
     Holds `assignment`, the ball of each node (int64), and `ball_count`.
     `assignment` is the binary node-to-ball projection matrix C in sparse
     form: node v's row has its one 1 in column assignment[v]. The
-    constructor checks that every index lies in [0, ball_count) and that no
-    ball is empty, so `build_coarse_graph` only checks that its length fits
-    the graph.
+    constructor trusts its arguments, as the engine's own output is a dense
+    cover by construction; `from_assignment` checks ball indices read from
+    outside the program.
     """
 
     __slots__ = ("assignment", "ball_count")
 
     def __init__(self, assignment: np.ndarray, ball_count: int):
-        bad = (assignment < 0) | (assignment >= ball_count)
-        if bad.any():
-            v = int(np.argmax(bad))
-            raise GraphValidationError(f"node {v} mapped to invalid supernode {assignment[v]}")
-        # more balls than nodes leaves one empty, and bounds the count below
-        if ball_count > len(assignment) or not np.bincount(assignment, minlength=ball_count).all():
-            raise GraphValidationError("supernode indices are not dense: empty supernode present")
         self.assignment = assignment
         self.ball_count = ball_count
 
     @classmethod
     def from_assignment(cls, assignment, ball_count: int) -> "Partition":
         """A partition from ball indices read from outside the program (a
-        sequence of ints)."""
+        sequence of ints), checked: every index lies in [0, ball_count) and
+        no ball is empty."""
         try:
             array = np.asarray(assignment, dtype=np.int64)
         except OverflowError:  # an index beyond int64, so certainly out of range
@@ -69,6 +63,13 @@ class Partition:
             raise GraphValidationError(
                 f"node {v} mapped to invalid supernode {assignment[v]}"
             ) from None
+        bad = (array < 0) | (array >= ball_count)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise GraphValidationError(f"node {v} mapped to invalid supernode {array[v]}")
+        # more balls than nodes leaves one empty, and bounds the count below
+        if ball_count > len(array) or not np.bincount(array, minlength=ball_count).all():
+            raise GraphValidationError("supernode indices are not dense: empty supernode present")
         return cls(array, ball_count)
 
 
@@ -250,22 +251,6 @@ def init_balls(g: Graph, target: int, stats: dict | None = None) -> Partition:
         raise GraphValidationError("target must be >= 1")
     labels, first = _init_labels(g, [0, g.n], [target], stats)
     return Partition(labels, first[1])
-
-
-def _union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
-    """The graphs as one disjoint union with graph-major node ids, and the
-    first node of every graph followed by the node count."""
-    bounds = np.concatenate([[0], np.cumsum([g.n for g in graphs])]).astype(np.int64).tolist()
-    if len(graphs) == 1:
-        return graphs[0], bounds
-    # the graphs' indptr arrays end to end: a step across the seam between
-    # two graphs is not a degree, and is dropped
-    steps = np.diff(np.concatenate([g.indptr for g in graphs]))
-    degrees = np.delete(steps, np.asarray(bounds[1:-1]) + np.arange(len(graphs) - 1))
-    indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    shift = np.repeat(bounds[:-1], [len(g.indices) for g in graphs])
-    return Graph(bounds[-1], indptr, np.concatenate([g.indices for g in graphs]) + shift), bounds
 
 
 class _SplitTree:
@@ -542,30 +527,32 @@ def _decisions(tree: _SplitTree) -> list[SplitDecision]:
     ]
 
 
-def coarsen_many(
-    graphs: Sequence[Graph],
+def coarsen_block(
+    block: GraphBlock,
     cfg: CoarsenConfig,
     decisions: list[SplitDecision] | None = None,
     stats: dict | None = None,
-) -> list[Partition]:
-    """Coarsen a block of graphs with one engine call; the result for each
-    graph is the one it gets alone. `decisions` receives the split attempts
-    of adaptive refinement, graph by graph in preorder; `stats` receives
-    the counters of the initial growth and the refinement rounds."""
-    if any(g.n == 0 for g in graphs):
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coarsen every graph of a block with one engine call; each graph's
+    balls are the ones it gets alone. Returns the ball of every node,
+    numbered across the block graph by graph, and the first ball of every
+    graph followed by the ball count. `decisions` receives the split
+    attempts of adaptive refinement, graph by graph in preorder; `stats`
+    receives the counters of the initial growth and the refinement rounds.
+    """
+    sizes = np.diff(block.bounds)
+    if not sizes.all():
         raise GraphValidationError("cannot coarsen an empty graph")
-    if not graphs:
-        return []
-    union, bounds = _union(graphs)
-    sizes = np.diff(bounds)
+    bounds = block.bounds.tolist()
+    graph_count = block.graph_count
     ratio = cfg.mode == "ratio"
     if not ratio and cfg.ablation == "no_init":
-        labels = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-        first_label = list(range(len(graphs) + 1))
-        connected = np.zeros(len(graphs), dtype=bool)
+        labels = np.repeat(np.arange(graph_count, dtype=np.int64), sizes)
+        first_label = list(range(graph_count + 1))
+        connected = np.zeros(graph_count, dtype=bool)
     else:
-        targets = [default_init_target(g.n) for g in graphs]
-        labels, first_label = _init_labels(union, bounds, targets, stats)
+        targets = [default_init_target(n) for n in sizes.tolist()]
+        labels, first_label = _init_labels(block, bounds, targets, stats)
         connected = np.ones(first_label[-1], dtype=bool)
     count = first_label[-1]
     graph_roots = list(zip(first_label, first_label[1:]))
@@ -575,22 +562,35 @@ def coarsen_many(
     else:
         splits = cfg.ablation != "no_split"
 
-    if splits:
-        tree, deepest = _refine(union, labels, count, connected, not ratio, stats)
-        if ratio:
-            final = _ratio_leaves(tree, graph_roots, ball_targets)
-        else:
-            final = np.ones(tree.count, dtype=bool)
-            final[tree.column("parent")[tree.column("accepted")]] = False
-            if decisions is not None:
-                decisions.extend(_decisions(tree))
-        offset = tree.column("offset")
-        leaves = np.flatnonzero(final)
-        starts = np.sort(offset[leaves])
-        ball = np.searchsorted(starts, offset[deepest], side="right") - 1
-        first_ball = np.searchsorted(starts, bounds).tolist()
+    if not splits:
+        return labels, np.array(first_label, dtype=np.int64)
+    tree, deepest = _refine(block, labels, count, connected, not ratio, stats)
+    if ratio:
+        final = _ratio_leaves(tree, graph_roots, ball_targets)
     else:
-        ball, first_ball = labels, first_label
+        final = np.ones(tree.count, dtype=bool)
+        final[tree.column("parent")[tree.column("accepted")]] = False
+        if decisions is not None:
+            decisions.extend(_decisions(tree))
+    offset = tree.column("offset")
+    starts = np.sort(offset[np.flatnonzero(final)])
+    ball = np.searchsorted(starts, offset[deepest], side="right") - 1
+    return ball, np.searchsorted(starts, block.bounds)
+
+
+def coarsen_many(
+    graphs: Sequence[Graph],
+    cfg: CoarsenConfig,
+    decisions: list[SplitDecision] | None = None,
+    stats: dict | None = None,
+) -> list[Partition]:
+    """`coarsen_block` on the graphs joined into one block, its result split
+    into one partition per graph."""
+    if not graphs:
+        return []
+    block = GraphBlock.join(graphs)
+    ball, first_ball = coarsen_block(block, cfg, decisions, stats)
+    bounds, first_ball = block.bounds.tolist(), first_ball.tolist()
     return [
         Partition(ball[lo:hi] - first, last - first)
         for lo, hi, first, last in zip(bounds, bounds[1:], first_ball, first_ball[1:])
@@ -603,5 +603,5 @@ def coarsen(
     decisions: list[SplitDecision] | None = None,
     stats: dict | None = None,
 ) -> Partition:
-    """Coarsen one graph as cfg says; see coarsen_many."""
+    """Coarsen one graph as cfg says; see coarsen_block."""
     return coarsen_many([g], cfg, decisions, stats)[0]

@@ -7,7 +7,7 @@ downstream is deterministic without a random seed.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class Graph:
     Holds only ``n`` and the int64 CSR arrays ``indptr`` (length n + 1) and
     ``indices`` (each undirected edge twice, once per end, every row sorted
     ascending, no self-loops). The arrays may be views of larger ones, as
-    for the graphs of one parsed dataset. The constructor trusts its arrays;
+    for the graphs of a `GraphBlock`. The constructor trusts its arrays;
     use :func:`from_edge_list` to build a Graph from raw (possibly dirty)
     pairs. A pickle carries ``n`` and the two arrays only.
     """
@@ -113,34 +113,110 @@ def from_edge_list(node_count: int, edge_pairs: Iterable[tuple[int, int]] | np.n
     return Graph(node_count, indptr, indices)
 
 
-def graph_views(indptr: np.ndarray, indices: np.ndarray, bounds) -> list[Graph]:
-    """The graphs of a disjoint union in CSR form, graph i holding the nodes
-    bounds[i] .. bounds[i + 1], as views of two arrays. Rebases `indices`
-    to each graph's local ids in place.
+def _unpack_block(indptr: tuple[bytes, str], indices: tuple[bytes, str], bounds: tuple[bytes, str]):
+    return GraphBlock(np.frombuffer(*indptr), np.frombuffer(*indices), np.frombuffer(*bounds))
 
-    Graph i's rows are the union's rows bounds[i] .. bounds[i + 1]. Its
-    indptr, rebased to start at 0, fills slots bounds[i] + i onwards of one
-    array of N + G offsets.
+
+def _offsets(counts) -> np.ndarray:
+    """0 followed by the running sum of counts, as int64."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
+    end to end."""
+    ends = np.cumsum(counts)
+    if not len(ends):
+        return np.zeros(0, dtype=np.int64)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+
+
+class GraphBlock(Graph):
+    """Graphs 0..G-1 as one disjoint union in CSR form, with graph-major
+    node ids: graph i holds the union's nodes bounds[i] .. bounds[i + 1] - 1.
+
+    The union is itself a Graph; `bounds` (int64, length G + 1) is all the
+    block adds. Graphs a..b of a block are the row slice `slice(a, b)`, and
+    per-graph Graph objects are made only by `graphs`. A pickle carries the
+    three arrays, each in the narrowest unsigned type that holds it.
     """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    first_node, node_counts = bounds[:-1], np.diff(bounds)
-    graph_count = len(node_counts)
-    edge_start = indptr[first_node]
-    edge_end = indptr[bounds[1:]]
-    indices -= np.repeat(first_node, edge_end - edge_start)
-    graph_of_slot = np.repeat(np.arange(graph_count), node_counts + 1)
-    local_indptr = indptr[np.arange(len(graph_of_slot)) - graph_of_slot]
-    local_indptr -= edge_start[graph_of_slot]
-    del graph_of_slot
-    return [
-        Graph(n, local_indptr[slot : slot + n + 1], indices[start:end])
-        for n, slot, start, end in zip(
-            node_counts.tolist(),
-            (first_node + np.arange(graph_count)).tolist(),
-            edge_start.tolist(),
-            edge_end.tolist(),
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, indptr, indices, bounds):
+        self.bounds = _frozen(bounds)
+        super().__init__(int(self.bounds[-1]), indptr, indices)
+
+    @classmethod
+    def join(cls, graphs: Sequence[Graph]) -> GraphBlock:
+        """One or more graphs as one block; a list of one is a block of its
+        arrays, with no copy."""
+        bounds = _offsets([g.n for g in graphs])
+        if len(graphs) == 1:
+            return cls(graphs[0].indptr, graphs[0].indices, bounds)
+        # the graphs' indptr arrays end to end: a step across the seam
+        # between two graphs is not a degree, and is dropped
+        steps = np.diff(np.concatenate([g.indptr for g in graphs]))
+        indptr = _offsets(np.delete(steps, bounds[1:-1] + np.arange(len(graphs) - 1)))
+        shift = np.repeat(bounds[:-1], [len(g.indices) for g in graphs])
+        return cls(indptr, np.concatenate([g.indices for g in graphs]) + shift, bounds)
+
+    def __reduce__(self):
+        return _unpack_block, (_pack(self.indptr), _pack(self.indices), _pack(self.bounds))
+
+    @property
+    def graph_count(self) -> int:
+        return len(self.bounds) - 1
+
+    def slice(self, a: int, b: int) -> GraphBlock:
+        """Graphs a..b - 1 as a block of their own: views of this block's
+        rows, less the first node's id and first edge's offset (views alone
+        when a is 0)."""
+        lo, hi = int(self.bounds[a]), int(self.bounds[b])
+        start, stop = int(self.indptr[lo]), int(self.indptr[hi])
+        indptr = self.indptr[lo : hi + 1]
+        indices = self.indices[start:stop]
+        bounds = self.bounds[a : b + 1]
+        if lo:
+            indptr, indices, bounds = indptr - start, indices - lo, bounds - lo
+        return GraphBlock(indptr, indices, bounds)
+
+    def graphs(self) -> list[Graph]:
+        """Each graph of the block as a Graph of its own. A block of one
+        gives its own arrays; otherwise `indices` is rebased to each graph's
+        local ids in one copy, and graph i's indptr, rebased to start at 0,
+        fills slots bounds[i] + i onwards of one array of N + G offsets."""
+        if self.graph_count == 1:
+            return [Graph(self.n, self.indptr, self.indices)]
+        first_node, node_counts = self.bounds[:-1], np.diff(self.bounds)
+        edge_start = self.indptr[first_node]
+        edge_end = self.indptr[self.bounds[1:]]
+        indices = self.indices - np.repeat(first_node, edge_end - edge_start)
+        graph_of_slot = np.repeat(np.arange(self.graph_count), node_counts + 1)
+        local_indptr = self.indptr[np.arange(len(graph_of_slot)) - graph_of_slot]
+        local_indptr -= edge_start[graph_of_slot]
+        del graph_of_slot
+        return [
+            Graph(n, local_indptr[slot : slot + n + 1], indices[start:end])
+            for n, slot, start, end in zip(
+                node_counts.tolist(),
+                (first_node + np.arange(self.graph_count)).tolist(),
+                edge_start.tolist(),
+                edge_end.tolist(),
+            )
+        ]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GraphBlock)
+            and np.array_equal(self.bounds, other.bounds)
+            and super().__eq__(other)
         )
-    ]
+
+    def __repr__(self) -> str:
+        return f"GraphBlock(graphs={self.graph_count}, n={self.n}, m={self.edge_count})"
 
 
 def edge_keys(node_count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

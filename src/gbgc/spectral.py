@@ -12,12 +12,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
+import os
+
 import numpy as np
 
-from .coarse import CoarsenedGraph, _block_assignment
-from .engine import Partition, _union
-from .errors import GraphValidationError
-from .graph import Graph
+from .coarse import CoarseBlock, CoarsenedGraph
+from .engine import Partition
+from .errors import GbgcError, GraphValidationError
+from .graph import Graph, GraphBlock, _ranges
 
 LaplacianKind = Literal["combinatorial", "normalized"]
 SdMode = Literal["projected", "unweighted"]
@@ -27,7 +29,8 @@ SYMMETRY_RTOL = 1e-12
 # check's temporaries stay small next to an n x n matrix
 SYMMETRY_BLOCK_BYTES = 2 << 20
 # most bytes of one stack of same-size dense matrices built and solved
-# together; a larger matrix is a stack of one
+# together; a larger matrix is a stack of one, and is built only if the
+# memory its solve needs is available
 STACK_BYTES = 64 << 20
 
 
@@ -90,67 +93,63 @@ def _both_ways(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs.ravel(), pairs[:, ::-1].ravel()
 
 
-def _graph_laplacians(graphs: Sequence[Graph], kind: LaplacianKind) -> _Laplacians:
-    """The graphs' Laplacians; the normalized kind zeroes rows of isolated
-    nodes."""
+def _graph_laplacians(block: GraphBlock, kind: LaplacianKind) -> _Laplacians:
+    """The Laplacians of a block's graphs; the normalized kind zeroes rows
+    of isolated nodes."""
     normalized = _normalized(kind)
-    union, bounds = _union(graphs)
-    first = np.asarray(bounds, dtype=np.int64)
-    deg = np.diff(union.indptr)
+    first = block.bounds
+    deg = np.diff(block.indptr)
     start = np.repeat(first[:-1], np.diff(first))  # each node's graph's first node
     return _Laplacians(
         first,
-        union.indptr[first],
-        np.repeat(np.arange(union.n) - start, deg),
-        union.indices - np.repeat(start, deg),
+        block.indptr[first],
+        np.repeat(np.arange(block.n) - start, deg),
+        block.indices - np.repeat(start, deg),
         -1.0,
         deg.astype(float),
         normalized,
     )
 
 
-def _superedge_entries(cgs: Sequence[CoarsenedGraph]):
-    """(first ball of each graph then the ball count, entry_ptr, rows, cols,
-    block-wide rows, weights) of the coarse graphs' superedges, each both
-    ways round."""
-    first = np.concatenate([[0], np.cumsum([cg.supernode_count for cg in cgs])]).astype(np.int64)
-    counts = 2 * np.array([len(cg.weights) for cg in cgs], dtype=np.int64)
-    rows, cols = _both_ways(np.concatenate([cg.superedges for cg in cgs]))
-    weights = np.repeat(np.concatenate([cg.weights for cg in cgs]), 2)
-    entry_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return first, entry_ptr, rows, cols, rows + np.repeat(first[:-1], counts), weights
+def _superedge_entries(cb: CoarseBlock):
+    """(entry_ptr, rows, cols, block-wide rows, weights) of a block's
+    superedges, each both ways round."""
+    counts = 2 * np.diff(cb.cuts)
+    rows, cols = _both_ways(cb.superedges)
+    block_rows = rows + np.repeat(cb.first_ball[:-1], counts)
+    return 2 * cb.cuts, rows, cols, block_rows, np.repeat(cb.weights, 2)
 
 
-def _projected_laplacians(cgs: Sequence[CoarsenedGraph]) -> _Laplacians:
+def _projected_laplacians(cb: CoarseBlock) -> _Laplacians:
     """Each C^T L C: off-diagonals are minus the superedge multiplicities,
     diagonals minus the off-diagonal row sums (exact). So a ball with no
     superedge gets -0.0; keep that sign, eigvalsh's last bits depend on it
     (the cast is for no superedges, where bincount gives ints)."""
-    first, entry_ptr, rows, cols, block_rows, weights = _superedge_entries(cgs)
+    entry_ptr, rows, cols, block_rows, weights = _superedge_entries(cb)
+    first = cb.first_ball
     row_sums = np.bincount(block_rows, -weights, minlength=first[-1])
     return _Laplacians(first, entry_ptr, rows, cols, -weights, -row_sums.astype(float))
 
 
-def _superedge_laplacians(cgs: Sequence[CoarsenedGraph], kind: LaplacianKind) -> _Laplacians:
+def _superedge_laplacians(cb: CoarseBlock, kind: LaplacianKind) -> _Laplacians:
     """The Laplacians of the unweighted graphs whose edges are the superedges."""
     normalized = _normalized(kind)
-    first, entry_ptr, rows, cols, block_rows, _ = _superedge_entries(cgs)
+    entry_ptr, rows, cols, block_rows, _ = _superedge_entries(cb)
+    first = cb.first_ball
     degree = np.bincount(block_rows, minlength=first[-1]).astype(float)
     return _Laplacians(first, entry_ptr, rows, cols, -1.0, degree, normalized)
 
 
-def _projected_normalized_laplacians(cgs: Sequence[CoarsenedGraph]) -> _Laplacians:
+def _projected_normalized_laplacians(cb: CoarseBlock) -> _Laplacians:
     """Each C^T L_norm C from the edges, with no n x t indicator. Edge
     (u, v) weighs 1/sqrt(d_u d_v); a superedge's entry is minus the sum, in
     edge order, of its crossing edges' weights, and a ball's diagonal its
     count of members of non-zero degree minus twice its inside edges'
-    weights. All graphs of the block are one union with block-wide ball ids,
-    as in `coarse.build_coarse_graphs`."""
-    union, _ = _union([cg.graph for cg in cgs])
-    first, col = _block_assignment([cg.partition for cg in cgs])
+    weights. Ball ids are block-wide, as in `coarse.coarse_block`."""
+    first, col = cb.first_ball, cb.assignment
     t = int(first[-1])
-    u, v = union.edge_arrays()
-    deg = np.diff(union.indptr)
+    u, v = cb.block.edge_arrays()
+    deg = np.diff(cb.block.indptr)
     a, b = col[u], col[v]
     weights = 1.0 / np.sqrt(deg[u] * deg[v])
     inside = a == b
@@ -162,13 +161,6 @@ def _projected_normalized_laplacians(cgs: Sequence[CoarsenedGraph]) -> _Laplacia
     inner = np.bincount(a[inside], weights=weights[inside], minlength=t)
     diag = np.bincount(col[deg > 0], minlength=t) - 2 * inner
     return _Laplacians(first, 2 * np.searchsorted(keys, first * t), rows, cols, -sums, diag)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
-    end to end."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
 
 
 def _dense_laplacian(laps: _Laplacians, mats: np.ndarray, size: int) -> np.ndarray:
@@ -199,22 +191,22 @@ def _one(laps: _Laplacians) -> np.ndarray:
 
 def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
     """Dense graph Laplacian. Normalized kind zeroes rows of isolated nodes."""
-    return _one(_graph_laplacians([g], kind))
+    return _one(_graph_laplacians(GraphBlock.join([g]), kind))
 
 
 def projected_laplacian(cg: CoarsenedGraph) -> np.ndarray:
     """Dense t x t C^T L C (see `_projected_laplacians`)."""
-    return _one(_projected_laplacians([cg]))
+    return _one(_projected_laplacians(CoarseBlock.join([cg])))
 
 
 def superedge_laplacian(cg: CoarsenedGraph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
     """Dense Laplacian of the unweighted graph whose edges are the superedges."""
-    return _one(_superedge_laplacians([cg], kind))
+    return _one(_superedge_laplacians(CoarseBlock.join([cg]), kind))
 
 
 def projected_normalized_laplacian(cg: CoarsenedGraph) -> np.ndarray:
     """Dense t x t C^T L_norm C (see `_projected_normalized_laplacians`)."""
-    return _one(_projected_normalized_laplacians([cg]))
+    return _one(_projected_normalized_laplacians(CoarseBlock.join([cg])))
 
 
 def _check_symmetric(m: np.ndarray) -> None:
@@ -249,25 +241,79 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise GraphValidationError("matrix is not symmetric")
 
 
+def _eigensolve(m: np.ndarray, with_vectors: bool):
+    """LAPACK's symmetric solver on a matrix or stack known to be symmetric:
+    the one place the package calls it."""
+    if not m.size:
+        values = np.zeros(m.shape[:-1])
+        return (values, np.zeros(m.shape)) if with_vectors else values
+    return np.linalg.eigh(m) if with_vectors else np.linalg.eigvalsh(m)
+
+
 def eigenvalues_symmetric(
     m: np.ndarray, with_vectors: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a symmetric matrix, sorted ascending, or those of
     each matrix of a (k, n, n) stack as a (k, n) array; with
-    `with_vectors`, the pair (eigenvalues, eigenvectors as columns).
+    `with_vectors`, the pair (eigenvalues, eigenvectors as columns). The
+    matrix is checked to be symmetric first.
 
     Backed by LAPACK's symmetric solvers, eigvalsh or eigh, which comfortably
     meet the 1e-8 accuracy contract on the dense graph Laplacians this
     toolkit produces. A stack is solved matrix by matrix with the same
-    routine, so each matrix gets the bits it gets alone. This is the one
-    place the package calls them.
+    routine, so each matrix gets the bits it gets alone.
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    if not m.size:
-        values = np.zeros(m.shape[:-1])
-        return (values, np.zeros(m.shape)) if with_vectors else values
-    return np.linalg.eigh(m) if with_vectors else np.linalg.eigvalsh(m)
+    return _eigensolve(m, with_vectors)
+
+
+def _available_bytes() -> int | None:
+    """Bytes this process can still allocate: the kernel's MemAvailable,
+    or the room left under its cgroup's memory.max when that is smaller;
+    None where neither can be read."""
+    found = []
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    found.append(int(line.split()[1]) * 1024)
+                    break
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as fh:
+            own = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        group = os.path.join("/sys/fs/cgroup", own.lstrip("/"))
+        with open(os.path.join(group, "memory.max")) as fh:
+            limit = fh.read().strip()
+        if limit != "max":
+            with open(os.path.join(group, "memory.current")) as fh:
+                found.append(int(limit) - int(fh.read()))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(found) if found else None
+
+
+def _check_fits(n: int, with_vectors: bool) -> None:
+    """Fail before a lone n x n matrix is built if its eigensolve cannot fit
+    in the memory available."""
+    available = _available_bytes()
+    if available is None:
+        return
+    # the matrix, LAPACK's copy of it and the eigenvalues, then the
+    # workspace of its divide-and-conquer solver (syevd), and under eigh
+    # the eigenvector output
+    need = 16 * n * n + 8 * n
+    if with_vectors:
+        need += 8 * (1 + 6 * n + 2 * n * n) + 4 * (3 + 5 * n) + 8 * n * n
+    else:
+        need += 8 * (2 * n + 1)
+    if need > available:
+        raise GbgcError(
+            f"the dense eigensolve of a {n} x {n} matrix needs about {need} bytes, "
+            f"more than the {available} available; rerun with --skip-sd"
+        )
 
 
 def _groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -278,23 +324,26 @@ def _groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def _solved(laps: _Laplacians, with_vectors: bool = False):
-    """(matrix indices, `eigenvalues_symmetric` of them) for each stack of
-    same-size matrices of laps, in chunks of at most STACK_BYTES; a larger
-    matrix is a chunk of one. Each stack is dropped before the next is
-    built."""
+    """(matrix indices, their eigenvalues, or (eigenvalues, eigenvectors))
+    for each stack of same-size matrices of laps, in chunks of at most
+    STACK_BYTES; a larger matrix is a chunk of one, built only when its
+    solve fits in memory. Each stack is dropped before the next is built.
+    The stacks are symmetric by construction, and go to LAPACK unchecked."""
     for size, members in _groups(laps.sizes):
         per = max(1, STACK_BYTES // (8 * max(1, size * size)))
         for i in range(0, len(members), per):
             mats = members[i : i + per]
-            yield mats, eigenvalues_symmetric(_dense_laplacian(laps, mats, size), with_vectors)
+            if 8 * size * size > STACK_BYTES:
+                _check_fits(size, with_vectors)
+            yield mats, _eigensolve(_dense_laplacian(laps, mats, size), with_vectors)
 
 
-def _spectra(laps: _Laplacians) -> list[np.ndarray]:
-    """The ascending eigenvalues of each matrix of laps, in order."""
-    spectra = [None] * len(laps.sizes)
+def _spectra(laps: _Laplacians) -> np.ndarray:
+    """The ascending eigenvalues of every matrix of laps, end to end:
+    matrix i's at first[i] .. first[i + 1] - 1."""
+    spectra = np.empty(int(laps.first[-1]))
     for mats, values in _solved(laps):
-        for i, row in zip(mats.tolist(), values):
-            spectra[i] = row
+        spectra[_ranges(laps.first[mats], laps.sizes[mats])] = values.ravel()
     return spectra
 
 
@@ -377,12 +426,10 @@ def _probe(cg: CoarsenedGraph, eigvecs: np.ndarray, k: int) -> list[tuple[float,
     return samples
 
 
-def evaluate_many(
-    cgs: Sequence[CoarsenedGraph], cfg: EvalConfig | None = None
-) -> list[SpectralReport]:
-    """Spectral distance plus Rayleigh diagnostics for each coarsening of a
-    block: each coarse graph against the original graph it was built from.
-    Each report is the one its coarse graph gets alone, bit for bit.
+def evaluate_block(cb: CoarseBlock, cfg: EvalConfig) -> tuple[np.ndarray, list | None]:
+    """Spectral distance of every coarse graph of a block, as one array,
+    and, with probes asked for, each graph's Rayleigh samples (else None).
+    Each graph's values are the ones it gets alone, bit for bit.
 
     The original graph's Laplacian of the chosen kind is compared with a
     coarse matrix: under sd_mode "projected", C^T L C or C^T L_norm C; under
@@ -400,36 +447,56 @@ def evaluate_many(
     larger matrix is a stack of one; so a lone large graph holds one dense
     n x n matrix at a time (plus the working copy LAPACK makes of it). The
     probes of a stack run over the edge lists as soon as it is factored, so
-    only that stack's eigenvectors are kept. Last, the SDs of each n-group
-    are computed in one pass over its spectra.
+    only that stack's eigenvectors are kept. Each side's spectra are kept
+    end to end in one array. Last, the SDs of each n-group are computed in
+    one pass over its spectra.
     """
+    kind = cfg.laplacian_kind
+    bounds, first_ball = cb.block.bounds, cb.first_ball
+    orig = _spectra(_graph_laplacians(cb.block, kind))
+
+    samples = None
+    if cfg.rayleigh_vectors > 0:
+        samples = [None] * cb.block.graph_count
+        laps = _projected_laplacians(cb)
+        proj = np.empty(int(first_ball[-1]))
+        for mats, (values, vectors) in _solved(laps, with_vectors=True):
+            proj[_ranges(first_ball[mats], laps.sizes[mats])] = values.ravel()
+            for i, eigvecs in zip(mats.tolist(), vectors):
+                samples[i] = _probe(cb.coarsened(i), eigvecs, cfg.rayleigh_vectors)
+    if cfg.sd_mode == "unweighted":
+        coarse = _spectra(_superedge_laplacians(cb, kind))
+    elif kind == "combinatorial":
+        coarse = proj if samples is not None else _spectra(_projected_laplacians(cb))
+    else:
+        coarse = _spectra(_projected_normalized_laplacians(cb))
+
+    sds = np.empty(cb.block.graph_count)
+    balls = np.diff(first_ball)
+    for n, members in _groups(np.diff(bounds)):
+        k = len(members)
+        t = balls[members]
+        orig_rows = orig[bounds[members][:, None] + np.arange(n)]
+        # each coarse spectrum at the high end of its row, zeros below it
+        coarse_rows = np.zeros((k, n))
+        starts = np.arange(k) * n + n - t
+        coarse_rows.reshape(-1)[_ranges(starts, t)] = coarse[_ranges(first_ball[members], t)]
+        sds[members] = _distances(orig_rows, coarse_rows)
+    return sds, samples
+
+
+def evaluate_many(
+    cgs: Sequence[CoarsenedGraph], cfg: EvalConfig | None = None
+) -> list[SpectralReport]:
+    """Spectral distance plus Rayleigh diagnostics for each coarsening of a
+    caller's list: `evaluate_block` on the coarse graphs joined into one
+    block. Each report is the one its coarse graph gets alone, bit for bit."""
     cfg = cfg or EvalConfig()
     if not cgs:
         return []
-    kind = cfg.laplacian_kind
-    probing = cfg.rayleigh_vectors > 0
-    orig = _spectra(_graph_laplacians([cg.graph for cg in cgs], kind))
-
-    samples = [[] for _ in cgs]
-    if probing:
-        proj = [None] * len(cgs)
-        for mats, (values, vectors) in _solved(_projected_laplacians(cgs), with_vectors=True):
-            for i, eigvals, eigvecs in zip(mats.tolist(), values, vectors):
-                proj[i] = eigvals
-                samples[i] = _probe(cgs[i], eigvecs, cfg.rayleigh_vectors)
-    if cfg.sd_mode == "unweighted":
-        coarse = _spectra(_superedge_laplacians(cgs, kind))
-    elif kind == "combinatorial":
-        coarse = proj if probing else _spectra(_projected_laplacians(cgs))
-    else:
-        coarse = _spectra(_projected_normalized_laplacians(cgs))
-
-    sds = np.empty(len(cgs))
-    for n, members in _groups(np.array([cg.graph.n for cg in cgs])):
-        sds[members] = _distances(
-            _padded_low([orig[i] for i in members], n),
-            _padded_low([coarse[i] for i in members], n),
-        )
+    sds, samples = evaluate_block(CoarseBlock.join(cgs), cfg)
+    if samples is None:
+        samples = [[] for _ in cgs]
     return [
         SpectralReport(sd=sd, rayleigh_samples=probes)
         for sd, probes in zip(sds.tolist(), samples)

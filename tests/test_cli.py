@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pickle
@@ -5,21 +6,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gbgc.cli as cli
 from gbgc import (
     CoarsenConfig,
     CoarsenRecord,
+    CoarsenedGraph,
+    DatasetBundle,
     EvalConfig,
     Graph,
+    Partition,
     build_coarse_graph,
     coarsen,
     evaluate,
     parse_tudataset,
     write_results,
 )
-from tests_support import write_barbell_edgelist, write_synthetic_tud, write_tiny_tud
+import gbgc.spectral as spectral
+from gbgc.graph import GraphBlock
+from tests_support import (
+    synthetic_graphs,
+    write_barbell_edgelist,
+    write_synthetic_tud,
+    write_tiny_tud,
+)
 
 
 def run(argv):
@@ -222,13 +234,13 @@ def test_jobs_capped_at_usable_cpus_and_tasks(tmp_path, monkeypatch, cpus, graph
 
 def test_coarsen_asks_for_no_rayleigh_probes(tmp_path, monkeypatch):
     configs = []
-    real_evaluate_many = cli.evaluate_many
+    real_evaluate_block = cli.evaluate_block
 
-    def recording_evaluate_many(cgs, cfg=None):
+    def recording_evaluate_block(cb, cfg):
         configs.append(cfg)
-        return real_evaluate_many(cgs, cfg)
+        return real_evaluate_block(cb, cfg)
 
-    monkeypatch.setattr(cli, "evaluate_many", recording_evaluate_many)
+    monkeypatch.setattr(cli, "evaluate_block", recording_evaluate_block)
     inp = write_barbell_edgelist(tmp_path / "barbell.txt")
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(inp), "--output", str(out)]) == 0
@@ -373,17 +385,22 @@ def test_bench_rejects_jobs(capsys):
 def test_memory_error_in_one_graph_reports_it_and_writes_the_rest(
     tmp_path, monkeypatch, capsys, error, message, jobs
 ):
-    real_coarsen_many = cli.coarsen_many
+    real_coarsen_block = cli.coarsen_block
+    real_coarsen = cli.coarsen
 
-    def coarsen_many_failing_on_two_nodes(graphs, cfg):
-        if any(g.n == 2 for g in graphs):  # the second graph of the tiny dataset
+    def coarsen_block_failing_on_two_nodes(block, cfg):
+        if (np.diff(block.bounds) == 2).any():  # the second graph of the tiny dataset
             raise error
-        return real_coarsen_many(graphs, cfg)
+        return real_coarsen_block(block, cfg)
+
+    def coarsen_failing_on_two_nodes(g, cfg):
+        coarsen_block_failing_on_two_nodes(GraphBlock.join([g]), cfg)
+        return real_coarsen(g, cfg)
 
     # the engine fails on that graph whether it runs in a block or alone;
     # forked pool workers inherit the patches
-    monkeypatch.setattr(cli, "coarsen_many", coarsen_many_failing_on_two_nodes)
-    monkeypatch.setattr(cli, "coarsen", lambda g, cfg: coarsen_many_failing_on_two_nodes([g], cfg)[0])
+    monkeypatch.setattr(cli, "coarsen_block", coarsen_block_failing_on_two_nodes)
+    monkeypatch.setattr(cli, "coarsen", coarsen_failing_on_two_nodes)
     data = write_tiny_tud(tmp_path / "tiny")
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 1
@@ -412,10 +429,10 @@ def test_internal_error_in_evaluate_exit_1(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(inp), "--output", str(out), "--skip-sd"]) == 0
 
-    def failing_evaluate_many(*args):
+    def failing_evaluate_block(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "evaluate_many", failing_evaluate_many)
+    monkeypatch.setattr(cli, "evaluate_block", failing_evaluate_block)
     capsys.readouterr()
     assert run(["evaluate", "--input", str(inp), "--output", str(out)]) == 1
     err = capsys.readouterr().err
@@ -424,16 +441,16 @@ def test_internal_error_in_evaluate_exit_1(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failing_block_finish_reports_only_its_graph(tmp_path, monkeypatch, capsys, jobs):
-    real_evaluate_many = cli.evaluate_many
+    real_evaluate_block = cli.evaluate_block
     culprit = 19  # the only synthetic graph of the 40 with 10 + (19 * 7) % 41 = 20 nodes
 
-    def evaluate_many_failing_on_culprit(cgs, cfg=None):
-        if any(cg.graph.n == 20 for cg in cgs):
+    def evaluate_block_failing_on_culprit(cb, cfg):
+        if (np.diff(cb.block.bounds) == 20).any():
             raise RuntimeError("boom")
-        return real_evaluate_many(cgs, cfg)
+        return real_evaluate_block(cb, cfg)
 
     # forked pool workers inherit the patch
-    monkeypatch.setattr(cli, "evaluate_many", evaluate_many_failing_on_culprit)
+    monkeypatch.setattr(cli, "evaluate_block", evaluate_block_failing_on_culprit)
     data = write_synthetic_tud(tmp_path / "SYN", 40)
     out = tmp_path / "out"
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 1
@@ -443,9 +460,9 @@ def test_failing_block_finish_reports_only_its_graph(tmp_path, monkeypatch, caps
     mapping = (out / "mapping.jsonl").read_text().splitlines()
     assert [json.loads(line)["graph_index"] for line in mapping] == written
 
-    monkeypatch.setattr(cli, "evaluate_many", real_evaluate_many)
+    monkeypatch.setattr(cli, "evaluate_block", real_evaluate_block)
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 0
-    monkeypatch.setattr(cli, "evaluate_many", evaluate_many_failing_on_culprit)
+    monkeypatch.setattr(cli, "evaluate_block", evaluate_block_failing_on_culprit)
     capsys.readouterr()
     assert run(["evaluate", "--input", str(data), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"graph {culprit}: internal error: RuntimeError: boom\n"
@@ -483,16 +500,16 @@ def test_dead_worker_is_an_error_and_keeps_previous_outputs(tmp_path, monkeypatc
     assert sorted(before) == sorted(RESULT_FILES)
 
     parent = os.getpid()
-    real_coarsen_many = cli.coarsen_many
+    real_coarsen_block = cli.coarsen_block
 
-    def coarsen_many_dying_in_a_worker(graphs, cfg):
-        if any(g.n == 20 for g in graphs):  # the block of synthetic graph 19
+    def coarsen_block_dying_in_a_worker(block, cfg):
+        if (np.diff(block.bounds) == 20).any():  # the block of synthetic graph 19
             assert os.getpid() != parent
             os._exit(9)  # as the kernel's OOM killer ends a process: no exception, no cleanup
-        return real_coarsen_many(graphs, cfg)
+        return real_coarsen_block(block, cfg)
 
     # forked pool workers inherit the patch
-    monkeypatch.setattr(cli, "coarsen_many", coarsen_many_dying_in_a_worker)
+    monkeypatch.setattr(cli, "coarsen_block", coarsen_block_dying_in_a_worker)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     capsys.readouterr()
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "2"]) == 1
@@ -506,16 +523,16 @@ def test_dead_worker_is_an_error_and_keeps_previous_outputs(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_outputs_are_write_results_of_the_library_records(tmp_path, monkeypatch, capsys, jobs):
-    real_evaluate_many = cli.evaluate_many
+    real_evaluate_block = cli.evaluate_block
     culprit = 19  # the only synthetic graph of the 40 with 20 nodes
 
-    def evaluate_many_failing_on_culprit(cgs, cfg=None):
-        if any(cg.graph.n == 20 for cg in cgs):
+    def evaluate_block_failing_on_culprit(cb, cfg):
+        if (np.diff(cb.block.bounds) == 20).any():
             raise RuntimeError("boom")
-        return real_evaluate_many(cgs, cfg)
+        return real_evaluate_block(cb, cfg)
 
     # forked pool workers inherit the patches
-    monkeypatch.setattr(cli, "evaluate_many", evaluate_many_failing_on_culprit)
+    monkeypatch.setattr(cli, "evaluate_block", evaluate_block_failing_on_culprit)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     data = write_synthetic_tud(tmp_path / "SYN", 40)
     out = tmp_path / "out"
@@ -547,14 +564,16 @@ def test_outputs_are_write_results_of_the_library_records(tmp_path, monkeypatch,
 
 
 def test_a_block_travels_as_one_union_and_comes_back_as_text(tmp_path):
-    graphs = parse_tudataset(write_synthetic_tud(tmp_path / "SYN", 40), "SYN").graphs
-    block = cli._Block(3, graphs[3:11], (CoarsenConfig(), EvalConfig(rayleigh_vectors=0), False))
-    _, args = block.__reduce__()
-    assert [type(arg) for arg in args].count(Graph) == 1
-    assert args[1].n == sum(g.n for g in graphs[3:11])
-    sent = pickle.loads(pickle.dumps(block))
-    assert sent.first == 3 and sent.graphs == graphs[3:11]
-    assert len({id(g.indices.base) for g in sent.graphs}) == 1
+    bundle = parse_tudataset(write_synthetic_tud(tmp_path / "SYN", 40), "SYN")
+    settings = (CoarsenConfig(), EvalConfig(rayleigh_vectors=0), False)
+    task = cli._Block(0, bundle.block, range(3, 11), settings)
+    _, args = task.__reduce__()
+    assert args[0] == 3 and args[1] == bundle.block.slice(3, 11)
+    assert args[1].graphs() == bundle.graphs[3:11]
+    sent = pickle.loads(pickle.dumps(task))
+    assert sent.first == 3 and sent.graphs == range(3, 11) and sent.block == args[1]
+    # the worker's rows are views of what it was sent
+    assert np.shares_memory(sent.rows().indices, sent.block.indices)
 
     def leaves(value):
         if isinstance(value, (list, tuple)):
@@ -563,13 +582,73 @@ def test_a_block_travels_as_one_union_and_comes_back_as_text(tmp_path):
         else:
             yield value
 
-    output = cli._coarsen_block(sent)
+    output = cli._run_block(sent)
     assert {type(leaf) for leaf in leaves(output)} == {str, float}
     rows, failures, r_a, sd = output
     assert failures == [] and len(r_a) == len(sd) == 8
-    local = cli._coarsen_block(block)
+    local = cli._run_block(task)
     # equal but for report.csv's elapsed_micros
     assert rows[:2] == local[0][:2] and (failures, r_a, sd) == local[1:]
-    assert [row.rsplit(",", 1)[0] for row in rows[2]] == [
-        row.rsplit(",", 1)[0] for row in local[0][2]
+    assert [row.rsplit(",", 1)[0] for row in "".join(rows[2]).splitlines()] == [
+        row.rsplit(",", 1)[0] for row in "".join(local[0][2]).splitlines()
     ]
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_coarsen_never_reads_the_per_graph_views(tmp_path, monkeypatch, jobs):
+    def unread(bundle):
+        raise AssertionError("DatasetBundle.graphs was read")
+
+    monkeypatch.setattr(DatasetBundle, "graphs", property(unread))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 0
+    assert len(read_report(out)) == 40
+    assert run(["evaluate", "--input", str(data), "--output", str(out)]) == 0
+
+
+def test_a_multi_graph_block_makes_no_per_graph_object(tmp_path, monkeypatch):
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    made = collections.Counter()
+    for cls in (Graph, Partition, CoarsenedGraph, CoarsenRecord):
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            if type(self) is _cls:  # a GraphBlock is a Graph, one per block
+                made[_cls.__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 0
+    assert len(read_report(out)) == 40
+    assert made == {}
+    # the library's list calls are adapters, so they do make them
+    coarsen(parse_tudataset(data, "SYN").graphs[0], CoarsenConfig())
+    assert made["Graph"] == 40 and made["Partition"] == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_matrix_too_large_for_memory_fails_only_its_graph(tmp_path, monkeypatch, capsys, jobs):
+    # Laplacians of more than 45 nodes become lone stacks, and the patched
+    # reader says no memory is left: those graphs fail, the others are
+    # written. Forked pool workers inherit the patches.
+    monkeypatch.setattr(spectral, "STACK_BYTES", 8 * 45 * 45)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 0)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    graphs = synthetic_graphs(40)
+    large = [i for i, g in enumerate(graphs) if g.n > 45]
+    assert large
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == "".join(
+        f"graph {i}: the dense eigensolve of a {graphs[i].n} x {graphs[i].n} matrix needs about "
+        f"{16 * graphs[i].n ** 2 + 8 * (2 * graphs[i].n + 1) + 8 * graphs[i].n} bytes, "
+        f"more than the 0 available; rerun with --skip-sd\n"
+        for i in large
+    )
+    assert [int(row["graph_index"]) for row in read_report(out)] == [
+        i for i in range(40) if i not in large
+    ]
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs,
+                "--skip-sd"]) == 0

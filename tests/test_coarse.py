@@ -70,8 +70,10 @@ def test_projection_size_mismatch(k3):
     ],
 )
 def test_partition_rejects_an_invalid_projection(assignment, count, message):
+    # the check of a partition read from outside; the constructor trusts
+    # the engine's own output, which tests/test_engine.py checks dense
     with pytest.raises(GraphValidationError, match=message):
-        Partition(np.array(assignment, dtype=np.int64), count)
+        Partition.from_assignment(np.array(assignment, dtype=np.int64), count)
 
 
 def test_coarse_identity_is_original(k3):

@@ -19,7 +19,9 @@ from gbgc import (
 )
 import gbgc.dataio as dataio
 from gbgc.dataio import (
+    BlockResults,
     read_mapping,
+    report_rows,
     result_rows,
     write_edge_list,
     write_report_csv,
@@ -266,18 +268,20 @@ def test_write_results_failure_keeps_previous_files(tmp_path):
 
 
 def test_write_report_csv_failure_keeps_previous_report(tmp_path):
-    class FailingFormat(float):
-        def __format__(self, spec):
-            raise OSError("no space left on device")
+    def rows(*indices):
+        for i in indices:
+            if i is None:
+                raise OSError("no space left on device")
+            yield from report_rows(BlockResults.of_records([make_record(i)]))
 
     path = tmp_path / "report.csv"
-    write_report_csv([make_record(0)], path)
+    write_report_csv(rows(0), path)
     before = path.read_bytes()
+    assert before.decode().splitlines()[1:] == ["0,3,2,2,1,0.666667,0.500000,1"]
     with pytest.raises(OSError):
-        write_report_csv([make_record(0), make_record(1, sd=FailingFormat(1.0))], path)
+        write_report_csv(rows(0, 1, None), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
-
 
 
 def test_streamed_write_of_a_failing_block_keeps_previous_files(tmp_path):
@@ -475,6 +479,30 @@ def assert_parses_like_reference(directory):
     return bundle
 
 
+def test_block_slices_of_a_parsed_dataset_match_the_reference(tmp_path):
+    # nodes interleaved in the indicator file and A lines shuffled, a
+    # one-node graph at each end and isolated nodes in the middle
+    graphs = [
+        from_edge_list(1, []),
+        *synthetic_graphs(30, seed_base=7),
+        from_edge_list(6, [(0, 5), (1, 2)]),
+        from_edge_list(1, []),
+    ]
+    directory = write_interleaved_tud(tmp_path / "mixed", graphs, seed=3)
+    block = parse_tudataset(directory, "mixed").block
+    expected, _ = reference_parse_tudataset(directory, "mixed")
+    assert block.graph_count == len(expected)
+    rng = random.Random(11)
+    for _ in range(60):
+        a = rng.randrange(len(expected))
+        b = rng.randrange(a + 1, len(expected) + 1)
+        part = block.slice(a, b)
+        assert np.diff(part.bounds).tolist() == [n for n, _ in expected[a:b]]
+        assert [plain(g) for g in part.graphs()] == expected[a:b]
+        i = rng.randrange(b - a)
+        assert plain(part.slice(i, i + 1)) == expected[a + i]
+
+
 # A chunk of 7 bytes holds at most one edge line, so every line is a chunk of
 # its own. Each chunk costs a fixed few dozen numpy calls: the 1000-graph set
 # takes 32 s to parse at 7 bytes and 6 s at 64 (2-core Xeon), so the small
@@ -563,11 +591,13 @@ def test_parsed_graphs_are_views_of_one_csr(tmp_path):
 
 
 def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
-    n = 3 * dataio._WRITE_ROWS + 5
+    # each file is formatted in pieces of _WRITE_VALUES integers, so a
+    # graph's assignment and superedges here are cut across pieces
+    n = dataio._WRITE_VALUES + 5
     g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
     part = Partition(np.arange(n), n)
     cg = build_coarse_graph(g, part)
-    assert len(cg.superedges) == n > 2 * dataio._WRITE_ROWS
+    assert 2 * len(cg.superedges) == 2 * n > 2 * dataio._WRITE_VALUES
     records = [
         CoarsenRecord(
             i, part.assignment, n, cg.superedges, sd=0.0, elapsed_micros=0,
@@ -580,3 +610,7 @@ def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
         f"graph {i}\n" + "".join(f"{a} {b}\n" for a, b in g.edges) for i in range(2)
     )
     assert (tmp_path / "coarse_edges.txt").read_text() == expected
+    mapping = [json.loads(line) for line in (tmp_path / "mapping.jsonl").read_text().splitlines()]
+    assert mapping == [
+        {"graph_index": i, "assignment": list(range(n)), "supernode_count": n} for i in range(2)
+    ]

@@ -9,7 +9,18 @@ computed are compared through the split decisions.
 
 import pytest
 
-from gbgc import CoarsenConfig, coarsen, coarsen_many, erdos_renyi, from_edge_list
+import numpy as np
+
+from gbgc import (
+    CoarsenConfig,
+    GraphBlock,
+    Partition,
+    coarsen,
+    coarsen_many,
+    erdos_renyi,
+    from_edge_list,
+)
+from gbgc.engine import coarsen_block
 
 from helpers import (
     balls,
@@ -32,9 +43,29 @@ CONFIGS = {
 }
 
 
+def assert_dense(part, n):
+    """The engine's partition is a dense cover of n nodes: the check that
+    `Partition.from_assignment` makes on a partition read from outside,
+    which the engine's own output is not put through."""
+    assert len(part.assignment) == n
+    Partition.from_assignment(part.assignment, part.ball_count)
+
+
+def assert_dense_block(block, ball, first_ball):
+    """coarsen_block's output is a dense cover of the block, graph by graph:
+    graph i's nodes fill balls first_ball[i] .. first_ball[i + 1] - 1."""
+    assert len(ball) == block.n and first_ball[0] == 0
+    assert (np.diff(first_ball) >= 1).all() and (np.diff(first_ball) <= np.diff(block.bounds)).all()
+    own_first = np.repeat(first_ball[:-1], np.diff(block.bounds))
+    own_last = np.repeat(first_ball[1:], np.diff(block.bounds))
+    assert ((ball >= own_first) & (ball < own_last)).all()
+    assert np.bincount(ball, minlength=first_ball[-1]).all()
+
+
 def assert_same_as_reference(g, cfg):
     decisions, expected_decisions = [], []
     part = coarsen(g, cfg, decisions=decisions)
+    assert_dense(part, g.n)
     expected = reference_coarsen(g, cfg, expected_decisions)
     got = balls(g, part)
     assert [b.members for b in got] == [b.members for b in expected]
@@ -75,6 +106,20 @@ def test_synthetic_set_matches_reference(synthetic_1000, config):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_er_10k_matches_reference(er_10k, config):
     assert_same_as_reference(er_10k, CONFIGS[config])
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_block_output_is_a_dense_cover(suite_200, synthetic_1000, config):
+    isolated = from_edge_list(9, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)])
+    for graphs in (suite_200, synthetic_1000[:300], [isolated, *suite_200[:20]], [isolated]):
+        block = GraphBlock.join(graphs)
+        ball, first_ball = coarsen_block(block, CONFIGS[config])
+        assert_dense_block(block, ball, first_ball)
+        parts = coarsen_many(graphs, CONFIGS[config])
+        for i, (g, part) in enumerate(zip(graphs, parts)):
+            lo, hi = block.bounds[i : i + 2]
+            assert_dense(part, g.n)
+            assert part.assignment.tolist() == (ball[lo:hi] - first_ball[i]).tolist()
 
 
 def test_split_ball_matches_reference(suite_200):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from gbgc import CoarsenConfig, Graph, GraphValidationError, coarsen, erdos_renyi, from_edge_list
-from gbgc.engine import _union
-from gbgc.graph import MAX_NODES, graph_views
+from gbgc.graph import MAX_NODES, GraphBlock
 
 from helpers import (
     adjacency,
@@ -183,8 +182,44 @@ def test_from_edge_list_node_count_bound():
 
 def test_graph_views_undo_the_union():
     graphs = [erdos_renyi(n, 3.0, seed=n) for n in (1, 7, 30, 2, 12)]
-    union, bounds = _union(graphs)
-    views = graph_views(union.indptr, union.indices.copy(), bounds)
+    block = GraphBlock.join(graphs)
+    assert block.bounds.tolist() == [0, 1, 8, 38, 40, 52]
+    assert block.n == 52 and block.edge_count == sum(g.edge_count for g in graphs)
+    views = block.graphs()
     assert views == graphs
     assert len({id(g.indices.base) for g in views}) == 1
     assert len({id(g.indptr.base) for g in views}) == 1
+    assert block.graphs() == graphs  # the block's own arrays are left as they were
+
+
+def test_a_lone_graph_is_a_block_of_its_own_arrays():
+    g = erdos_renyi(30, 3.0, seed=4)
+    block = GraphBlock.join([g])
+    assert block.indptr is g.indptr and block.indices is g.indices
+    assert block.bounds.tolist() == [0, 30] and block == GraphBlock.join([g])
+    (view,) = block.graphs()
+    assert view == g and view.indices is g.indices
+
+
+def test_block_slices_are_the_blocks_of_their_graphs():
+    rng = random.Random(7)
+    graphs = [erdos_renyi(rng.randint(1, 25), rng.uniform(0, 5), seed=i) for i in range(30)]
+    block = GraphBlock.join(graphs)
+    for _ in range(40):
+        a = rng.randrange(len(graphs))
+        b = rng.randrange(a + 1, len(graphs) + 1)
+        part = block.slice(a, b)
+        assert part == GraphBlock.join(graphs[a:b])
+        assert part.graphs() == graphs[a:b]
+    head = block.slice(0, 3)
+    assert np.shares_memory(head.indices, block.indices)  # a slice from graph 0 is views alone
+
+
+def test_a_block_pickles_as_its_three_arrays_narrowed():
+    graphs = [erdos_renyi(n, 3.0, seed=n) for n in (5, 40, 9)]
+    block = GraphBlock.join(graphs)
+    sent = pickle.dumps(block)
+    assert len(sent) < sum(len(pickle.dumps(g)) for g in graphs)
+    restored = pickle.loads(sent)
+    assert type(restored) is GraphBlock and restored == block
+    assert restored.indices.dtype == np.int64 and not restored.indices.flags.writeable

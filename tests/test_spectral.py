@@ -8,6 +8,8 @@ import pytest
 from gbgc import (
     CoarsenConfig,
     EvalConfig,
+    GbgcError,
+    GraphBlock,
     GraphValidationError,
     Partition,
     build_coarse_graph,
@@ -25,6 +27,8 @@ from gbgc import (
 )
 
 import gbgc.spectral as spectral
+from gbgc.coarse import coarse_block
+from gbgc.engine import coarsen_block
 from gbgc.spectral import STACK_BYTES, SYMMETRY_BLOCK_BYTES, SYMMETRY_RTOL
 from helpers import (
     adjacency_matrix,
@@ -456,3 +460,90 @@ def test_symmetry_check_threshold_is_inclusive():
     m[-1, 3] = 2 * tol
     with pytest.raises(GraphValidationError, match="not symmetric"):
         spectral._check_symmetric(m)
+
+
+@pytest.fixture(scope="module")
+def coarse_blocks():
+    """CoarseBlocks of the whole ER suite with the isolated-node graph, and
+    of 300 synthetic graphs, under every PARTITIONS config."""
+    blocks = []
+    for graphs in ([*er_suite(), isolated_graph()], synthetic_graphs(300)):
+        block = GraphBlock.join(graphs)
+        for cfg in PARTITIONS:
+            blocks.append(coarse_block(block, *coarsen_block(block, cfg)))
+    return blocks
+
+
+def test_every_stack_the_package_builds_is_symmetric(coarse_blocks):
+    # the stacks _dense_laplacian builds go to LAPACK without the symmetry
+    # check that eigenvalues_symmetric makes on a caller's matrix; this is
+    # the check, for every description the package builds them from
+    stacks = 0
+    for cb in coarse_blocks:
+        for laps in (
+            spectral._graph_laplacians(cb.block, "combinatorial"),
+            spectral._graph_laplacians(cb.block, "normalized"),
+            spectral._projected_laplacians(cb),
+            spectral._superedge_laplacians(cb, "combinatorial"),
+            spectral._superedge_laplacians(cb, "normalized"),
+            spectral._projected_normalized_laplacians(cb),
+        ):
+            for size, members in spectral._groups(laps.sizes):
+                stack = spectral._dense_laplacian(laps, members, size)
+                stacks += 1
+                if laps.normalized:
+                    # scaled rows first, then columns: mirror entries may
+                    # differ in their last bit
+                    skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+                    peak = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+                    assert (skew <= SYMMETRY_RTOL * peak).all()
+                else:
+                    assert np.array_equal(stack, stack.transpose(0, 2, 1))
+    assert stacks > 1000
+
+
+def test_a_lone_matrix_that_cannot_fit_fails_before_it_is_built(monkeypatch):
+    # 4 KB makes the 30 x 30 Laplacian (7,200 bytes) a lone stack; the
+    # reader is patched, so nothing large is allocated
+    monkeypatch.setattr(spectral, "STACK_BYTES", 4096)
+    g = erdos_renyi(30, 4.0, seed=3)
+    cg = build_coarse_graph(g, coarsen(g, CoarsenConfig()))
+    n = 30
+    # the matrix, LAPACK's copy, syevd's workspace and the eigenvalues
+    values_need = 16 * n * n + 8 * (2 * n + 1) + 8 * n
+    cfg = EvalConfig(rayleigh_vectors=0)
+    want = evaluate(cg, cfg).sd
+    for available, fits in [(None, True), (values_need, True), (values_need - 1, False)]:
+        monkeypatch.setattr(spectral, "_available_bytes", lambda: available)
+        if fits:
+            assert evaluate(cg, cfg).sd == want
+        else:
+            with pytest.raises(GbgcError, match=(
+                rf"the dense eigensolve of a 30 x 30 matrix needs about {values_need} bytes, "
+                rf"more than the {available} available; rerun with --skip-sd"
+            )):
+                evaluate(cg, cfg)
+    # the probes' eigh of C^T L C, here L itself, also needs the
+    # eigenvectors and a larger workspace (with its integer part)
+    vectors_need = 24 * n * n + 8 * (1 + 6 * n + 2 * n * n) + 4 * (3 + 5 * n) + 8 * n
+    identity = build_coarse_graph(g, identity_partition(g))
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: vectors_need)
+    evaluate(identity, EvalConfig())
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: vectors_need - 1)
+    with pytest.raises(GbgcError, match=f"30 x 30 matrix needs about {vectors_need} bytes"):
+        evaluate(identity, EvalConfig())
+
+
+def test_small_stacks_never_read_the_available_memory(monkeypatch):
+    def unreadable():
+        raise AssertionError("read the available memory")
+
+    monkeypatch.setattr(spectral, "_available_bytes", unreadable)
+    graphs = synthetic_graphs(40)
+    cgs = build_coarse_graphs(graphs, coarsen_many(graphs, CoarsenConfig()))
+    assert len(evaluate_many(cgs, EvalConfig())) == 40
+
+
+def test_the_available_memory_is_a_count_of_bytes_or_unknown():
+    available = spectral._available_bytes()
+    assert available is None or (isinstance(available, int) and available > 0)

@@ -24,6 +24,14 @@ directory; bytes_written is their size). A checkout with
 an older one finishes graph by graph. A checkout with
 `dataio.write_result_blocks` writes block by block from each block's
 `result_rows`; an older one writes all records with `write_results`.
+Two more stages time what `gbgc coarsen --jobs 2` does, without the pool:
+parse_s (`parse_tudataset` of the N graphs, written as perfbench's
+`write_tud` writes them) and blocks_s (the worker function on each of the
+`--jobs 2` tasks of the parsed dataset, from its pickle to the pickle of
+its output, run in this process one after another); send_s is the time
+to make and pickle those tasks, and task_bytes their size. A checkout with
+`cli._run_block` sends row slices of the dataset's block; an older one
+sends `cli._Block`s of per-graph Graphs to `cli._coarsen_block`.
 """
 
 import json
@@ -32,6 +40,7 @@ import resource
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 
 def main() -> int:
@@ -103,7 +112,9 @@ def many_small(count: int) -> int:
     t0 = time.perf_counter()
     graphs = [erdos_renyi(10 + (i * 7) % 41, 2.0 + (i % 5), seed=i) for i in range(count)]
     times["generate_s"] = time.perf_counter() - t0
-    blocks = [graphs[b.start : b.stop] for b in _blocks(graphs, 1)]
+    # a checkout with `GraphBlock` cuts the runs from a block of the graphs
+    runs = _blocks(gbgc.GraphBlock.join(graphs) if hasattr(gbgc, "GraphBlock") else graphs, 1)
+    blocks = [graphs[b.start : b.stop] for b in runs]
     t0 = time.perf_counter()
     parts = [coarsen_many(block, CoarsenConfig()) for block in blocks]
     times["coarsen_s"] = time.perf_counter() - t0
@@ -130,7 +141,7 @@ def many_small(count: int) -> int:
             )
             for k, (g, p, cg) in enumerate(zip(block, ps, block_cgs))
         ]
-        for b, block, ps, block_cgs in zip(_blocks(graphs, 1), blocks, parts, cgs)
+        for b, block, ps, block_cgs in zip(runs, blocks, parts, cgs)
     ]
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
@@ -140,12 +151,51 @@ def many_small(count: int) -> int:
             gbgc.write_results([r for records in record_blocks for r in records], out)
         times["write_s"] = time.perf_counter() - t0
         times["bytes_written"] = sum(entry.stat().st_size for entry in os.scandir(out))
+    times.update(pooled_stages(graphs))
     times["supernodes"] = sum(cg.supernode_count for block in cgs for cg in block)
     times["superedges"] = sum(len(cg.superedges) for block in cgs for cg in block)
     times["sd_sum"] = sum(sds)
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(times))
     return 0
+
+
+def pooled_stages(graphs) -> dict:
+    """parse_s, send_s, task_bytes and blocks_s of `gbgc coarsen --jobs 2`
+    on the graphs (see the module docstring)."""
+    from multiprocessing.reduction import ForkingPickler
+
+    from gbgc import CoarsenConfig, EvalConfig, cli, parse_tudataset
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import write_tud
+
+    times = {}
+    settings = (CoarsenConfig(), EvalConfig(rayleigh_vectors=0), False)
+    with tempfile.TemporaryDirectory() as work:
+        directory = Path(work) / "SYNTH"
+        write_tud(directory, graphs)
+        t0 = time.perf_counter()
+        bundle = parse_tudataset(directory, "SYNTH")
+        times["parse_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if hasattr(cli, "_run_block"):
+        worker = cli._run_block
+        tasks = [cli._Block(0, bundle.block, run, settings) for run in cli._blocks(bundle.block, 2)]
+    else:
+        worker = cli._coarsen_block
+        tasks = [
+            cli._Block(run.start, bundle.graphs[run.start : run.stop], settings)
+            for run in cli._blocks(bundle.graphs, 2)
+        ]
+    sent = [ForkingPickler.dumps(task) for task in tasks]
+    times["send_s"] = time.perf_counter() - t0
+    times["task_bytes"] = sum(len(data) for data in sent)
+    t0 = time.perf_counter()
+    for data in sent:
+        ForkingPickler.dumps(worker(ForkingPickler.loads(data)))
+    times["blocks_s"] = time.perf_counter() - t0
+    return times
 
 
 if __name__ == "__main__":

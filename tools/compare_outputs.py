@@ -13,8 +13,11 @@ parent). Each checkout then runs, in a fresh process each:
     `--ablation no-split` and `--mode ratio --ratio 0.3` modes, at
     `--jobs 1` and `--jobs 2` (with `--skip-sd` on the ER(30k) graphs, as
     the benchmark runs them);
-  - `evaluate` of the ER(3k) mapping in all four `--laplacian`/`--sd-mode`
-    pairs.
+  - `coarsen` at `--jobs 1` and `--jobs 2` on a copy of the 5,000-graph
+    dataset whose A file has its lines shuffled (by --seed);
+  - `evaluate` of the ER(3k) mapping, and of the 5,000-graph dataset's
+    mapping (made by the parent's adaptive `coarsen --skip-sd`), in all
+    four `--laplacian`/`--sd-mode` pairs.
 A run is the same when `mapping.jsonl` and `coarse_edges.txt` are
 byte-identical, `report.csv` is identical apart from `elapsed_micros`,
 stdout is identical apart from `total_s`, and stderr and the exit code are
@@ -23,6 +26,7 @@ equal. Prints one line per run and exits 1 if any run differs.
 
 import argparse
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -84,10 +88,29 @@ def runs(inputs: Path, seed: int, parent: Path):
             for jobs in ("1", "2"):
                 yield f"{inv.label}-{mode}-jobs{jobs}", [*inv.args, *flags, "--jobs", jobs], None
 
+    tu = next(inv for inv in coarsen_inputs if inv.label == "tu")
+    synth = Path(tu.args[tu.args.index("--input") + 1])
+    shuffled = inputs / "SHUF"
+    shuffled.mkdir()
+    shutil.copyfile(synth / f"{synth.name}_graph_indicator.txt",
+                    shuffled / "SHUF_graph_indicator.txt")
+    lines = (synth / f"{synth.name}_A.txt").read_text().splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    (shuffled / "SHUF_A.txt").write_text("".join(lines))
+    for jobs in ("1", "2"):
+        yield f"tu-shuffled-jobs{jobs}", ["coarsen", "--input", str(shuffled), "--jobs", jobs], None
+
     def run_cli(argv, log):
         proc = gbgc(parent, argv)
         Path(log).write_text(proc.stdout + proc.stderr)
         return proc.returncode
+
+    tu_mapping = inputs / "tu-coarsened"
+    run_cli(["coarsen", "--input", str(synth), "--skip-sd", "--jobs", "2",
+             "--output", str(tu_mapping)], inputs / "tu-coarsen.log")
+    for kind, mode in EVAL_PAIRS:
+        argv = ["evaluate", "--input", str(synth), "--laplacian", kind, "--sd-mode", mode]
+        yield f"tu-eval-{kind}-{mode}", argv, tu_mapping / "mapping.jsonl"
 
     evaluate = setup_eval_sweep(inputs, inputs / "eval-outputs", seed, size, run_cli)[0]
     graph = evaluate.args[evaluate.args.index("--input") + 1]
