@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse import build_coarse_graph, check_cover, coarse_block
+from .coarse import block_assignment, build_coarse_graph, check_cover, coarse_block
 from .dataio import (
     BlockResults,
     DatasetBundle,
@@ -36,7 +36,7 @@ from .dataio import (
 from .engine import CoarsenConfig, Partition, coarsen, coarsen_block
 from .errors import GbgcError
 from .generators import erdos_renyi, random_partition
-from .graph import GraphBlock, _offsets
+from .graph import GraphBlock
 from .spectral import EvalConfig, evaluate, evaluate_block
 
 BENCH_SIZES = (1_000, 5_000, 10_000, 50_000)
@@ -329,10 +329,7 @@ def _evaluate_run(block: GraphBlock, run: range, by_index: dict, eval_cfg, done,
     cuts = [0, *(np.flatnonzero(np.diff(indices) != 1) + 1).tolist(), len(mapped)]
     for lo, hi in zip(cuts, cuts[1:]):
         a, b = int(indices[lo]), int(indices[hi - 1]) + 1
-        parts = [part for _, part in mapped[lo:hi]]
-        first_ball = _offsets([part.ball_count for part in parts])
-        assignment = np.concatenate([part.assignment for part in parts])
-        assignment += np.repeat(first_ball[:-1], sizes[a:b])
+        first_ball, assignment = block_assignment([part for _, part in mapped[lo:hi]])
         share = prep_s * int(sizes[a:b].sum()) / total
         _finish(indices[lo:hi], block.slice(a, b), assignment, first_ball, share, eval_cfg,
                 False, done, failures)

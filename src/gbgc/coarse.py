@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Partition
+from .engine import Partition, check_dense
 from .errors import GraphValidationError
 from .graph import Graph, GraphBlock, _offsets
 
@@ -52,7 +52,7 @@ class CoarseBlock(NamedTuple):
     @classmethod
     def join(cls, cgs: Sequence[CoarsenedGraph]) -> CoarseBlock:
         """The coarse graphs of a caller's list as one block."""
-        first_ball, assignment = _block_assignment([cg.partition for cg in cgs])
+        first_ball, assignment = block_assignment([cg.partition for cg in cgs])
         return cls(
             GraphBlock.join([cg.graph for cg in cgs]),
             assignment,
@@ -75,7 +75,7 @@ class CoarseBlock(NamedTuple):
         )
 
 
-def _block_assignment(parts: Sequence[Partition]) -> tuple[np.ndarray, np.ndarray]:
+def block_assignment(parts: Sequence[Partition]) -> tuple[np.ndarray, np.ndarray]:
     """The partitions of a block as one over the union of its graphs: the
     first ball of each graph followed by the ball count, and each node's
     ball, its graph's own id plus the balls of the graphs before it."""
@@ -127,14 +127,25 @@ def build_coarse_graphs(
 ) -> list[CoarsenedGraph]:
     """The coarse graph of each graph under its partition: `coarse_block`
     on the graphs joined into one block. This is where a caller's partition
-    is checked against the graph it claims to cover."""
+    is checked: its indices, and its length against the graph it claims to
+    cover."""
     if len(graphs) != len(parts):
         raise GraphValidationError(f"{len(parts)} partitions for {len(graphs)} graphs")
     for g, p in zip(graphs, parts):
         check_cover(p, g.n)
     if not graphs:
         return []
-    first_ball, assignment = _block_assignment(parts)
+    first_ball, assignment = block_assignment(parts)
+    # `check_dense` on all partitions at once: each graph's balls lie in its
+    # own range of the block's, and no ball is empty; the partitions are
+    # checked one by one only to name the first that fails
+    sizes = [g.n for g in graphs]
+    in_range = (assignment >= np.repeat(first_ball[:-1], sizes)) & (
+        assignment < np.repeat(first_ball[1:], sizes)
+    )
+    if not (in_range.all() and np.bincount(assignment, minlength=first_ball[-1]).all()):
+        for p in parts:
+            check_dense(p.assignment, p.ball_count)
     cb = coarse_block(GraphBlock.join(graphs), assignment, first_ball)
     cuts = cb.cuts.tolist()
     return [

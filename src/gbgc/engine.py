@@ -34,6 +34,20 @@ Ablation = Literal["none", "no_split", "no_init"]
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
+def check_dense(assignment: np.ndarray, ball_count: int) -> None:
+    """Reject ball indices unless every one lies in [0, ball_count) and no
+    ball is empty: the check of a partition that comes from outside the
+    engine."""
+    assignment = np.asarray(assignment)
+    bad = (assignment < 0) | (assignment >= ball_count)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise GraphValidationError(f"node {v} mapped to invalid supernode {assignment[v]}")
+    # more balls than nodes leaves one empty, and bounds the count below
+    if ball_count > len(assignment) or not np.bincount(assignment, minlength=ball_count).all():
+        raise GraphValidationError("supernode indices are not dense: empty supernode present")
+
+
 class Partition:
     """Disjoint complete cover of the original nodes by granular-balls.
 
@@ -42,7 +56,7 @@ class Partition:
     form: node v's row has its one 1 in column assignment[v]. The
     constructor trusts its arguments, as the engine's own output is a dense
     cover by construction; `from_assignment` checks ball indices read from
-    outside the program.
+    outside the program, and `build_coarse_graphs` a caller's partition.
     """
 
     __slots__ = ("assignment", "ball_count")
@@ -54,8 +68,7 @@ class Partition:
     @classmethod
     def from_assignment(cls, assignment, ball_count: int) -> "Partition":
         """A partition from ball indices read from outside the program (a
-        sequence of ints), checked: every index lies in [0, ball_count) and
-        no ball is empty."""
+        sequence of ints), checked by `check_dense`."""
         try:
             array = np.asarray(assignment, dtype=np.int64)
         except OverflowError:  # an index beyond int64, so certainly out of range
@@ -63,13 +76,7 @@ class Partition:
             raise GraphValidationError(
                 f"node {v} mapped to invalid supernode {assignment[v]}"
             ) from None
-        bad = (array < 0) | (array >= ball_count)
-        if bad.any():
-            v = int(np.argmax(bad))
-            raise GraphValidationError(f"node {v} mapped to invalid supernode {array[v]}")
-        # more balls than nodes leaves one empty, and bounds the count below
-        if ball_count > len(array) or not np.bincount(array, minlength=ball_count).all():
-            raise GraphValidationError("supernode indices are not dense: empty supernode present")
+        check_dense(array, ball_count)
         return cls(array, ball_count)
 
 

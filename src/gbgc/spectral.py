@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import os
+import re
 
 import numpy as np
 
@@ -268,30 +269,66 @@ def eigenvalues_symmetric(
     return _eigensolve(m, with_vectors)
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+# a memory cgroup's limit, usage and the memory.stat key of its page cache
+# the kernel reclaims first, under cgroup v2 and v1 (the v1 key counts the
+# group's children too, as its usage does)
+_CGROUP_FILES = {
+    "v2": ("memory.max", "memory.current", "inactive_file"),
+    "v1": ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file"),
+}
+
+
+def _cgroup_room() -> int | None:
+    """Bytes left under this process's memory cgroup limit, counting its
+    inactive page cache as free, as MemAvailable does; None where no limit
+    can be read. A group's own directory is looked for under the
+    controller's mount, then the mount itself, which is the group when
+    the container mounts only its own."""
+    try:
+        lines = _read_text("/proc/self/cgroup").splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        _, controllers, own = line.split(":", 2)
+        if not controllers:
+            base, version = "/sys/fs/cgroup", "v2"
+        elif "memory" in controllers.split(","):
+            base, version = "/sys/fs/cgroup/memory", "v1"
+        else:
+            continue
+        limit_file, usage_file, cache_key = _CGROUP_FILES[version]
+        for group in (os.path.join(base, own.lstrip("/")), base):
+            try:
+                limit = _read_text(os.path.join(group, limit_file)).strip()
+                if limit == "max":
+                    break
+                usage = int(_read_text(os.path.join(group, usage_file)))
+                stat = _read_text(os.path.join(group, "memory.stat")).splitlines()
+                cache = dict(row.split() for row in stat).get(cache_key, 0)
+                return int(limit) - (usage - int(cache))
+            except (OSError, ValueError):
+                continue
+    return None
+
+
 def _available_bytes() -> int | None:
     """Bytes this process can still allocate: the kernel's MemAvailable,
-    or the room left under its cgroup's memory.max when that is smaller;
+    or the room left under its memory cgroup's limit when that is smaller;
     None where neither can be read."""
     found = []
     try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    found.append(int(line.split()[1]) * 1024)
-                    break
-    except (OSError, ValueError, IndexError):
+        meminfo = _read_text("/proc/meminfo")
+        found.append(int(re.search(r"^MemAvailable:\s+(\d+)", meminfo, re.M)[1]) * 1024)
+    except (OSError, TypeError):
         pass
-    try:
-        with open("/proc/self/cgroup") as fh:
-            own = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        group = os.path.join("/sys/fs/cgroup", own.lstrip("/"))
-        with open(os.path.join(group, "memory.max")) as fh:
-            limit = fh.read().strip()
-        if limit != "max":
-            with open(os.path.join(group, "memory.current")) as fh:
-                found.append(int(limit) - int(fh.read()))
-    except (OSError, ValueError, StopIteration):
-        pass
+    room = _cgroup_room()
+    if room is not None:
+        found.append(room)
     return min(found) if found else None
 
 

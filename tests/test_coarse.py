@@ -69,11 +69,17 @@ def test_projection_size_mismatch(k3):
         ([0, 0, 2], 3, "supernode indices are not dense: empty supernode present"),
     ],
 )
-def test_partition_rejects_an_invalid_projection(assignment, count, message):
-    # the check of a partition read from outside; the constructor trusts
-    # the engine's own output, which tests/test_engine.py checks dense
+def test_partition_rejects_an_invalid_projection(k3, assignment, count, message):
+    # the check of a partition read from outside, and of a caller's
+    # partition where the list adapters take it; the constructor trusts the
+    # engine's own output, which tests/test_engine_equivalence.py checks dense
     with pytest.raises(GraphValidationError, match=message):
         Partition.from_assignment(np.array(assignment, dtype=np.int64), count)
+    hand_built = Partition(np.array(assignment, dtype=np.int64), count)
+    with pytest.raises(GraphValidationError, match=message):
+        build_coarse_graph(k3, hand_built)
+    with pytest.raises(GraphValidationError, match=message):
+        build_coarse_graphs([k3, k3], [identity_partition(k3), hand_built])
 
 
 def test_coarse_identity_is_original(k3):

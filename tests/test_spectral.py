@@ -534,6 +534,61 @@ def test_a_lone_matrix_that_cannot_fit_fails_before_it_is_built(monkeypatch):
         evaluate(identity, EvalConfig())
 
 
+GIB = 1 << 30
+V2_FULL_OF_CACHE = {
+    "/proc/self/cgroup": "0::/job\n",
+    "/sys/fs/cgroup/job/memory.max": f"{GIB}\n",
+    "/sys/fs/cgroup/job/memory.current": f"{GIB}\n",
+    "/sys/fs/cgroup/job/memory.stat": f"anon 4096\nfile {GIB - 4096}\ninactive_file {GIB // 2}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "files, available",
+    [
+        # cgroup v2 whose usage is all but 4 KB page cache: the inactive
+        # half of it can be reclaimed, so it counts as available
+        (V2_FULL_OF_CACHE, GIB // 2),
+        # the same group with no inactive cache left has no room
+        ({**V2_FULL_OF_CACHE, "/sys/fs/cgroup/job/memory.stat": "anon 4096\ninactive_file 0\n"}, 0),
+        # MemAvailable, when smaller than the group's room
+        ({**V2_FULL_OF_CACHE, "/proc/meminfo": "MemTotal: 8 kB\nMemAvailable: 1000 kB\n"},
+         1000 * 1024),
+        # a v2 group without a limit, and no meminfo: unknown
+        ({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "max\n"}, None),
+        # cgroup v1, whose own group is mounted at the controller's root
+        # (its path as named is not there)
+        ({
+            "/proc/self/cgroup": "5:cpu:/\n4:memory:/docker/abc\n0::/\n",
+            "/sys/fs/cgroup/memory/memory.limit_in_bytes": "300000\n",
+            "/sys/fs/cgroup/memory/memory.usage_in_bytes": "290000\n",
+            "/sys/fs/cgroup/memory/memory.stat": "cache 200000\ninactive_file 1\n"
+                                                 "total_inactive_file 150000\n",
+        }, 160000),
+    ],
+    ids=["v2-cache", "v2-no-cache", "meminfo", "v2-unlimited", "v1-mount-root"],
+)
+def test_reclaimable_page_cache_counts_as_available(monkeypatch, files, available):
+    def read(path):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return files[path]
+
+    g = erdos_renyi(30, 4.0, seed=3)
+    cg = build_coarse_graph(g, coarsen(g, CoarsenConfig()))
+    cfg = EvalConfig(rayleigh_vectors=0)
+    want = evaluate(cg, cfg).sd
+    monkeypatch.setattr(spectral, "_read_text", read)
+    assert spectral._available_bytes() == available
+    # a lone 30 x 30 stack is checked against it, and solves when it fits
+    monkeypatch.setattr(spectral, "STACK_BYTES", 4096)
+    if available == 0:
+        with pytest.raises(GbgcError, match="rerun with --skip-sd"):
+            evaluate(cg, cfg)
+    else:
+        assert evaluate(cg, cfg).sd == want
+
+
 def test_small_stacks_never_read_the_available_memory(monkeypatch):
     def unreadable():
         raise AssertionError("read the available memory")
