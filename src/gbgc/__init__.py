@@ -6,14 +6,8 @@ well the reduction preserves structure via spectral distance and
 Rayleigh-quotient diagnostics.
 """
 
-from .coarse import CoarsenedGraph, build_coarse_graph, build_coarse_graphs
-from .dataio import (
-    CoarsenRecord,
-    DatasetBundle,
-    parse_edge_list,
-    parse_tudataset,
-    write_results,
-)
+from .coarse import CoarsenedGraph, build_coarse_graph
+from .dataio import DatasetBundle, parse_edge_list, parse_tudataset
 from .engine import (
     CoarsenConfig,
     Partition,
@@ -31,7 +25,6 @@ from .spectral import (
     SpectralReport,
     eigenvalues_symmetric,
     evaluate,
-    evaluate_many,
     laplacian,
     rayleigh_pair,
     spectral_distance,
@@ -41,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoarsenConfig",
-    "CoarsenRecord",
     "CoarsenedGraph",
     "DatasetBundle",
     "DatasetFormatError",
@@ -54,14 +46,12 @@ __all__ = [
     "SpectralReport",
     "SplitDecision",
     "build_coarse_graph",
-    "build_coarse_graphs",
     "coarsen",
     "coarsen_many",
     "default_init_target",
     "eigenvalues_symmetric",
     "erdos_renyi",
     "evaluate",
-    "evaluate_many",
     "from_edge_list",
     "init_balls",
     "laplacian",
@@ -70,5 +60,4 @@ __all__ = [
     "random_partition",
     "rayleigh_pair",
     "spectral_distance",
-    "write_results",
 ]

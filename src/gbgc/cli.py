@@ -4,7 +4,8 @@
 is one task for a process pool (`--jobs`, default from GBGC_JOBS), or runs
 in-process at `--jobs 1`, and comes back as its output text; the blocks are
 written in graph-index order, so output files are byte-identical regardless
-of parallel width.
+of parallel width. A block whose work raises is halved until the failure
+is pinned on one graph, and the other graphs are still written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -109,76 +111,54 @@ def _error_text(exc: Exception) -> str:
     return f"internal error: {type(exc).__name__}: {exc}"
 
 
-def _finish(indices, block, assignment, first_ball, prep_s, eval_cfg, skip_sd, done, failures):
-    """Finish the graphs of a block from their block-wide `assignment`:
-    build their coarse graphs and SDs at once, and append their
-    `BlockResults` to `done`. Graph i of the block has index indices[i].
+def _results(indices, block: GraphBlock, assign, eval_cfg, skip_sd: bool, done, failures):
+    """Coarse graphs and SDs of the graphs of a block, graph i of which has
+    index indices[i], appended to `done` as one `BlockResults`.
 
-    `prep_s`, the time it took to get the assignment, and the finish's own
-    time are shared out among the graphs' elapsed_micros in proportion to
-    n + m. If the finish fails, each graph is finished alone from its
-    one-graph slice, so a failure is reported, as (index, error) in
-    `failures`, for the graph that caused it.
+    `assign(indices, block)` gives their block-wide assignment and each
+    graph's first ball; the time it takes and the finish's are shared out
+    among the graphs' elapsed_micros in proportion to n + m. If anything
+    raises, each half of the block is tried on its own, down to a single
+    graph, whose (index, error) goes to `failures`: the one place a
+    failure is pinned on its graph.
     """
-    bounds = block.bounds
-    edge_count = np.diff(block.indptr[bounds]) // 2
-    sizes = np.diff(bounds) + edge_count
-    total = max(1, int(sizes.sum()))
     try:
         t0 = time.perf_counter()
+        assignment, first_ball = assign(indices, block)
         cb = coarse_block(block, assignment, first_ball)
         if skip_sd:
             sd, samples = np.full(block.graph_count, np.nan), None
         else:
             sd, samples = evaluate_block(cb, eval_cfg)
-        spent = prep_s + time.perf_counter() - t0
+        spent = time.perf_counter() - t0
     except Exception as exc:
-        if block.graph_count == 1:
+        count = block.graph_count
+        if count == 1:
             failures.append((int(indices[0]), _error_text(exc)))
             return
-        for i, share in enumerate((sizes / total).tolist()):
-            lo, hi = bounds[i : i + 2].tolist()
-            own = first_ball[i : i + 2] - first_ball[i]
-            _finish(indices[i : i + 1], block.slice(i, i + 1), assignment[lo:hi] - first_ball[i],
-                    own, prep_s * share, eval_cfg, skip_sd, done, failures)
+        half = count // 2
+        for a, b in ((0, half), (half, count)):
+            _results(indices[a:b], block.slice(a, b), assign, eval_cfg, skip_sd, done, failures)
         return
+    edge_count = np.diff(block.indptr[block.bounds]) // 2
+    sizes = np.diff(block.bounds) + edge_count
     gaps = None
     if samples is not None:
         gaps = np.array([max((s[2] for s in probes), default=np.nan) for probes in samples])
     done.append(BlockResults(
-        indices, bounds, assignment, first_ball, cb.superedges, cb.cuts, edge_count, sd,
-        (spent * sizes / total * 1e6).astype(np.int64), gaps,
+        indices, block.bounds, assignment, first_ball, cb.superedges, cb.cuts, edge_count, sd,
+        (spent * sizes / max(1, int(sizes.sum())) * 1e6).astype(np.int64), gaps,
     ))
 
 
-def _coarsen(first: int, block: GraphBlock, cfg, eval_cfg, skip_sd: bool, done, failures):
-    """Coarsen and finish the graphs of a block whose first graph has index
-    `first`, appending to `done` and `failures` as `_finish` does.
-
-    One engine call coarsens the whole block, and `_finish` builds its
-    coarse graphs and SDs. If the engine call fails, each graph is coarsened
-    alone from its one-graph slice, so a failure is reported for the graph
-    that caused it.
-    """
-    try:
-        t0 = time.perf_counter()
-        if block.graph_count > 1:
-            assignment, first_ball = coarsen_block(block, cfg)
-        else:
-            # a lone graph goes through coarsen, the one-graph entry point
-            # that perfbench's traced pass counts split decisions through
-            part = coarsen(block, cfg)
-            assignment, first_ball = part.assignment, np.array([0, part.ball_count])
-        engine_s = time.perf_counter() - t0
-    except Exception as exc:
-        if block.graph_count == 1:
-            failures.append((first, _error_text(exc)))
-            return
-        for i in range(block.graph_count):
-            _coarsen(first + i, block.slice(i, i + 1), cfg, eval_cfg, skip_sd, done, failures)
-        return
-    indices = np.arange(first, first + block.graph_count)
-    _finish(indices, block, assignment, first_ball, engine_s, eval_cfg, skip_sd, done, failures)
+def _engine(cfg: CoarsenConfig, indices, block: GraphBlock):
+    """`assign` under coarsen: one engine call on the block. A lone graph
+    goes through coarsen, the one-graph entry point that perfbench's traced
+    pass counts split decisions through."""
+    if block.graph_count > 1:
+        return coarsen_block(block, cfg)
+    part = coarsen(block, cfg)
+    return part.assignment, np.array([0, part.ball_count])
 
 
 class _Block:
@@ -206,7 +186,9 @@ def _run_block(task: _Block):
     written, in index order, as Python floats."""
     done: list[BlockResults] = []
     failures: list[tuple[int, str]] = []
-    _coarsen(task.graphs.start, task.rows(), *task.settings, done, failures)
+    cfg, eval_cfg, skip_sd = task.settings
+    indices = np.arange(task.graphs.start, task.graphs.stop)
+    _results(indices, task.rows(), partial(_engine, cfg), eval_cfg, skip_sd, done, failures)
     rows = ([], [], [])
     for res in done:
         for pieces, more in zip(rows, block_rows(res)):
@@ -301,40 +283,6 @@ def run_coarsen(args) -> int:
     return 1 if failures else 0
 
 
-def _evaluate_run(block: GraphBlock, run: range, by_index: dict, eval_cfg, done, failures):
-    """Finish the graphs of a run of indices from their mapping.jsonl rows,
-    appending to `done` and `failures` as `_finish` does. Each row is
-    checked against its graph; the graphs between two that fail are
-    finished together, from their row slice of the block."""
-    t0 = time.perf_counter()
-    sizes = np.diff(block.bounds)
-    mapped: list[tuple[int, Partition]] = []
-    for i in run:
-        row = by_index.get(i)
-        if row is None:
-            failures.append((i, "no mapping row"))
-            continue
-        try:
-            part = Partition.from_assignment(row["assignment"], row["supernode_count"])
-            check_cover(part, int(sizes[i]))
-        except Exception as exc:
-            failures.append((i, _error_text(exc)))
-            continue
-        mapped.append((i, part))
-    prep_s = time.perf_counter() - t0
-    if not mapped:
-        return
-    total = max(1, int(sizes[run.start : run.stop].sum()))
-    indices = np.array([i for i, _ in mapped], dtype=np.int64)
-    cuts = [0, *(np.flatnonzero(np.diff(indices) != 1) + 1).tolist(), len(mapped)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        a, b = int(indices[lo]), int(indices[hi - 1]) + 1
-        first_ball, assignment = block_assignment([part for _, part in mapped[lo:hi]])
-        share = prep_s * int(sizes[a:b].sum()) / total
-        _finish(indices[lo:hi], block.slice(a, b), assignment, first_ball, share, eval_cfg,
-                False, done, failures)
-
-
 def run_evaluate(args) -> int:
     """report.csv from mapping.jsonl; as under coarsen, a graph that fails
     is reported and the others are still written."""
@@ -343,11 +291,27 @@ def run_evaluate(args) -> int:
     rows = read_mapping(out_dir / "mapping.jsonl", block.graph_count)
     eval_cfg = EvalConfig(laplacian_kind=args.laplacian, sd_mode=args.sd_mode)
     by_index = {row["graph_index"]: row for row in rows}
+
+    def mapped(indices, block):
+        """`assign` under evaluate: the graphs' mapping.jsonl rows, each
+        checked against its graph, as one block-wide assignment."""
+        parts = []
+        for i, n in zip(indices.tolist(), np.diff(block.bounds).tolist()):
+            row = by_index.get(i)
+            if row is None:
+                raise GbgcError("no mapping row")
+            part = Partition.from_assignment(row["assignment"], row["supernode_count"])
+            check_cover(part, n)
+            parts.append(part)
+        first_ball, assignment = block_assignment(parts)
+        return assignment, first_ball
+
     done: list[BlockResults] = []
     failures: list[tuple[int, str]] = []
     for run in _blocks(block, 1):
-        _evaluate_run(block, run, by_index, eval_cfg, done, failures)
-    for index, err in sorted(failures):
+        indices = np.arange(run.start, run.stop)
+        _results(indices, block.slice(run.start, run.stop), mapped, eval_cfg, False, done, failures)
+    for index, err in failures:
         print(f"graph {index}: {err}", file=sys.stderr)
     write_report_csv((row for res in done for row in report_rows(res)), out_dir / "report.csv")
     sds = [x for res in done for x in res.sd.tolist()]

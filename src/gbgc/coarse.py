@@ -50,16 +50,15 @@ class CoarseBlock(NamedTuple):
     cuts: np.ndarray  # int64 first superedge of each graph, then k
 
     @classmethod
-    def join(cls, cgs: Sequence[CoarsenedGraph]) -> CoarseBlock:
-        """The coarse graphs of a caller's list as one block."""
-        first_ball, assignment = block_assignment([cg.partition for cg in cgs])
+    def of(cls, cg: CoarsenedGraph) -> CoarseBlock:
+        """One coarse graph as a block of one, of its own arrays."""
         return cls(
-            GraphBlock.join([cg.graph for cg in cgs]),
-            assignment,
-            first_ball,
-            np.concatenate([cg.superedges for cg in cgs]),
-            np.concatenate([cg.weights for cg in cgs]),
-            _offsets([len(cg.weights) for cg in cgs]),
+            GraphBlock.join([cg.graph]),
+            cg.partition.assignment,
+            _offsets([cg.supernode_count]),
+            cg.superedges,
+            cg.weights,
+            _offsets([len(cg.weights)]),
         )
 
     def coarsened(self, i: int) -> CoarsenedGraph:
@@ -122,41 +121,15 @@ def coarse_block(block: GraphBlock, assignment: np.ndarray, first_ball: np.ndarr
     return CoarseBlock(block, assignment, first_ball, superedges, weights, cuts)
 
 
-def build_coarse_graphs(
-    graphs: Sequence[Graph], parts: Sequence[Partition]
-) -> list[CoarsenedGraph]:
-    """The coarse graph of each graph under its partition: `coarse_block`
-    on the graphs joined into one block. This is where a caller's partition
-    is checked: its indices, and its length against the graph it claims to
-    cover."""
-    if len(graphs) != len(parts):
-        raise GraphValidationError(f"{len(parts)} partitions for {len(graphs)} graphs")
-    for g, p in zip(graphs, parts):
-        check_cover(p, g.n)
-    if not graphs:
-        return []
-    first_ball, assignment = block_assignment(parts)
-    # `check_dense` on all partitions at once: each graph's balls lie in its
-    # own range of the block's, and no ball is empty; the partitions are
-    # checked one by one only to name the first that fails
-    sizes = [g.n for g in graphs]
-    in_range = (assignment >= np.repeat(first_ball[:-1], sizes)) & (
-        assignment < np.repeat(first_ball[1:], sizes)
-    )
-    if not (in_range.all() and np.bincount(assignment, minlength=first_ball[-1]).all()):
-        for p in parts:
-            check_dense(p.assignment, p.ball_count)
-    cb = coarse_block(GraphBlock.join(graphs), assignment, first_ball)
-    cuts = cb.cuts.tolist()
-    return [
-        CoarsenedGraph(g, p, cb.superedges[lo:hi], cb.weights[lo:hi])
-        for g, p, lo, hi in zip(graphs, parts, cuts, cuts[1:])
-    ]
-
-
 def build_coarse_graph(g: Graph, p: Partition) -> CoarsenedGraph:
-    """The coarse graph of one graph: `build_coarse_graphs` on a block of one."""
-    return build_coarse_graphs([g], [p])[0]
+    """The coarse graph of one graph under a caller's partition:
+    `coarse_block` on a block of one. This is where a caller's partition is
+    checked: its length against the graph it claims to cover, and its
+    indices (`check_dense`)."""
+    check_cover(p, g.n)
+    check_dense(p.assignment, p.ball_count)
+    cb = coarse_block(GraphBlock.join([g]), p.assignment, _offsets([p.ball_count]))
+    return CoarsenedGraph(g, p, cb.superedges, cb.weights)
 
 
 # perfbench/tracer.py dereferences coarse.ProjectionMap, the class that held

@@ -59,29 +59,6 @@ class DatasetBundle:
         return self.block.graphs()
 
 
-@dataclass
-class CoarsenRecord:
-    """Per-graph result row as persisted to disk."""
-
-    graph_index: int
-    assignment: np.ndarray  # int64, node -> supernode, as Partition.assignment
-    supernode_count: int
-    superedges: np.ndarray  # (k, 2) int64, as CoarsenedGraph.superedges
-    sd: float
-    elapsed_micros: int
-    edge_count: int  # original edge count, needed for report.csv
-    rayleigh_gap: float | None = None  # worst gap of the Rayleigh probes, if any; not written
-
-    @property
-    def node_count(self) -> int:
-        return len(self.assignment)
-
-    @property
-    def r_a(self) -> float:
-        """Achieved coarsening ratio: supernode count over node count."""
-        return self.supernode_count / self.node_count
-
-
 class BlockResults(NamedTuple):
     """What the three result files hold for a run of graphs, as arrays.
     Graph i of the run has index graph_index[i]. Its nodes are bounds[i] ..
@@ -99,25 +76,6 @@ class BlockResults(NamedTuple):
     sd: np.ndarray  # float
     elapsed_micros: np.ndarray  # int64
     rayleigh_gap: np.ndarray | None = None  # worst probe gap of each graph, if any; not written
-
-    @classmethod
-    def of_records(cls, records: list[CoarsenRecord]) -> BlockResults:
-        """The records taken as one run of graphs."""
-        sizes = [len(rec.assignment) for rec in records]
-        first_ball = _offsets([rec.supernode_count for rec in records])
-        own = [np.asarray(rec.assignment, dtype=np.int64) for rec in records]
-        superedges = [np.asarray(rec.superedges, dtype=np.int64).reshape(-1, 2) for rec in records]
-        return cls(
-            np.array([rec.graph_index for rec in records], dtype=np.int64),
-            _offsets(sizes),
-            np.concatenate(own or [np.zeros(0, dtype=np.int64)]) + np.repeat(first_ball[:-1], sizes),
-            first_ball,
-            np.concatenate(superedges or [np.zeros((0, 2), dtype=np.int64)]),
-            _offsets([len(edges) for edges in superedges]),
-            np.array([rec.edge_count for rec in records], dtype=np.int64),
-            np.array([rec.sd for rec in records], dtype=float),
-            np.array([rec.elapsed_micros for rec in records], dtype=np.int64),
-        )
 
     @property
     def r_a(self) -> np.ndarray:
@@ -626,11 +584,6 @@ def block_rows(res: BlockResults) -> tuple[list[str], list[str], list[str]]:
     return _mapping_rows(res), _edge_rows(res), report_rows(res)
 
 
-def result_rows(records: list[CoarsenRecord]) -> tuple[list[str], list[str], list[str]]:
-    """`block_rows` of the records taken as one run of graphs."""
-    return block_rows(BlockResults.of_records(records))
-
-
 def write_report_csv(rows: Iterable[str], path: str | Path) -> None:
     """Fixed-schema per-graph report of `report_rows` pieces, replaced whole."""
     with _replacing(path) as fh:
@@ -640,7 +593,7 @@ def write_report_csv(rows: Iterable[str], path: str | Path) -> None:
 
 def write_result_blocks(blocks: Iterable[tuple[list[str], ...]], out_dir: str | Path) -> None:
     """Emit mapping.jsonl, coarse_edges.txt and report.csv under out_dir
-    from the `result_rows` of each block of graphs, appended as the block
+    from the `block_rows` of each block of graphs, appended as the block
     arrives. The three files are renamed into place together after the
     last block; if anything fails before, the temporary files are removed
     and the previous files stay as they were."""
@@ -658,13 +611,6 @@ def write_result_blocks(blocks: Iterable[tuple[list[str], ...]], out_dir: str | 
                     fh.writelines(pieces)
     except OSError as exc:
         raise DatasetFormatError(f"failed writing results: {exc}", out_dir) from exc
-
-
-def write_results(records: list[CoarsenRecord], out_dir: str | Path) -> None:
-    """Emit mapping.jsonl, coarse_edges.txt and report.csv under out_dir for
-    the records, as one block."""
-    # formatted inside the writer, so a failure to format fails it too
-    write_result_blocks(map(result_rows, [records]), out_dir)
 
 
 def _is_int(value) -> bool:

@@ -56,7 +56,7 @@ class Partition:
     form: node v's row has its one 1 in column assignment[v]. The
     constructor trusts its arguments, as the engine's own output is a dense
     cover by construction; `from_assignment` checks ball indices read from
-    outside the program, and `build_coarse_graphs` a caller's partition.
+    outside the program, and `build_coarse_graph` a caller's partition.
     """
 
     __slots__ = ("assignment", "ball_count")

@@ -197,17 +197,17 @@ def laplacian(g: Graph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
 
 def projected_laplacian(cg: CoarsenedGraph) -> np.ndarray:
     """Dense t x t C^T L C (see `_projected_laplacians`)."""
-    return _one(_projected_laplacians(CoarseBlock.join([cg])))
+    return _one(_projected_laplacians(CoarseBlock.of(cg)))
 
 
 def superedge_laplacian(cg: CoarsenedGraph, kind: LaplacianKind = "combinatorial") -> np.ndarray:
     """Dense Laplacian of the unweighted graph whose edges are the superedges."""
-    return _one(_superedge_laplacians(CoarseBlock.join([cg]), kind))
+    return _one(_superedge_laplacians(CoarseBlock.of(cg), kind))
 
 
 def projected_normalized_laplacian(cg: CoarsenedGraph) -> np.ndarray:
     """Dense t x t C^T L_norm C (see `_projected_normalized_laplacians`)."""
-    return _one(_projected_normalized_laplacians(CoarseBlock.join([cg])))
+    return _one(_projected_normalized_laplacians(CoarseBlock.of(cg)))
 
 
 def _check_symmetric(m: np.ndarray) -> None:
@@ -522,24 +522,8 @@ def evaluate_block(cb: CoarseBlock, cfg: EvalConfig) -> tuple[np.ndarray, list |
     return sds, samples
 
 
-def evaluate_many(
-    cgs: Sequence[CoarsenedGraph], cfg: EvalConfig | None = None
-) -> list[SpectralReport]:
-    """Spectral distance plus Rayleigh diagnostics for each coarsening of a
-    caller's list: `evaluate_block` on the coarse graphs joined into one
-    block. Each report is the one its coarse graph gets alone, bit for bit."""
-    cfg = cfg or EvalConfig()
-    if not cgs:
-        return []
-    sds, samples = evaluate_block(CoarseBlock.join(cgs), cfg)
-    if samples is None:
-        samples = [[] for _ in cgs]
-    return [
-        SpectralReport(sd=sd, rayleigh_samples=probes)
-        for sd, probes in zip(sds.tolist(), samples)
-    ]
-
-
 def evaluate(cg: CoarsenedGraph, cfg: EvalConfig | None = None) -> SpectralReport:
-    """`evaluate_many` on a block of one coarse graph."""
-    return evaluate_many([cg], cfg)[0]
+    """Spectral distance plus Rayleigh diagnostics of one coarsening:
+    `evaluate_block` on a block of one."""
+    sds, samples = evaluate_block(CoarseBlock.of(cg), cfg or EvalConfig())
+    return SpectralReport(float(sds[0]), samples[0] if samples is not None else [])

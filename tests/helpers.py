@@ -13,7 +13,9 @@ the package itself keeps only a partition's assignment. `balls`,
 independence: they score balls, or split one once, through the package's
 own kernels, so the tests can compare them with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
-vectorized ones. The reference evaluation keeps `evaluate` as it was before
+vectorized ones, and the reference writer formats the three result files
+graph by graph with `json.dumps` and f-strings, as the oracle for the
+package's block formatter. The reference evaluation keeps `evaluate` as it was before
 it solved the original spectrum first, with the Laplacian scaled by out-of-place
 products, as the oracle for the reordered one. Its coarse matrices come from
 the builders that preceded the package's single dense Laplacian builder: C^T L C
@@ -23,6 +25,7 @@ triangle and added to its transpose.
 """
 
 import heapq
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -604,6 +607,24 @@ def reference_parse_tudataset(directory, name):
         pass
     graphs = [_reference_graph(node_counts[i], edge_lists[i]) for i in range(graph_count)]
     return graphs, labels
+
+
+def write_reference_results(graphs, out_dir):
+    """mapping.jsonl, coarse_edges.txt and report.csv under out_dir, each
+    graph's rows formatted on their own. A graph is (index, assignment,
+    supernode_count, superedges, edge_count, sd, elapsed_micros)."""
+    mapping, edges, report = [], [], ["graph_index,n,e,n_bar,e_bar,r_a,sd,elapsed_micros\n"]
+    for index, assignment, t, superedges, m, sd, elapsed in graphs:
+        assignment = [int(a) for a in assignment]
+        row = {"graph_index": index, "assignment": assignment, "supernode_count": t}
+        mapping.append(json.dumps(row, separators=(",", ":")) + "\n")
+        edges.append(f"graph {index}\n" + "".join(f"{a} {b}\n" for a, b in superedges.tolist()))
+        n = len(assignment)
+        report.append(f"{index},{n},{m},{t},{len(superedges)},{t / n:.6f},{sd:.6f},{elapsed}\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, lines in (("mapping.jsonl", mapping), ("coarse_edges.txt", edges),
+                        ("report.csv", report)):
+        (out_dir / name).write_text("".join(lines))
 
 
 def plain(g: Graph):

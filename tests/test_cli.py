@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -12,20 +13,20 @@ import pytest
 import gbgc.cli as cli
 from gbgc import (
     CoarsenConfig,
-    CoarsenRecord,
     CoarsenedGraph,
     DatasetBundle,
     EvalConfig,
     Graph,
     Partition,
+    SpectralReport,
     build_coarse_graph,
     coarsen,
     evaluate,
     parse_tudataset,
-    write_results,
 )
 import gbgc.spectral as spectral
 from gbgc.graph import GraphBlock
+from helpers import write_reference_results
 from tests_support import (
     synthetic_graphs,
     write_barbell_edgelist,
@@ -359,6 +360,33 @@ def test_evaluate_reports_a_failing_graph_and_writes_the_rest(
     assert report[0]["sd"] == sd_0
 
 
+def test_evaluate_pins_each_of_several_bad_rows_in_one_block(tmp_path, capsys):
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 0
+    assert run(["evaluate", "--input", str(data), "--output", str(out)]) == 0
+
+    def report_but_elapsed():
+        return [row.rsplit(",", 1)[0] for row in (out / "report.csv").read_text().splitlines()[1:]]
+
+    clean = report_but_elapsed()
+    rows = [json.loads(line) for line in (out / "mapping.jsonl").read_text().splitlines()]
+    t_30 = rows[30]["supernode_count"]
+    rows[7]["assignment"].append(0)
+    rows[30]["assignment"][0] = t_30
+    del rows[12]
+    (out / "mapping.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run(["evaluate", "--input", str(data), "--output", str(out)]) == 1
+    n_7 = synthetic_graphs(40)[7].n
+    assert capsys.readouterr().err == (
+        f"graph 7: assignment length {n_7 + 1} does not match graph with {n_7} nodes\n"
+        "graph 12: no mapping row\n"
+        f"graph 30: node 0 mapped to invalid supernode {t_30}\n"
+    )
+    assert report_but_elapsed() == [row for i, row in enumerate(clean) if i not in (7, 12, 30)]
+
+
 @pytest.mark.parametrize("flag", [["--skip-sd"], ["--jobs", "2"]])
 def test_evaluate_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -522,7 +550,9 @@ def test_dead_worker_is_an_error_and_keeps_previous_outputs(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_outputs_are_write_results_of_the_library_records(tmp_path, monkeypatch, capsys, jobs):
+def test_outputs_are_the_reference_files_of_the_library_results(
+    tmp_path, monkeypatch, capsys, jobs
+):
     real_evaluate_block = cli.evaluate_block
     culprit = 19  # the only synthetic graph of the 40 with 20 nodes
 
@@ -540,27 +570,51 @@ def test_outputs_are_write_results_of_the_library_records(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err == f"graph {culprit}: internal error: RuntimeError: boom\n"
 
-    # the library's records of the other graphs, each coarsened and evaluated
-    # alone; elapsed_micros is a timing, so it is taken from the CLI's report
+    # the library's results for the other graphs, each coarsened and
+    # evaluated alone, written by the reference writer; elapsed_micros is a
+    # timing, so it is taken from the CLI's report
     elapsed = {int(row["graph_index"]): int(row["elapsed_micros"]) for row in read_report(out)}
-    records = []
+    graphs = []
     for i, g in enumerate(parse_tudataset(data, "SYN").graphs):
         if i == culprit:
             continue
         cg = build_coarse_graph(g, coarsen(g, CoarsenConfig()))
         sd = evaluate(cg, EvalConfig(rayleigh_vectors=0)).sd
-        records.append(CoarsenRecord(
-            i, cg.partition.assignment, cg.supernode_count, cg.superedges, sd, elapsed[i],
-            g.edge_count,
-        ))
-    write_results(records, tmp_path / "library")
+        graphs.append((i, cg.partition.assignment, cg.supernode_count, cg.superedges,
+                       g.edge_count, sd, elapsed[i]))
+    write_reference_results(graphs, tmp_path / "library")
     for name in RESULT_FILES:
         assert (out / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
-    mean_ra = sum(r.r_a for r in records) / len(records)
-    mean_sd = sum(r.sd for r in records) / len(records)
+    mean_ra = sum(t / len(a) for _, a, t, *_ in graphs) / len(graphs)
+    mean_sd = sum(sd for *_, sd, _ in graphs) / len(graphs)
     summary, total = captured.out.rsplit(" total_s=", 1)
     assert summary == f"graphs=39 mean_r_a={mean_ra:.6f} mean_sd={mean_sd:.6f}"
     assert float(total) >= 0
+
+
+def test_a_failing_graph_is_found_by_halving_its_block(tmp_path, monkeypatch, capsys):
+    real_evaluate_block = cli.evaluate_block
+    culprit = 19  # the only synthetic graph of the 40 with 20 nodes
+    sizes = []
+
+    def evaluate_block_failing_on_culprit(cb, cfg):
+        sizes.append(cb.block.graph_count)
+        if (np.diff(cb.block.bounds) == 20).any():
+            raise RuntimeError("boom")
+        return real_evaluate_block(cb, cfg)
+
+    monkeypatch.setattr(cli, "evaluate_block", evaluate_block_failing_on_culprit)
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == f"graph {culprit}: internal error: RuntimeError: boom\n"
+    assert sizes[0] == 40  # at --jobs 1 the 40 graphs are one block
+    # two halves a level, down to the culprit alone; graph by graph would be 41
+    assert len(sizes) <= 2 * math.ceil(math.log2(40)) + 1
+    written = [int(row["graph_index"]) for row in read_report(out)]
+    assert written == [i for i in range(40) if i != culprit]
+    mapping = (out / "mapping.jsonl").read_text().splitlines()
+    assert [json.loads(line)["graph_index"] for line in mapping] == written
 
 
 def test_a_block_travels_as_one_union_and_comes_back_as_text(tmp_path):
@@ -610,7 +664,7 @@ def test_coarsen_never_reads_the_per_graph_views(tmp_path, monkeypatch, jobs):
 def test_a_multi_graph_block_makes_no_per_graph_object(tmp_path, monkeypatch):
     data = write_synthetic_tud(tmp_path / "SYN", 40)
     made = collections.Counter()
-    for cls in (Graph, Partition, CoarsenedGraph, CoarsenRecord):
+    for cls in (Graph, Partition, CoarsenedGraph, SpectralReport):
         def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
             if type(self) is _cls:  # a GraphBlock is a Graph, one per block
                 made[_cls.__name__] += 1
@@ -621,9 +675,10 @@ def test_a_multi_graph_block_makes_no_per_graph_object(tmp_path, monkeypatch):
     assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 0
     assert len(read_report(out)) == 40
     assert made == {}
-    # the library's list calls are adapters, so they do make them
-    coarsen(parse_tudataset(data, "SYN").graphs[0], CoarsenConfig())
-    assert made["Graph"] == 40 and made["Partition"] == 1
+    # the library's one-graph calls do make them, one of each
+    g = parse_tudataset(data, "SYN").graphs[0]
+    evaluate(build_coarse_graph(g, coarsen(g, CoarsenConfig())), EvalConfig(rayleigh_vectors=0))
+    assert made == {"Graph": 40, "Partition": 1, "CoarsenedGraph": 1, "SpectralReport": 1}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

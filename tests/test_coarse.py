@@ -5,10 +5,10 @@ import pytest
 
 from gbgc import (
     CoarsenConfig,
+    GraphBlock,
     GraphValidationError,
     Partition,
     build_coarse_graph,
-    build_coarse_graphs,
     coarsen,
     coarsen_many,
     erdos_renyi,
@@ -16,6 +16,7 @@ from gbgc import (
     laplacian,
     random_partition,
 )
+from gbgc.coarse import block_assignment, coarse_block
 from gbgc.spectral import (
     projected_laplacian,
     projected_normalized_laplacian,
@@ -71,15 +72,13 @@ def test_projection_size_mismatch(k3):
 )
 def test_partition_rejects_an_invalid_projection(k3, assignment, count, message):
     # the check of a partition read from outside, and of a caller's
-    # partition where the list adapters take it; the constructor trusts the
+    # partition where build_coarse_graph takes it; the constructor trusts the
     # engine's own output, which tests/test_engine_equivalence.py checks dense
     with pytest.raises(GraphValidationError, match=message):
         Partition.from_assignment(np.array(assignment, dtype=np.int64), count)
     hand_built = Partition(np.array(assignment, dtype=np.int64), count)
     with pytest.raises(GraphValidationError, match=message):
         build_coarse_graph(k3, hand_built)
-    with pytest.raises(GraphValidationError, match=message):
-        build_coarse_graphs([k3, k3], [identity_partition(k3), hand_built])
 
 
 def test_coarse_identity_is_original(k3):
@@ -196,11 +195,15 @@ def test_sparse_build_matches_reference_er_suite():
 
 
 def assert_block_matches_reference(graphs, parts):
-    cgs = build_coarse_graphs(graphs, parts)
-    assert len(cgs) == len(graphs)
-    for g, part, cg in zip(graphs, parts, cgs):
+    first_ball, assignment = block_assignment(parts)
+    cb = coarse_block(GraphBlock.join(graphs), assignment, first_ball)
+    assert cb.block.graph_count == len(graphs)
+    for i, (g, part) in enumerate(zip(graphs, parts)):
+        cg = cb.coarsened(i)
         superedges, weights, _ = reference_coarse_graph(g, part)
-        assert cg.graph is g and cg.partition is part
+        assert cg.graph == GraphBlock.join([g])
+        assert np.array_equal(cg.partition.assignment, part.assignment)
+        assert cg.supernode_count == part.ball_count
         assert cg.superedges.dtype == np.int64 and cg.weights.dtype == np.int64
         assert np.array_equal(cg.superedges, np.array(superedges, dtype=np.int64).reshape(-1, 2))
         assert np.array_equal(cg.weights, np.array(weights, dtype=np.int64))
@@ -222,17 +225,6 @@ def test_block_build_matches_reference(graphs):
     # every producer in one block, one-ball partitions (no superedge) among them
     mixed = [list(partitions_to_check(g))[i % 7] for i, g in enumerate(graphs[:60])]
     assert_block_matches_reference(graphs[:60], mixed)
-
-
-def test_block_build_checks_each_partition_length(k3, barbell):
-    parts = [partition_of(k3, [[0, 1, 2]]), partition_of(k3, [[0, 1, 2]])]
-    with pytest.raises(
-        GraphValidationError, match="assignment length 3 does not match graph with 6 nodes"
-    ):
-        build_coarse_graphs([k3, barbell], parts)
-    with pytest.raises(GraphValidationError, match="1 partitions for 2 graphs"):
-        build_coarse_graphs([k3, barbell], parts[:1])
-    assert build_coarse_graphs([], []) == []
 
 
 def test_normalized_projection_isolated_nodes():

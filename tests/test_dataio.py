@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gbgc import (
-    CoarsenRecord,
     DatasetFormatError,
     Partition,
     build_coarse_graph,
@@ -15,14 +14,13 @@ from gbgc import (
     from_edge_list,
     parse_edge_list,
     parse_tudataset,
-    write_results,
 )
 import gbgc.dataio as dataio
 from gbgc.dataio import (
     BlockResults,
+    block_rows,
     read_mapping,
     report_rows,
-    result_rows,
     write_edge_list,
     write_report_csv,
     write_result_blocks,
@@ -124,24 +122,33 @@ def test_edge_list_round_trip(tmp_path):
         assert parse_edge_list(path) == g
 
 
+def ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
 def test_write_results_report_row(tmp_path):
-    rec = CoarsenRecord(
-        graph_index=0,
-        assignment=[0, 0],
-        supernode_count=1,
-        superedges=[],
-        sd=2.0,
-        elapsed_micros=123,
-        edge_count=1,
+    res = BlockResults(
+        graph_index=ints(0),
+        bounds=ints(0, 2),
+        assignment=ints(0, 0),
+        first_ball=ints(0, 1),
+        superedges=np.zeros((0, 2), dtype=np.int64),
+        cuts=ints(0, 0),
+        edge_count=ints(1),
+        sd=np.array([2.0]),
+        elapsed_micros=ints(123),
     )
-    write_results([rec], tmp_path)
+    write_result_blocks([block_rows(res)], tmp_path)
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "graph_index,n,e,n_bar,e_bar,r_a,sd,elapsed_micros"
     assert lines[1] == "0,2,1,1,0,0.500000,2.000000,123"
 
 
 def test_write_results_empty(tmp_path):
-    write_results([], tmp_path)
+    empty = ints()
+    res = BlockResults(empty, ints(0), empty, ints(0), np.zeros((0, 2), dtype=np.int64),
+                       ints(0), empty, np.zeros(0), empty)
+    write_result_blocks([block_rows(res)], tmp_path)
     assert (tmp_path / "report.csv").read_text().splitlines() == [
         "graph_index,n,e,n_bar,e_bar,r_a,sd,elapsed_micros"
     ]
@@ -150,16 +157,18 @@ def test_write_results_empty(tmp_path):
 
 
 def test_write_results_barbell_mapping(tmp_path):
-    rec = CoarsenRecord(
-        graph_index=0,
-        assignment=[0, 0, 0, 1, 1, 1],
-        supernode_count=2,
-        superedges=[(0, 1)],
-        sd=5.809801,
-        elapsed_micros=10,
-        edge_count=7,
+    res = BlockResults(
+        graph_index=ints(0),
+        bounds=ints(0, 6),
+        assignment=ints(0, 0, 0, 1, 1, 1),
+        first_ball=ints(0, 2),
+        superedges=ints(0, 1).reshape(1, 2),
+        cuts=ints(0, 1),
+        edge_count=ints(7),
+        sd=np.array([5.809801]),
+        elapsed_micros=ints(10),
     )
-    write_results([rec], tmp_path)
+    write_result_blocks([block_rows(res)], tmp_path)
     row = json.loads((tmp_path / "mapping.jsonl").read_text())
     assert row == {"graph_index": 0, "assignment": [0, 0, 0, 1, 1, 1], "supernode_count": 2}
     assert (tmp_path / "coarse_edges.txt").read_text() == "graph 0\n0 1\n"
@@ -167,24 +176,25 @@ def test_write_results_barbell_mapping(tmp_path):
 
 
 def test_report_csv_parse_back(tmp_path):
-    records = [
-        CoarsenRecord(
-            graph_index=i,
-            assignment=[0] * 4,
-            supernode_count=1,
-            superedges=[],
-            sd=1.234567 + i,
-            elapsed_micros=i,
-            edge_count=3,
-        )
-        for i in range(3)
-    ]
-    write_results(records, tmp_path)
+    # three graphs of 4 nodes in one ball each, with 3 edges and no superedge
+    sds = 1.234567 + np.arange(3)
+    res = BlockResults(
+        graph_index=ints(0, 1, 2),
+        bounds=4 * ints(0, 1, 2, 3),
+        assignment=np.repeat(ints(0, 1, 2), 4),
+        first_ball=ints(0, 1, 2, 3),
+        superedges=np.zeros((0, 2), dtype=np.int64),
+        cuts=ints(0, 0, 0, 0),
+        edge_count=ints(3, 3, 3),
+        sd=sds,
+        elapsed_micros=ints(0, 1, 2),
+    )
+    write_result_blocks([block_rows(res)], tmp_path)
     lines = (tmp_path / "report.csv").read_text().splitlines()[1:]
-    for rec, line in zip(records, lines):
+    for sd, line in zip(sds.tolist(), lines):
         fields = line.split(",")
-        assert float(fields[5]) == float(f"{rec.r_a:.6f}")
-        assert float(fields[6]) == float(f"{rec.sd:.6f}")
+        assert float(fields[5]) == float(f"{1 / 4:.6f}")
+        assert float(fields[6]) == float(f"{sd:.6f}")
 
 
 @pytest.mark.parametrize(
@@ -237,20 +247,25 @@ def test_read_mapping_rejects_duplicate_or_unknown_index(tmp_path, rows, bad_lin
     assert f"mapping.jsonl:{bad_line}: {message}" in str(exc.value)
 
 
-def make_record(index, sd=0.5):
-    return CoarsenRecord(
-        graph_index=index,
-        assignment=[0, 0, 1],
-        supernode_count=2,
-        superedges=[(0, 1)],
-        sd=sd,
-        elapsed_micros=1,
-        edge_count=2,
+def make_results(*indices, sd=0.5):
+    """Graphs `indices`, each of 3 nodes in balls [0, 0, 1] with 2 edges
+    and the one superedge (0, 1), as one run of graphs."""
+    k = len(indices)
+    return BlockResults(
+        graph_index=ints(*indices),
+        bounds=3 * np.arange(k + 1),
+        assignment=np.tile(ints(0, 0, 1), k) + np.repeat(2 * np.arange(k), 3),
+        first_ball=2 * np.arange(k + 1),
+        superedges=np.tile(ints(0, 1), (k, 1)),
+        cuts=np.arange(k + 1),
+        edge_count=np.full(k, 2, dtype=np.int64),
+        sd=np.full(k, sd),
+        elapsed_micros=np.ones(k, dtype=np.int64),
     )
 
 
 def test_write_results_failure_keeps_previous_files(tmp_path):
-    write_results([make_record(0), make_record(1)], tmp_path)
+    write_result_blocks([block_rows(make_results(0, 1))], tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     calls = []
 
@@ -259,11 +274,12 @@ def test_write_results_failure_keeps_previous_files(tmp_path):
             calls.append(self)
             raise OSError("no space left on device")
 
-    failing = make_record(6)
-    failing.assignment = FailingAssignment(failing.assignment)
+    good = make_results(5)
+    failing = make_results(6)._replace(assignment=FailingAssignment([0, 0, 1]))
+    # formatted inside the writer, so a failure to format fails it too
     with pytest.raises(DatasetFormatError, match="no space left"):
-        write_results([make_record(5), failing], tmp_path)
-    assert len(calls) == 1  # failed on the second row of mapping.jsonl
+        write_result_blocks(map(block_rows, [good, failing]), tmp_path)
+    assert len(calls) == 1  # failed on the second block's mapping.jsonl rows
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -272,7 +288,7 @@ def test_write_report_csv_failure_keeps_previous_report(tmp_path):
         for i in indices:
             if i is None:
                 raise OSError("no space left on device")
-            yield from report_rows(BlockResults.of_records([make_record(i)]))
+            yield from report_rows(make_results(i))
 
     path = tmp_path / "report.csv"
     write_report_csv(rows(0), path)
@@ -285,12 +301,12 @@ def test_write_report_csv_failure_keeps_previous_report(tmp_path):
 
 
 def test_streamed_write_of_a_failing_block_keeps_previous_files(tmp_path):
-    write_results([make_record(0), make_record(1)], tmp_path)
+    write_result_blocks([block_rows(make_results(0, 1))], tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     def blocks():
-        yield result_rows([make_record(5)])
-        yield result_rows([make_record(6)])
+        yield block_rows(make_results(5))
+        yield block_rows(make_results(6))
         raise RuntimeError("block failed")
 
     with pytest.raises(RuntimeError, match="block failed"):
@@ -299,7 +315,7 @@ def test_streamed_write_of_a_failing_block_keeps_previous_files(tmp_path):
 
 
 def test_streamed_write_failing_on_disk_keeps_previous_files(tmp_path, monkeypatch):
-    write_results([make_record(0), make_record(1)], tmp_path)
+    write_result_blocks([block_rows(make_results(0, 1))], tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     written = []
 
@@ -326,19 +342,20 @@ def test_streamed_write_failing_on_disk_keeps_previous_files(tmp_path, monkeypat
 
     monkeypatch.setattr(dataio, "open", lambda path, mode: FillingFile(open(path, mode)),
                         raising=False)
-    blocks = map(result_rows, [[make_record(5)], [make_record(6)]])
+    blocks = map(block_rows, [make_results(5), make_results(6)])
     with pytest.raises(DatasetFormatError, match="No space left on device"):
         write_result_blocks(blocks, tmp_path)
     assert len(written) == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_streamed_blocks_write_what_write_results_writes(tmp_path):
-    records = [make_record(i, sd=0.25 * i) for i in range(7)]
-    write_results(records, tmp_path / "whole")
-    write_result_blocks(
-        map(result_rows, [records[:2], [], records[2:3], records[3:]]), tmp_path / "blocks"
-    )
+def test_streamed_blocks_write_what_one_block_writes(tmp_path):
+    def run(graphs: range):
+        return make_results(*graphs, sd=0.25 * np.array(graphs))
+
+    write_result_blocks([block_rows(run(range(7)))], tmp_path / "whole")
+    runs = [range(0, 2), range(2, 2), range(2, 3), range(3, 7)]
+    write_result_blocks((block_rows(run(graphs)) for graphs in runs), tmp_path / "blocks")
     for name in ("mapping.jsonl", "coarse_edges.txt", "report.csv"):
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
 
@@ -598,14 +615,19 @@ def test_coarse_edges_in_several_write_blocks_match_per_pair_loop(tmp_path):
     part = Partition(np.arange(n), n)
     cg = build_coarse_graph(g, part)
     assert 2 * len(cg.superedges) == 2 * n > 2 * dataio._WRITE_VALUES
-    records = [
-        CoarsenRecord(
-            i, part.assignment, n, cg.superedges, sd=0.0, elapsed_micros=0,
-            edge_count=g.edge_count,
-        )
-        for i in range(2)
-    ]
-    write_results(records, tmp_path)
+    k = len(cg.superedges)
+    res = BlockResults(
+        graph_index=ints(0, 1),
+        bounds=n * ints(0, 1, 2),
+        assignment=np.arange(2 * n),  # graph 1's balls follow graph 0's
+        first_ball=n * ints(0, 1, 2),
+        superedges=np.concatenate([cg.superedges, cg.superedges]),
+        cuts=k * ints(0, 1, 2),
+        edge_count=ints(g.edge_count, g.edge_count),
+        sd=np.zeros(2),
+        elapsed_micros=ints(0, 0),
+    )
+    write_result_blocks([block_rows(res)], tmp_path)
     expected = "".join(
         f"graph {i}\n" + "".join(f"{a} {b}\n" for a, b in g.edges) for i in range(2)
     )

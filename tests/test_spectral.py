@@ -13,13 +13,10 @@ from gbgc import (
     GraphValidationError,
     Partition,
     build_coarse_graph,
-    build_coarse_graphs,
     coarsen,
-    coarsen_many,
     eigenvalues_symmetric,
     erdos_renyi,
     evaluate,
-    evaluate_many,
     from_edge_list,
     laplacian,
     rayleigh_pair,
@@ -29,7 +26,7 @@ from gbgc import (
 import gbgc.spectral as spectral
 from gbgc.coarse import coarse_block
 from gbgc.engine import coarsen_block
-from gbgc.spectral import STACK_BYTES, SYMMETRY_BLOCK_BYTES, SYMMETRY_RTOL
+from gbgc.spectral import STACK_BYTES, SYMMETRY_BLOCK_BYTES, SYMMETRY_RTOL, evaluate_block
 from helpers import (
     adjacency_matrix,
     charpoly_eigenvalues,
@@ -359,10 +356,11 @@ def test_evaluate_holds_one_dense_original_matrix(kind, mode, probes):
 
 def test_finishing_a_block_of_small_graphs_holds_one_stack():
     graphs = synthetic_graphs(2_000)  # about 60k nodes, a block the CLI would make
-    parts = coarsen_many(graphs, CoarsenConfig())
+    block = GraphBlock.join(graphs)
+    assignment, first_ball = coarsen_block(block, CoarsenConfig())
     tracemalloc.start()
     try:
-        evaluate_many(build_coarse_graphs(graphs, parts), EvalConfig(rayleigh_vectors=0))
+        evaluate_block(coarse_block(block, assignment, first_ball), EvalConfig(rayleigh_vectors=0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -371,51 +369,51 @@ def test_finishing_a_block_of_small_graphs_holds_one_stack():
 
 @pytest.fixture(scope="module")
 def coarsened_blocks():
-    """(graphs, partitions, coarse graphs) of mixed-size blocks: every fifth
-    graph of the ER suite with the isolated-node graph, 120 synthetic
-    graphs, and a block of one."""
+    """(graphs, their CoarseBlock) of mixed-size blocks: every fifth graph
+    of the ER suite with the isolated-node graph, 120 synthetic graphs, and
+    a block of one."""
     blocks = []
     for graphs in (
         [*er_suite()[::5], isolated_graph()],
         synthetic_graphs(120),
         [er_suite()[77]],
     ):
+        block = GraphBlock.join(graphs)
         for coarsen_cfg in (CoarsenConfig(), CoarsenConfig(mode="ratio", ratio=0.3)):
-            parts = coarsen_many(graphs, coarsen_cfg)
-            blocks.append((graphs, parts, build_coarse_graphs(graphs, parts)))
+            blocks.append((graphs, coarse_block(block, *coarsen_block(block, coarsen_cfg))))
     return blocks
 
 
 @pytest.mark.parametrize("stack_bytes", [STACK_BYTES, 4_096], ids=["one-chunk", "chunked"])
 @pytest.mark.parametrize("probes", [0, 16])
 @pytest.mark.parametrize("kind, mode", MODES)
-def test_evaluate_many_matches_each_graph_alone(
+def test_evaluate_block_matches_each_graph_alone(
     monkeypatch, coarsened_blocks, kind, mode, probes, stack_bytes
 ):
     # 4 KB holds five 10 x 10 matrices, so a size group of the synthetic
     # block is built and solved in several stacks
     monkeypatch.setattr(spectral, "STACK_BYTES", stack_bytes)
     cfg = EvalConfig(kind, mode, rayleigh_vectors=probes)
-    for graphs, parts, cgs in coarsened_blocks:
-        reports = evaluate_many(cgs, cfg)
-        assert len(reports) == len(cgs)
-        for g, part, cg, got in zip(graphs, parts, cgs, reports):
+    for graphs, cb in coarsened_blocks:
+        sds, samples = evaluate_block(cb, cfg)
+        assert len(sds) == len(graphs)
+        assert (samples is None) == (probes == 0)
+        for i, g in enumerate(graphs):
+            part = cb.coarsened(i).partition
+            cg = build_coarse_graph(g, part)
+            got = samples[i] if samples is not None else []
             want = reference_evaluate(g, cg, part, cfg)
-            assert got.sd == want.sd
+            assert sds[i] == want.sd
             # the probes sum over edges where the reference multiplies dense
             # matrices, so the quotients agree to rounding; a null-space
             # probe's quotients are rounding noise (about 1e-31), and so is
             # its gap. Alone, through the same sums, every sample is equal.
-            assert len(got.rayleigh_samples) == len(want.rayleigh_samples)
-            for sample, expected in zip(got.rayleigh_samples, want.rayleigh_samples):
+            assert len(got) == len(want.rayleigh_samples)
+            for sample, expected in zip(got, want.rayleigh_samples):
                 assert sample[:2] == pytest.approx(expected[:2], rel=1e-12, abs=1e-12)
             alone = evaluate(cg, cfg)
-            assert got.sd == alone.sd
-            assert got.rayleigh_samples == alone.rayleigh_samples
-
-
-def test_evaluate_many_of_no_graphs():
-    assert evaluate_many([]) == []
+            assert sds[i] == alone.sd
+            assert got == alone.rayleigh_samples
 
 
 def test_stacked_symmetry_check_judges_each_matrix():
@@ -594,9 +592,10 @@ def test_small_stacks_never_read_the_available_memory(monkeypatch):
         raise AssertionError("read the available memory")
 
     monkeypatch.setattr(spectral, "_available_bytes", unreadable)
-    graphs = synthetic_graphs(40)
-    cgs = build_coarse_graphs(graphs, coarsen_many(graphs, CoarsenConfig()))
-    assert len(evaluate_many(cgs, EvalConfig())) == 40
+    block = GraphBlock.join(synthetic_graphs(40))
+    cb = coarse_block(block, *coarsen_block(block, CoarsenConfig()))
+    sds, samples = evaluate_block(cb, EvalConfig())
+    assert len(sds) == len(samples) == 40
 
 
 def test_the_available_memory_is_a_count_of_bytes_or_unknown():

@@ -15,23 +15,21 @@ graph, so no cache built by one stage helps another. Stages: generate_s
 engine: `coarsen`) and coarse_graph_s (`build_coarse_graph`).
 
 tu-N is N graphs of 10-50 nodes shaped like the benchmark's `tu_many_small`
-(seed 0), split into the blocks `gbgc coarsen --jobs 1` makes. Its stages
-are generate_s, coarsen_s (`coarsen_many` per block), coarse_graph_s,
-sd_s (the SD without probes, as `coarsen` computes it) and write_s
-(formatting and writing the three output files into a temporary
-directory; bytes_written is their size). A checkout with
-`build_coarse_graphs` and `evaluate_many` finishes each block with them;
-an older one finishes graph by graph. A checkout with
-`dataio.write_result_blocks` writes block by block from each block's
-`result_rows`; an older one writes all records with `write_results`.
-Two more stages time what `gbgc coarsen --jobs 2` does, without the pool:
+(seed 0), joined into one `GraphBlock` and cut into the row slices
+`gbgc coarsen --jobs 1` makes. Its stages time the block functions the CLI
+runs on each slice: generate_s, coarsen_s (`engine.coarsen_block`),
+coarse_graph_s (`coarse.coarse_block`), sd_s (`spectral.evaluate_block`
+without probes, as `coarsen` computes the SD) and write_s (`dataio.block_rows`
+of each slice's `BlockResults`, streamed by `dataio.write_result_blocks`
+into a temporary directory; bytes_written is the three files' size). Two
+more stages time what `gbgc coarsen --jobs 2` does, without the pool:
 parse_s (`parse_tudataset` of the N graphs, written as perfbench's
-`write_tud` writes them) and blocks_s (the worker function on each of the
+`write_tud` writes them) and blocks_s (`cli._run_block` on each of the
 `--jobs 2` tasks of the parsed dataset, from its pickle to the pickle of
 its output, run in this process one after another); send_s is the time
-to make and pickle those tasks, and task_bytes their size. A checkout with
-`cli._run_block` sends row slices of the dataset's block; an older one
-sends `cli._Block`s of per-graph Graphs to `cli._coarsen_block`.
+to make and pickle those tasks, and task_bytes their size. Every checkout
+whose block is one CSR from the parse to the output text has these
+functions.
 """
 
 import json
@@ -104,57 +102,49 @@ def main() -> int:
 
 
 def many_small(count: int) -> int:
-    import gbgc
-    from gbgc import CoarsenConfig, EvalConfig, coarsen_many, erdos_renyi
+    import numpy as np
+
+    from gbgc import CoarsenConfig, EvalConfig, GraphBlock, erdos_renyi
     from gbgc.cli import _blocks
+    from gbgc.coarse import coarse_block
+    from gbgc.dataio import BlockResults, block_rows, write_result_blocks
+    from gbgc.engine import coarsen_block
+    from gbgc.spectral import evaluate_block
 
     times = {}
     t0 = time.perf_counter()
     graphs = [erdos_renyi(10 + (i * 7) % 41, 2.0 + (i % 5), seed=i) for i in range(count)]
     times["generate_s"] = time.perf_counter() - t0
-    # a checkout with `GraphBlock` cuts the runs from a block of the graphs
-    runs = _blocks(gbgc.GraphBlock.join(graphs) if hasattr(gbgc, "GraphBlock") else graphs, 1)
-    blocks = [graphs[b.start : b.stop] for b in runs]
+    block = GraphBlock.join(graphs)
+    runs = _blocks(block, 1)
+    slices = [block.slice(run.start, run.stop) for run in runs]
     t0 = time.perf_counter()
-    parts = [coarsen_many(block, CoarsenConfig()) for block in blocks]
+    assigned = [coarsen_block(rows, CoarsenConfig()) for rows in slices]
     times["coarsen_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if hasattr(gbgc, "build_coarse_graphs"):
-        cgs = [gbgc.build_coarse_graphs(block, ps) for block, ps in zip(blocks, parts)]
-    else:
-        cgs = [[gbgc.build_coarse_graph(g, p) for g, p in zip(block, ps)]
-               for block, ps in zip(blocks, parts)]
+    cbs = [coarse_block(rows, *pair) for rows, pair in zip(slices, assigned)]
     times["coarse_graph_s"] = time.perf_counter() - t0
     cfg = EvalConfig(rayleigh_vectors=0)
     t0 = time.perf_counter()
-    if hasattr(gbgc, "evaluate_many"):
-        sds = [r.sd for block in cgs for r in gbgc.evaluate_many(block, cfg)]
-    else:
-        sds = [gbgc.evaluate(cg, cfg).sd for block in cgs for cg in block]
+    sds = [evaluate_block(cb, cfg)[0] for cb in cbs]
     times["sd_s"] = time.perf_counter() - t0
-    sd_of = iter(sds)
-    record_blocks = [
-        [
-            gbgc.CoarsenRecord(
-                b.start + k, p.assignment, p.ball_count, cg.superedges, next(sd_of),
-                elapsed_micros=0, edge_count=g.edge_count,
-            )
-            for k, (g, p, cg) in enumerate(zip(block, ps, block_cgs))
-        ]
-        for b, block, ps, block_cgs in zip(runs, blocks, parts, cgs)
+    results = [
+        BlockResults(
+            np.arange(run.start, run.stop), cb.block.bounds, cb.assignment, cb.first_ball,
+            cb.superedges, cb.cuts, np.diff(cb.block.indptr[cb.block.bounds]) // 2, sd,
+            np.zeros(len(sd), dtype=np.int64),
+        )
+        for run, cb, sd in zip(runs, cbs, sds)
     ]
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
-        if hasattr(gbgc.dataio, "write_result_blocks"):
-            gbgc.dataio.write_result_blocks(map(gbgc.dataio.result_rows, record_blocks), out)
-        else:
-            gbgc.write_results([r for records in record_blocks for r in records], out)
+        write_result_blocks(map(block_rows, results), out)
         times["write_s"] = time.perf_counter() - t0
         times["bytes_written"] = sum(entry.stat().st_size for entry in os.scandir(out))
     times.update(pooled_stages(graphs))
-    times["supernodes"] = sum(cg.supernode_count for block in cgs for cg in block)
-    times["superedges"] = sum(len(cg.superedges) for block in cgs for cg in block)
-    times["sd_sum"] = sum(sds)
+    times["supernodes"] = sum(int(cb.first_ball[-1]) for cb in cbs)
+    times["superedges"] = sum(len(cb.superedges) for cb in cbs)
+    times["sd_sum"] = sum(x for sd in sds for x in sd.tolist())
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(times))
     return 0
@@ -179,21 +169,13 @@ def pooled_stages(graphs) -> dict:
         bundle = parse_tudataset(directory, "SYNTH")
         times["parse_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if hasattr(cli, "_run_block"):
-        worker = cli._run_block
-        tasks = [cli._Block(0, bundle.block, run, settings) for run in cli._blocks(bundle.block, 2)]
-    else:
-        worker = cli._coarsen_block
-        tasks = [
-            cli._Block(run.start, bundle.graphs[run.start : run.stop], settings)
-            for run in cli._blocks(bundle.graphs, 2)
-        ]
+    tasks = [cli._Block(0, bundle.block, run, settings) for run in cli._blocks(bundle.block, 2)]
     sent = [ForkingPickler.dumps(task) for task in tasks]
     times["send_s"] = time.perf_counter() - t0
     times["task_bytes"] = sum(len(data) for data in sent)
     t0 = time.perf_counter()
     for data in sent:
-        ForkingPickler.dumps(worker(ForkingPickler.loads(data)))
+        ForkingPickler.dumps(cli._run_block(ForkingPickler.loads(data)))
     times["blocks_s"] = time.perf_counter() - t0
     return times
 

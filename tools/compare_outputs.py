@@ -17,7 +17,11 @@ parent). Each checkout then runs, in a fresh process each:
     dataset whose A file has its lines shuffled (by --seed);
   - `evaluate` of the ER(3k) mapping, and of the 5,000-graph dataset's
     mapping (made by the parent's adaptive `coarsen --skip-sd`), in all
-    four `--laplacian`/`--sd-mode` pairs.
+    four `--laplacian`/`--sd-mode` pairs;
+  - `evaluate` of that mapping with three rows spoiled (`with_bad_rows`:
+    one left out, one assignment an entry short, one ball index equal to
+    its row's `supernode_count`), in the same four pairs, so the failure
+    path is compared too.
 A run is the same when `mapping.jsonl` and `coarse_edges.txt` are
 byte-identical, `report.csv` is identical apart from `elapsed_micros`,
 stdout is identical apart from `total_s`, and stderr and the exit code are
@@ -25,6 +29,7 @@ equal. Prints one line per run and exits 1 if any run differs.
 """
 
 import argparse
+import json
 import os
 import random
 import re
@@ -73,6 +78,21 @@ def outcome(out_dir: Path, proc: subprocess.CompletedProcess) -> dict:
     return result
 
 
+def with_bad_rows(mapping: str) -> str:
+    """The mapping.jsonl text with three graphs' rows spoiled: graph
+    1,000's left out, graph 2,500's assignment one entry short, and graph
+    4,000's first node mapped to the ball one past its last."""
+    lines = mapping.splitlines(keepends=True)
+    missing, short, out_of_range = 1_000, 2_500, 4_000
+    rows = {i: json.loads(lines[i]) for i in (short, out_of_range)}
+    rows[short]["assignment"].pop()
+    rows[out_of_range]["assignment"][0] = rows[out_of_range]["supernode_count"]
+    for i, row in rows.items():
+        lines[i] = json.dumps(row, separators=(",", ":")) + "\n"
+    del lines[missing]
+    return "".join(lines)
+
+
 def runs(inputs: Path, seed: int, parent: Path):
     """(label, gbgc arguments without --output, mapping to start from or None)."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
@@ -108,9 +128,12 @@ def runs(inputs: Path, seed: int, parent: Path):
     tu_mapping = inputs / "tu-coarsened"
     run_cli(["coarsen", "--input", str(synth), "--skip-sd", "--jobs", "2",
              "--output", str(tu_mapping)], inputs / "tu-coarsen.log")
+    bad_mapping = inputs / "tu-bad-rows.jsonl"
+    bad_mapping.write_text(with_bad_rows((tu_mapping / "mapping.jsonl").read_text()))
     for kind, mode in EVAL_PAIRS:
         argv = ["evaluate", "--input", str(synth), "--laplacian", kind, "--sd-mode", mode]
         yield f"tu-eval-{kind}-{mode}", argv, tu_mapping / "mapping.jsonl"
+        yield f"tu-eval-bad-rows-{kind}-{mode}", argv, bad_mapping
 
     evaluate = setup_eval_sweep(inputs, inputs / "eval-outputs", seed, size, run_cli)[0]
     graph = evaluate.args[evaluate.args.index("--input") + 1]
