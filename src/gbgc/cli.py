@@ -111,44 +111,66 @@ def _error_text(exc: Exception) -> str:
     return f"internal error: {type(exc).__name__}: {exc}"
 
 
+def _halving(attempt, a: int, b: int, indices, failures) -> None:
+    """attempt(a, b) on graphs a..b of a block; if it raises, each half on
+    its own, down to a single graph, whose (index, error) goes to
+    `failures`: the one place a failure is pinned on its graph."""
+    try:
+        attempt(a, b)
+    except Exception as exc:
+        if b - a == 1:
+            failures.append((int(indices[a]), _error_text(exc)))
+            return
+        mid = a + (b - a) // 2
+        _halving(attempt, a, mid, indices, failures)
+        _halving(attempt, mid, b, indices, failures)
+
+
 def _results(indices, block: GraphBlock, assign, eval_cfg, skip_sd: bool, done, failures):
     """Coarse graphs and SDs of the graphs of a block, graph i of which has
-    index indices[i], appended to `done` as one `BlockResults`.
+    index indices[i], appended to `done` as `BlockResults` in index order.
 
     `assign(indices, block)` gives their block-wide assignment and each
-    graph's first ball; the time it takes and the finish's are shared out
-    among the graphs' elapsed_micros in proportion to n + m. If anything
-    raises, each half of the block is tried on its own, down to a single
-    graph, whose (index, error) goes to `failures`: the one place a
-    failure is pinned on its graph.
+    graph's first ball. Where it raises, its halves are assigned again;
+    where the finish (`coarse_block`, `evaluate_block`) raises, its halves
+    are cut from the assignment already made. The time of the assignment
+    and of the finish is shared out among the graphs' elapsed_micros in
+    proportion to n + m.
     """
-    try:
+    bounds = block.bounds
+    sizes = np.diff(bounds) + np.diff(block.indptr[bounds]) // 2
+
+    def assigned(a: int, b: int):
         t0 = time.perf_counter()
-        assignment, first_ball = assign(indices, block)
-        cb = coarse_block(block, assignment, first_ball)
-        if skip_sd:
-            sd, samples = np.full(block.graph_count, np.nan), None
-        else:
-            sd, samples = evaluate_block(cb, eval_cfg)
+        assignment, first_ball = assign(indices[a:b], block.slice(a, b))
         spent = time.perf_counter() - t0
-    except Exception as exc:
-        count = block.graph_count
-        if count == 1:
-            failures.append((int(indices[0]), _error_text(exc)))
-            return
-        half = count // 2
-        for a, b in ((0, half), (half, count)):
-            _results(indices[a:b], block.slice(a, b), assign, eval_cfg, skip_sd, done, failures)
-        return
-    edge_count = np.diff(block.indptr[block.bounds]) // 2
-    sizes = np.diff(block.bounds) + edge_count
-    gaps = None
-    if samples is not None:
-        gaps = np.array([max((s[2] for s in probes), default=np.nan) for probes in samples])
-    done.append(BlockResults(
-        indices, block.bounds, assignment, first_ball, cb.superedges, cb.cuts, edge_count, sd,
-        (spent * sizes / max(1, int(sizes.sum())) * 1e6).astype(np.int64), gaps,
-    ))
+
+        def finished(c: int, d: int):
+            t1 = time.perf_counter()
+            rows = block.slice(c, d)
+            base = first_ball[c - a]
+            cut = assignment[bounds[c] - bounds[a] : bounds[d] - bounds[a]] - base
+            cut_first_ball = first_ball[c - a : d - a + 1] - base
+            cb = coarse_block(rows, cut, cut_first_ball)
+            if skip_sd:
+                sd, samples = np.full(d - c, np.nan), None
+            else:
+                sd, samples = evaluate_block(cb, eval_cfg)
+            finish = time.perf_counter() - t1
+            per_size = spent / max(1, int(sizes[a:b].sum()))
+            per_size += finish / max(1, int(sizes[c:d].sum()))
+            gaps = None
+            if samples is not None:
+                gaps = np.array([max((s[2] for s in probes), default=np.nan) for probes in samples])
+            done.append(BlockResults(
+                indices[c:d], rows.bounds, cut, cut_first_ball, cb.superedges, cb.cuts,
+                np.diff(rows.indptr[rows.bounds]) // 2, sd,
+                (per_size * sizes[c:d] * 1e6).astype(np.int64), gaps,
+            ))
+
+        _halving(finished, a, b, indices, failures)
+
+    _halving(assigned, 0, block.graph_count, indices, failures)
 
 
 def _engine(cfg: CoarsenConfig, indices, block: GraphBlock):

@@ -38,7 +38,7 @@ _WRITE_VALUES = 1 << 13
 # the pieces of text mapping.jsonl and coarse_edges.txt are made of, each
 # with the integers it holds: a mapping.jsonl row is a graph's index, its
 # nodes' balls and its ball count; coarse_edges.txt is a graph's index line,
-# then its superedges one line each
+# then its superedges one line each, as an edge list's rows are
 _MAPPING_UNITS = ('{"graph_index":%d,"assignment":[', "%d,", '%d],"supernode_count":', "%d}\n")
 _EDGE_UNITS = ("graph %d\n", "%d %d\n")
 _REPORT_ROW = "%d,%d,%d,%d,%d,%.6f,%.6f,%d\n"
@@ -477,11 +477,15 @@ def parse_edge_list(path: str | Path) -> Graph:
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
-    """Inverse of parse_edge_list, header included so isolated nodes survive."""
-    with open(path, "w") as fh:
+    """Inverse of parse_edge_list, header included so isolated nodes survive:
+    one "u v" row per edge, u < v, in sorted order. The file is replaced
+    whole, or left as it was if the write fails."""
+    u, v = g.edge_arrays()
+    values = np.empty(2 * len(u), dtype=np.int64)
+    values[0::2], values[1::2] = u, v
+    with _replacing(path) as fh:
         fh.write(f"n {g.n}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(_filled(_EDGE_UNITS[1:], np.zeros(len(u), dtype=np.int8), values))
 
 
 @contextmanager

@@ -15,7 +15,10 @@ own kernels, so the tests can compare them with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
 vectorized ones, and the reference writer formats the three result files
 graph by graph with `json.dumps` and f-strings, as the oracle for the
-package's block formatter. The reference evaluation keeps `evaluate` as it was before
+package's block formatter; the reference edge-list writer is the f-string
+loop the template-filled one replaced. The reference generator is the
+per-edge loop of geometric skips that the array generator must match seed
+for seed. The reference evaluation keeps `evaluate` as it was before
 it solved the original spectrum first, with the Laplacian scaled by out-of-place
 products, as the oracle for the reordered one. Its coarse matrices come from
 the builders that preceded the package's single dense Laplacian builder: C^T L C
@@ -27,6 +30,7 @@ triangle and added to its transpose.
 import heapq
 import json
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -625,6 +629,51 @@ def write_reference_results(graphs, out_dir):
     for name, lines in (("mapping.jsonl", mapping), ("coarse_edges.txt", edges),
                         ("report.csv", report)):
         (out_dir / name).write_text("".join(lines))
+
+
+def write_reference_edge_list(g: Graph, path):
+    """The edge-list writer as first written: one f-string per edge."""
+    with open(path, "w") as fh:
+        fh.write(f"n {g.n}\n")
+        for u, v in g.edges:
+            fh.write(f"{u} {v}\n")
+
+
+def reference_erdos_renyi(n: int, mean_degree: float, seed: int) -> Graph:
+    """G(n, p) with p chosen so the expected degree is `mean_degree`.
+
+    Uses geometric skipping over the ordered pair sequence, so generation is
+    O(edges) and reproducible for a given seed.
+    """
+    if n < 1:
+        raise GraphValidationError("n must be >= 1")
+    if n == 1:
+        return from_edge_list(1, [])
+    p = min(1.0, max(0.0, mean_degree / (n - 1)))
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    if p >= 1.0:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return from_edge_list(n, edges)
+    if p > 0.0:
+        log_q = math.log1p(-p)
+        total = n * (n - 1) // 2
+        idx = -1
+        while True:
+            # skip ~Geometric(p) pairs to the next present edge
+            r = rng.random()
+            idx += 1 + int(math.log(1.0 - r) / log_q)
+            if idx >= total:
+                break
+            u = int((1 + math.isqrt(1 + 8 * idx)) // 2)
+            # fix up float/rounding drift at row boundaries
+            while u * (u - 1) // 2 > idx:
+                u -= 1
+            while (u + 1) * u // 2 <= idx:
+                u += 1
+            v = idx - u * (u - 1) // 2
+            edges.append((v, u))
+    return from_edge_list(n, edges)
 
 
 def plain(g: Graph):

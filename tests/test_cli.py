@@ -617,6 +617,49 @@ def test_a_failing_graph_is_found_by_halving_its_block(tmp_path, monkeypatch, ca
     assert [json.loads(line)["graph_index"] for line in mapping] == written
 
 
+def test_a_failing_finish_is_halved_without_coarsening_again(tmp_path, monkeypatch, capsys):
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    clean = tmp_path / "clean"
+    assert run(["coarsen", "--input", str(data), "--output", str(clean), "--jobs", "1"]) == 0
+    real = {name: getattr(cli, name) for name in ("coarsen_block", "coarsen", "evaluate_block")}
+    refined = []
+
+    def counted(name):
+        def call(g, *args):
+            refined.append(g.n)
+            return real[name](g, *args)
+        return call
+
+    def evaluate_block_failing_on_culprit(cb, cfg):
+        if (np.diff(cb.block.bounds) == 20).any():  # graph 19, the only one of 20 nodes
+            raise RuntimeError("boom")
+        return real["evaluate_block"](cb, cfg)
+
+    monkeypatch.setattr(cli, "coarsen_block", counted("coarsen_block"))
+    monkeypatch.setattr(cli, "coarsen", counted("coarsen"))
+    monkeypatch.setattr(cli, "evaluate_block", evaluate_block_failing_on_culprit)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == "graph 19: internal error: RuntimeError: boom\n"
+    # the engine refines the dataset's nodes once, whichever halves the finish tries
+    assert refined == [parse_tudataset(data, "SYN").block.n] == [1_186]
+
+    def without_elapsed(out_dir):
+        rows = read_report(out_dir)
+        return [{k: v for k, v in row.items() if k != "elapsed_micros"} for row in rows]
+
+    expected = [row for row in without_elapsed(clean) if row["graph_index"] != "19"]
+    assert without_elapsed(out) == expected
+    mapping = [line for line in (clean / "mapping.jsonl").read_text().splitlines()
+               if json.loads(line)["graph_index"] != 19]
+    assert (out / "mapping.jsonl").read_text().splitlines() == mapping
+    edges = (clean / "coarse_edges.txt").read_text().split("graph ")
+    assert (out / "coarse_edges.txt").read_text().split("graph ") == [
+        part for part in edges if not part.startswith("19\n")
+    ]
+
+
 def test_a_block_travels_as_one_union_and_comes_back_as_text(tmp_path):
     bundle = parse_tudataset(write_synthetic_tud(tmp_path / "SYN", 40), "SYN")
     settings = (CoarsenConfig(), EvalConfig(rayleigh_vectors=0), False)

@@ -26,7 +26,7 @@ from gbgc.dataio import (
     write_result_blocks,
 )
 
-from helpers import plain, reference_parse_tudataset
+from helpers import plain, reference_parse_tudataset, write_reference_edge_list
 from tests_support import synthetic_graphs, write_synthetic_tud
 
 
@@ -120,6 +120,33 @@ def test_edge_list_round_trip(tmp_path):
         path = tmp_path / f"g{seed}.txt"
         write_edge_list(g, path)
         assert parse_edge_list(path) == g
+
+
+def test_edge_list_is_the_f_string_writers_bytes(tmp_path):
+    graphs = [from_edge_list(1, []), from_edge_list(5, [(3, 1)]), erdos_renyi(3_000, 30.0, seed=2)]
+    graphs += [erdos_renyi(n, 3.0, seed=n) for n in (2, 7, 40)]
+    for i, g in enumerate(graphs):
+        write_edge_list(g, tmp_path / f"{i}.txt")
+        write_reference_edge_list(g, tmp_path / f"{i}.ref")
+        assert (tmp_path / f"{i}.txt").read_bytes() == (tmp_path / f"{i}.ref").read_bytes()
+
+
+def test_edge_list_write_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "g.txt"
+    write_edge_list(erdos_renyi(30, 3.0, seed=1), path)
+    before = path.read_bytes()
+    real_filled = dataio._filled
+
+    def filling(*args):
+        yield real_filled(*args)[0]
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(dataio, "_filled", filling)
+    # 45,000 edges fill several pieces, so the first is written before the failure
+    with pytest.raises(OSError, match="No space left"):
+        write_edge_list(erdos_renyi(3_000, 30.0, seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
 
 
 def ints(*values):

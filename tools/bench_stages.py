@@ -13,6 +13,8 @@ checkouts can be compared. Every timed call gets a fresh copy of the
 graph, so no cache built by one stage helps another. Stages: generate_s
 (build the graph), init_s (`init_balls` alone), coarsen_s (the whole
 engine: `coarsen`) and coarse_graph_s (`build_coarse_graph`).
+generate_peak_rss_mb is the process's peak RSS once the graph is built, the
+generator's peak; peak_rss_mb is the peak at the end.
 
 tu-N is N graphs of 10-50 nodes shaped like the benchmark's `tu_many_small`
 (seed 0), joined into one `GraphBlock` and cut into the row slices
@@ -79,6 +81,7 @@ def main() -> int:
     else:
         raise SystemExit(f"unknown case {case!r}")
     times["generate_s"] = time.perf_counter() - t0
+    times["generate_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     def fresh():
         return Graph(g.n, g.indptr.copy(), g.indices.copy())

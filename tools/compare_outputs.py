@@ -3,12 +3,16 @@
 Usage:
     python tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT [--seed 0] [--work DIR]
 
-PARENT_ROOT and CHANGE_ROOT are two checkouts of the repository. The inputs
-are written once, by the setup functions of this checkout's
-perfbench/workloads.py at full size: the two ER(30k) edge lists of
+PARENT_ROOT and CHANGE_ROOT are two checkouts of the repository. Each
+checkout writes the inputs with its own perfbench/workloads.py set-up
+functions and its own gbgc, at full size: the two ER(30k) edge lists of
 `er_coarsen`, the 5,000-graph dataset of `tu_many_small`, and the ER(3k)
-edge list of `eval_sweep` with the mapping its set-up coarsens (made by the
-parent). Each checkout then runs, in a fresh process each:
+edge list of `eval_sweep` with the mapping its set-up coarsens. The two
+sets of input files must be byte-identical (set-up logs aside, and the
+timings in that mapping's report.csv); if they are
+not, the differing files are printed and nothing else runs, since a change
+to the generator or the writer would otherwise go unseen. The parent's
+inputs are then used. Each checkout runs, in a fresh process each:
   - `coarsen` on every input in adaptive, `--ablation no-init`,
     `--ablation no-split` and `--mode ratio --ratio 0.3` modes, at
     `--jobs 1` and `--jobs 2` (with `--skip-sd` on the ER(30k) graphs, as
@@ -39,7 +43,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
 ENTRY = "import sys; from gbgc.cli import main; sys.exit(main())"  # what the gbgc script runs
 COARSEN_MODES = {
     "adaptive": (),
@@ -49,6 +52,28 @@ COARSEN_MODES = {
 }
 EVAL_PAIRS = [(kind, mode) for kind in ("combinatorial", "normalized")
               for mode in ("projected", "unweighted")]
+# run with a checkout's src and perfbench on the path: writes the inputs
+# under argv[1] for seed argv[2] and prints [label, gbgc arguments] of each
+# workload invocation as the last line
+WRITE_INPUTS = """
+import contextlib, json, sys
+from pathlib import Path
+from gbgc.cli import main
+from workloads import SIZES, setup_er_coarsen, setup_eval_sweep, setup_tu_many_small
+
+inputs, seed, size = Path(sys.argv[1]), int(sys.argv[2]), SIZES["full"]
+
+def run_cli(argv, log):
+    with open(log, "w") as fh, contextlib.redirect_stdout(fh), contextlib.redirect_stderr(fh):
+        return main(argv)
+
+invocations = [
+    *setup_er_coarsen(inputs, inputs, seed, size, run_cli),
+    *setup_tu_many_small(inputs, inputs, seed, size, run_cli),
+    *setup_eval_sweep(inputs, inputs / "eval-outputs", seed, size, run_cli),
+]
+print(json.dumps([[inv.label, inv.args] for inv in invocations]))
+"""
 
 
 def gbgc(root: Path, argv: list[str]) -> subprocess.CompletedProcess:
@@ -69,13 +94,18 @@ def outcome(out_dir: Path, proc: subprocess.CompletedProcess) -> dict:
         path = out_dir / name
         result[name] = path.read_bytes() if path.is_file() else None
     report = out_dir / "report.csv"
-    if report.is_file():
-        rows = [line.split(",") for line in report.read_text().splitlines()]
-        drop = rows[0].index("elapsed_micros")
-        result["report.csv"] = [row[:drop] + row[drop + 1:] for row in rows]
-    else:
-        result["report.csv"] = None
+    result["report.csv"] = comparable(report) if report.is_file() else None
     return result
+
+
+def comparable(path: Path):
+    """What must be the same of a file: its bytes, or, for a report.csv,
+    its rows without elapsed_micros."""
+    if path.name != "report.csv":
+        return path.read_bytes()
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    drop = rows[0].index("elapsed_micros")
+    return [row[:drop] + row[drop + 1:] for row in rows]
 
 
 def with_bad_rows(mapping: str) -> str:
@@ -93,23 +123,44 @@ def with_bad_rows(mapping: str) -> str:
     return "".join(lines)
 
 
-def runs(inputs: Path, seed: int, parent: Path):
-    """(label, gbgc arguments without --output, mapping to start from or None)."""
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
-    from workloads import SIZES, setup_er_coarsen, setup_eval_sweep, setup_tu_many_small
+def write_inputs(root: Path, inputs: Path, seed: int) -> dict:
+    """Writes the inputs with the set-up functions of the checkout at `root`,
+    in a fresh process; returns each workload invocation's gbgc arguments
+    (without --output) by label."""
+    env = {k: v for k, v in os.environ.items() if k != "GBGC_JOBS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", WRITE_INPUTS, str(inputs), str(seed)],
+                          cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: writing the inputs failed\n{proc.stderr}")
+    return dict(json.loads(proc.stdout.splitlines()[-1]))
 
-    size = SIZES["full"]
-    coarsen_inputs = [
-        *setup_er_coarsen(inputs, inputs, seed, size, None),
-        *setup_tu_many_small(inputs, inputs, seed, size, None),
-    ]
-    for inv in coarsen_inputs:
+
+def differing_inputs(a: Path, b: Path) -> list[str]:
+    """Files under `a` and `b`, set-up logs aside, that are not in both or
+    differ (the report.csv of the mapping set-up makes apart from its
+    timings)."""
+    def files(root):
+        return {str(p.relative_to(root)) for p in root.rglob("*")
+                if p.is_file() and p.suffix != ".log"}
+
+    names = files(a) | files(b)
+    return sorted(name for name in names
+                  if not ((a / name).is_file() and (b / name).is_file()
+                          and comparable(a / name) == comparable(b / name)))
+
+
+def runs(inputs: Path, seed: int, parent: Path, invocations: dict):
+    """(label, gbgc arguments without --output, mapping to start from or None)."""
+    for label, args in invocations.items():
+        if args[0] != "coarsen":
+            continue
         for mode, flags in COARSEN_MODES.items():
             for jobs in ("1", "2"):
-                yield f"{inv.label}-{mode}-jobs{jobs}", [*inv.args, *flags, "--jobs", jobs], None
+                yield f"{label}-{mode}-jobs{jobs}", [*args, *flags, "--jobs", jobs], None
 
-    tu = next(inv for inv in coarsen_inputs if inv.label == "tu")
-    synth = Path(tu.args[tu.args.index("--input") + 1])
+    tu = invocations["tu"]
+    synth = Path(tu[tu.index("--input") + 1])
     shuffled = inputs / "SHUF"
     shuffled.mkdir()
     shutil.copyfile(synth / f"{synth.name}_graph_indicator.txt",
@@ -135,8 +186,8 @@ def runs(inputs: Path, seed: int, parent: Path):
         yield f"tu-eval-{kind}-{mode}", argv, tu_mapping / "mapping.jsonl"
         yield f"tu-eval-bad-rows-{kind}-{mode}", argv, bad_mapping
 
-    evaluate = setup_eval_sweep(inputs, inputs / "eval-outputs", seed, size, run_cli)[0]
-    graph = evaluate.args[evaluate.args.index("--input") + 1]
+    evaluate = invocations["eval-comb-proj"]
+    graph = evaluate[evaluate.index("--input") + 1]
     mapping = inputs / "coarsened" / "mapping.jsonl"
     for kind, mode in EVAL_PAIRS:
         argv = ["evaluate", "--input", graph, "--format", "edgelist",
@@ -158,7 +209,17 @@ def main() -> int:
     try:
         inputs = work / "inputs"
         inputs.mkdir()
-        for label, argv, mapping in runs(inputs, args.seed, sides["parent"]):
+        invocations = write_inputs(sides["parent"], inputs, args.seed)
+        change_inputs = work / "change-inputs"
+        change_inputs.mkdir()
+        write_inputs(sides["change"], change_inputs, args.seed)
+        differ = differing_inputs(inputs, change_inputs)
+        if differ:
+            print(f"the inputs differ in {len(differ)} file(s): {', '.join(differ)}")
+            return 1
+        print("inputs: byte-identical", flush=True)
+        shutil.rmtree(change_inputs)
+        for label, argv, mapping in runs(inputs, args.seed, sides["parent"], invocations):
             seen = {}
             for side, root in sides.items():
                 out = work / side / label
