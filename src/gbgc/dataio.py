@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,34 +84,18 @@ class BlockResults(NamedTuple):
         return np.diff(self.first_ball) / np.diff(self.bounds)
 
 
-# Input grammar, shared by the vectorized pass and the per-line reader: a
-# token is an ASCII decimal integer with an optional sign, [+-]?[0-9]+; lines
-# end in \n, \r\n or \r; blanks are space, tab, \v and \f.
+# Input grammar, shared by numpy's reader and the per-line reader: a token is
+# an ASCII decimal integer with an optional sign, [+-]?[0-9]+; lines end in
+# \n, \r\n or \r; blanks are space, tab, \v and \f.
 _TOKEN = re.compile(rb"[+-]?[0-9]+")
-_BLANK, _NEWLINE, _SEP, _SIGN, _DIGIT, _OTHER = range(6)  # byte classes
-# What a line holds, in order: tokens (a token's first byte, class _SIGN or
-# _DIGIT, counts as _SIGN), separators and line ends.
-_NEWLINE_EVENT, _SEP_EVENT, _TOKEN_EVENT = _NEWLINE, _SEP, _SIGN
-_MAX_DIGITS = 18  # longer tokens may not fit int64; the per-line reader takes them
-# Bytes classified at once, which bounds the temporaries at about 16 bytes
-# per input byte (about 4 MB). Whether glibc returns them to the system after
-# parsing depends on heap layout, so they can stay resident for the whole run.
-_CHUNK = 1 << 18
-
-
-def _byte_classes(sep: bytes | None) -> np.ndarray:
-    classes = np.full(256, _OTHER, dtype=np.uint8)
-    classes[list(b" \t\x0b\x0c")] = _BLANK
-    classes[ord("\n")] = _NEWLINE
-    classes[list(b"+-")] = _SIGN
-    classes[ord("0") : ord("9") + 1] = _DIGIT
-    if sep is not None:
-        classes[ord(sep)] = _SEP
-    return classes
-
-
-_PLAIN_CLASSES = _byte_classes(None)
-_COMMA_CLASSES = _byte_classes(b",")
+# The bytes of the grammar apart from a separator. numpy's reader strips any
+# Python whitespace around a token (\x1c-\x1f among it), so a file holding
+# any other byte goes to the per-line reader.
+_GRAMMAR_BYTES = b"0123456789+- \t\x0b\x0c\r\n"
+_GUARD_BYTES = 1 << 20  # bytes checked at once against _GRAMMAR_BYTES
+# Edge rows turned into keys at once, which bounds the temporaries beside
+# the rows and keys at about 64 bytes per row (about 4 MB).
+_KEY_ROWS = 1 << 16
 
 
 def _read_text(path: Path) -> bytes:
@@ -121,106 +106,33 @@ def _read_text(path: Path) -> bytes:
     return data
 
 
-def _blank_comment_lines(chunk: np.ndarray, cls: np.ndarray) -> None:
-    """Reclassify as blank every line whose first non-blank byte is '#'."""
-    hashes = np.flatnonzero(chunk == ord("#"))
-    if not len(hashes):
-        return
-    newlines = np.flatnonzero(cls == _NEWLINE)
-    line_start = np.concatenate(([0], newlines + 1))[np.searchsorted(newlines, hashes)]
-    solid = np.flatnonzero(cls > _NEWLINE)
-    heads = hashes[solid[np.searchsorted(solid, line_start)] == hashes]
-    line_end = np.concatenate((newlines, [len(chunk)]))[np.searchsorted(newlines, heads)]
-    mark = np.zeros(len(chunk) + 1, dtype=np.int8)
-    mark[heads] = 1
-    mark[line_end] = -1
-    cls[np.cumsum(mark[:-1], dtype=np.int8) > 0] = _BLANK
-
-
-def _scan_chunk(
-    chunk: np.ndarray, row: tuple[int, ...], classes: np.ndarray, comments: bool
+def _rows(
+    path: Path, width: int, sep: str | None, skip: int = 0, start: int = 0
 ) -> np.ndarray | None:
-    """Token values of whole lines, or None if a line breaks the grammar."""
-    cls = np.take(classes, chunk)
-    if comments:
-        _blank_comment_lines(chunk, cls)
-    if (cls == _OTHER).any():
+    """The file's non-blank lines after its first `skip` lines (`start`
+    bytes), read by numpy's reader as int64 rows of `width` tokens split by
+    `sep` (None: by blanks). None if a line breaks the grammar, holds
+    another number of tokens, or has a token beyond int64; the per-line
+    reader then names that line."""
+    allowed = _GRAMMAR_BYTES + (sep or "").encode()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while block := fh.read(_GUARD_BYTES):
+            if block.translate(None, allowed):
+                return None
+    try:  # a file name, not an open file, takes numpy's fast C path
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # older numpy casts a token beyond int64 from a float, and only warns
+            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
+            # latin-1 decodes any byte of the skipped lines; the guard checked the rest
+            rows = np.loadtxt(os.fspath(path), dtype=np.int64, delimiter=sep, comments=None,
+                              skiprows=skip, ndmin=2, encoding="latin-1")
+    except (ValueError, DeprecationWarning):
         return None
-    in_token = (cls >= _SIGN).view(np.int8)
-    step = np.diff(in_token, prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
-    signed = cls[starts] == _SIGN
-    digits = ends - starts - signed
-    if len(starts) and (
-        np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed)  # a sign inside a token
-        or digits.min() < 1
-        or digits.max() > _MAX_DIGITS
-    ):
+    if rows.size and rows.shape[1] != width:
         return None
-    # the sequence of tokens, separators and line ends must repeat `row` per line
-    marks = (cls == _NEWLINE) | (cls == _SEP)
-    marks[starts] = True
-    events = np.minimum(cls[marks], _TOKEN_EVENT)
-    line_ends = np.flatnonzero(events == _NEWLINE_EVENT)
-    per_line = np.diff(line_ends, prepend=-1, append=len(events)) - 1
-    if ((per_line != 0) & (per_line != len(row))).any():
-        return None
-    if (events[events != _NEWLINE_EVENT].reshape(-1, len(row)) != row).any():
-        return None
-    first = starts + signed
-    values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(int(digits.max()) if len(starts) else 0, 0, -1):
-        at = ends - k  # k-th digit from the right, if the token has one
-        values *= 10
-        values += np.where(at >= first, np.take(chunk, at, mode="clip") - ord("0"), 0)
-    return np.where(chunk[starts] == ord("-"), -values, values)
-
-
-def _scan_chunks(
-    data: bytes,
-    row: tuple[int, ...],
-    classes: np.ndarray,
-    offset: int = 0,
-    comments: bool = False,
-):
-    """Tokens of data[offset:], one int64 row per non-blank line, yielded
-    chunk by chunk (each chunk ends after a line end).
-
-    Every non-blank line must show the events in `row` (_TOKEN_EVENT,
-    _SEP_EVENT); with `comments`, lines starting with '#' count as blank.
-    Yields None, and stops, at a chunk where a line breaks the grammar or a
-    token has more than _MAX_DIGITS digits; the per-line reader then names
-    that line.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    width = row.count(_TOKEN_EVENT)
-    start = offset
-    while start < len(buf):
-        stop = len(buf)
-        if start + _CHUNK < len(buf):  # cut after a line end
-            stop = data.rfind(b"\n", start, start + _CHUNK) + 1
-            if stop <= start:
-                stop = data.find(b"\n", start + _CHUNK) + 1 or len(buf)
-        values = _scan_chunk(buf[start:stop], row, classes, comments)
-        yield None if values is None else values.reshape(-1, width)
-        if values is None:
-            return
-        start = stop
-
-
-def _scan(
-    data: bytes,
-    row: tuple[int, ...],
-    classes: np.ndarray,
-    offset: int = 0,
-    comments: bool = False,
-) -> np.ndarray | None:
-    """All rows of _scan_chunks as one array, or None if a chunk fails."""
-    parts = list(_scan_chunks(data, row, classes, offset, comments))
-    if parts and parts[-1] is None:
-        return None
-    return np.concatenate(parts or [np.zeros((0, row.count(_TOKEN_EVENT)), dtype=np.int64)])
+    return rows.reshape(-1, width)
 
 
 def _lines(data: bytes):
@@ -325,22 +237,26 @@ def _graph_major_keys(pairs: np.ndarray, rank: np.ndarray) -> np.ndarray:
 def _tu_edge_keys(path: Path, graph_of_node: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Graph-major edge keys of every line of an A file, self-loops dropped.
 
-    The file is scanned chunk by chunk, and only one key per line is kept.
-    A chunk that breaks the grammar or names a node out of range or in
-    another graph sends the whole file to the per-line reader, which names
+    The rows are checked and turned into keys _KEY_ROWS at a time. A file
+    numpy's reader rejects, or a row naming a node out of range or in
+    another graph, sends the whole file to the per-line reader, which names
     the first bad line.
     """
-    data = _read_text(path)
-    keys = np.empty(data.count(b"\n") + 1, dtype=np.int64)  # room for a key per line
-    filled = 0
-    for pairs in _scan_chunks(data, (_TOKEN_EVENT, _SEP_EVENT, _TOKEN_EVENT), _COMMA_CLASSES):
-        if pairs is None or not _in_one_graph(pairs, graph_of_node):
-            pairs = _tu_edges_by_line(data, path, graph_of_node.tolist())
-            return _graph_major_keys(np.array(pairs, dtype=np.int64).reshape(-1, 2), rank)
-        chunk_keys = _graph_major_keys(pairs, rank)
-        keys[filled : filled + len(chunk_keys)] = chunk_keys
-        filled += len(chunk_keys)
-    return keys[:filled]
+    pairs = _rows(path, 2, ",")
+    if pairs is not None:
+        keys = np.empty(len(pairs), dtype=np.int64)
+        filled = 0
+        for start in range(0, len(pairs), _KEY_ROWS):
+            part = pairs[start : start + _KEY_ROWS]
+            if not _in_one_graph(part, graph_of_node):
+                break
+            part_keys = _graph_major_keys(part, rank)
+            keys[filled : filled + len(part_keys)] = part_keys
+            filled += len(part_keys)
+        else:
+            return keys[:filled]
+    pairs = _tu_edges_by_line(_read_text(path), path, graph_of_node.tolist())
+    return _graph_major_keys(np.array(pairs, dtype=np.int64).reshape(-1, 2), rank)
 
 
 def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
@@ -348,9 +264,9 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
 
     Nodes are renumbered per graph following indicator order; edges are
     deduplicated and symmetrized; an edge across two graph ids is a format
-    error. Other files of the directory are not read. Each file is read
-    chunk by chunk in vectorized passes; only a file those reject is read
-    again line by line, to name the first bad line.
+    error. Other files of the directory are not read. Each file is read by
+    numpy's reader; only a file it rejects is read again line by line, to
+    name the first bad line.
 
     The whole dataset is one `GraphBlock`, a CSR over graph-major node ids,
     built once; `DatasetBundle.graphs` cuts per-graph views from it only
@@ -363,11 +279,9 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
         if not mandatory.is_file():
             raise DatasetFormatError("mandatory file missing", mandatory)
 
-    data = _read_text(ind_path)
-    ids = _scan(data, (_TOKEN_EVENT,), _PLAIN_CLASSES)
+    ids = _rows(ind_path, 1, None)
     if ids is None or not len(ids) or not _within(ids, 1, len(ids) + 1):
-        ids = np.array(_indicator_by_line(data, ind_path), dtype=np.int64)
-    del data
+        ids = np.array(_indicator_by_line(_read_text(ind_path), ind_path), dtype=np.int64)
     graph_of_node = ids.reshape(-1)  # 0-based graph id per 0-based global node
     graph_of_node -= 1
     node_count = len(graph_of_node)
@@ -391,9 +305,11 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
     labels: list[int] | None = None
     label_path = directory / f"{name}_graph_labels.txt"
     if label_path.is_file():
-        data = _read_text(label_path)
-        values = _scan(data, (_TOKEN_EVENT,), _PLAIN_CLASSES)
-        labels = _labels_by_line(data, label_path) if values is None else values.ravel().tolist()
+        values = _rows(label_path, 1, None)
+        if values is None:
+            labels = _labels_by_line(_read_text(label_path), label_path)
+        else:
+            labels = values.ravel().tolist()
         if len(labels) != graph_count:
             raise DatasetFormatError(
                 f"{len(labels)} labels for {graph_count} graphs", label_path
@@ -405,21 +321,27 @@ def parse_tudataset(directory: str | Path, name: str) -> DatasetBundle:
     return DatasetBundle(name=name, block=block, graph_labels=labels)
 
 
-def _edge_list_header(data: bytes) -> tuple[int | None, int] | None:
-    """(node count, offset past the header) if the first non-blank,
-    non-comment line is a well-formed 'n <count>' header; (None, offset of
-    that line) if it is no header; None if it is a malformed one."""
-    start = 0
-    while start < len(data):
-        stop = data.find(b"\n", start) + 1 or len(data)
-        line = data[start:stop].strip()
-        if line and not line.startswith(b"#"):
-            if not line.startswith(b"n "):
-                return None, start
-            count = _int(line.split()[1])
-            return None if count is None or count < 0 else (count, stop)
-        start = stop
-    return None, start
+def _edge_list_head(path: Path) -> tuple[int | None, int, int] | None:
+    """(node count of the header or None, lines, bytes) before an edge
+    list's first edge row: blank lines, lines whose first non-blank byte is
+    '#', and an 'n <count>' header if the first other line is one. None if
+    that header is malformed. Only those lines are read."""
+    node_count = None
+    lines = start = 0
+    # latin-1 is one character per byte; newline="" cuts lines at \n, \r\n
+    # and \r, as _read_text does, and leaves their ends in place
+    with open(path, encoding="latin-1", newline="") as fh:
+        for text in fh:
+            line = text.encode("latin-1").strip()
+            if line and not line.startswith(b"#"):
+                if node_count is not None or not line.startswith(b"n "):
+                    break
+                node_count = _int(line.split()[1])
+                if node_count is None or node_count < 0:
+                    return None
+            lines += 1
+            start += len(text)
+    return node_count, lines, start
 
 
 def _edge_list_by_line(data: bytes, path: Path) -> tuple[int | None, list[tuple[int, int]]]:
@@ -455,18 +377,18 @@ def parse_edge_list(path: str | Path) -> Graph:
     """Whitespace 'u v' pairs, 0-indexed; optional 'n <count>' header;
     '#' starts a comment line.
 
-    The file is read in one vectorized pass; only a file that pass rejects
-    is read again line by line, to name the first bad line.
+    The rows after the leading blank, comment and header lines are read by
+    numpy's reader; only a file it rejects (a '#' line among the rows
+    included) is read again line by line, to name the first bad line.
     """
     path = Path(path)
-    data = _read_text(path)
-    header = _edge_list_header(data)
+    head = _edge_list_head(path)
     pairs = None
-    if header is not None:
-        node_count, offset = header
-        pairs = _scan(data, (_TOKEN_EVENT, _TOKEN_EVENT), _PLAIN_CLASSES, offset, comments=True)
+    if head is not None:
+        node_count, skip, start = head
+        pairs = _rows(path, 2, None, skip, start)
     if pairs is None or not _within(pairs, 0, node_count):
-        node_count, pairs = _edge_list_by_line(data, path)
+        node_count, pairs = _edge_list_by_line(_read_text(path), path)
     try:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if node_count is None:

@@ -232,26 +232,29 @@ def csr_from_keys(node_count: int, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     edge_keys, which may repeat. Sorts `keys` in place.
 
     Keeping the first of each run of equal sorted keys drops duplicates;
-    both orientations of the rest, sorted, are the rows in CSR order.
+    both orientations of the rest, sorted, are the rows in CSR order. The
+    ends of each edge are taken into the two halves of the output array,
+    which then hold the two orientations, so the unique keys are the only
+    other edge-sized array.
     """
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
+    del first
     m = len(keys)
-    low, high = np.divmod(keys, node_count)
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(low, minlength=node_count) + np.bincount(high, minlength=node_count),
-        out=indptr[1:],
-    )
     both = np.empty(2 * m, dtype=np.int64)
-    both[:m] = keys
+    low, high = both[:m], both[m:]
+    np.divmod(keys, node_count, out=(low, high))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    indptr[1:] = np.bincount(low, minlength=node_count)
+    indptr[1:] += np.bincount(high, minlength=node_count)
+    np.cumsum(indptr, out=indptr)
+    high *= node_count
+    high += low
+    low[:] = keys
     del keys
-    np.multiply(high, node_count, out=both[m:])
-    both[m:] += low
-    del low, high
     both.sort()
     np.remainder(both, node_count, out=both)
     return indptr, both

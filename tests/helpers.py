@@ -13,12 +13,13 @@ the package itself keeps only a partition's assignment. `balls`,
 independence: they score balls, or split one once, through the package's
 own kernels, so the tests can compare them with the oracles. The
 reference parsers keep the line-by-line readers as the oracle for the
-vectorized ones, and the reference writer formats the three result files
-graph by graph with `json.dumps` and f-strings, as the oracle for the
-package's block formatter; the reference edge-list writer is the f-string
-loop the template-filled one replaced. The reference generator is the
-per-edge loop of geometric skips that the array generator must match seed
-for seed. The reference evaluation keeps `evaluate` as it was before
+parsers, which read with numpy's reader, and the reference writer formats
+the three result files graph by graph with `json.dumps` and f-strings, as
+the oracle for the package's block formatter; the reference edge-list
+writer is the f-string loop the template-filled one replaced. The
+reference generator is the per-edge loop of geometric skips that the
+array generator must match seed for seed. The reference evaluation keeps
+`evaluate` as it was before
 it solved the original spectrum first, with the Laplacian scaled by out-of-place
 products, as the oracle for the reordered one. Its coarse matrices come from
 the builders that preceded the package's single dense Laplacian builder: C^T L C
@@ -546,7 +547,7 @@ def reference_coarsen(g, cfg: CoarsenConfig, decisions=None):
     return reference_refine(g, start, decisions)
 
 
-# Reference parsers: the per-line readers the vectorized ones replaced, kept
+# Reference parsers: the per-line readers as first written, kept
 # with Python's int() tokens and text-mode lines. They return plain
 # structures, (node count, sorted unique edges u < v) per graph, built with
 # sets independently of Graph and from_edge_list.

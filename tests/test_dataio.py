@@ -2,6 +2,8 @@ import json
 import pickle
 import random
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,7 +472,7 @@ def test_token_grammar_rejects_with_file_and_line(tmp_path, token):
 
 
 def test_token_grammar_accepts_signs_and_leading_zeros(tmp_path):
-    # 21 digits is past the vectorized pass's int64 width; the per-line reader takes it
+    # 21 digits, most of them leading zeros, still make a token that fits int64
     path = tmp_path / "g.txt"
     path.write_text("n 3\n+0 -0\n000000000000000000002 1\n\t0  2 \n")
     assert parse_edge_list(path) == from_edge_list(3, [(2, 1), (0, 2)])
@@ -483,9 +485,8 @@ def test_parse_edge_list_line_endings(tmp_path):
         assert parse_edge_list(path) == from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def test_parse_edge_list_spans_scan_chunks(tmp_path, monkeypatch):
-    # chunks of a few bytes: lines longer than a chunk, cuts inside comments
-    monkeypatch.setattr(dataio, "_CHUNK", 5)
+def test_parse_edge_list_comment_among_rows(tmp_path):
+    # comments longer than an edge line, before and among the edge lines
     path = tmp_path / "g.txt"
     path.write_text("n 30\n# a comment longer than a chunk\n0 1\n12 29\n  3    4  \n# x\n5 6")
     assert parse_edge_list(path) == from_edge_list(30, [(0, 1), (12, 29), (3, 4), (5, 6)])
@@ -547,13 +548,11 @@ def test_block_slices_of_a_parsed_dataset_match_the_reference(tmp_path):
         assert plain(part.slice(i, i + 1)) == expected[a + i]
 
 
-# A chunk of 7 bytes holds at most one edge line, so every line is a chunk of
-# its own. Each chunk costs a fixed few dozen numpy calls: the 1000-graph set
-# takes 32 s to parse at 7 bytes and 6 s at 64 (2-core Xeon), so the small
-# chunks read 40 graphs, and the 1000-graph set is read in 4 KiB chunks.
+# The A file's rows are turned into keys a slice of _KEY_ROWS rows at a
+# time; small slices put a graph's edges, and a bad line, in any slice.
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_parse_tudataset_small_chunks_match_reference(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(dataio, "_CHUNK", chunk)
+    monkeypatch.setattr(dataio, "_KEY_ROWS", chunk)
     assert_parses_like_reference(write_synthetic_tud(tmp_path / "synth", 40))
     graphs = synthetic_graphs(40, seed_base=100)
     bundle = assert_parses_like_reference(write_interleaved_tud(tmp_path / "mixed", graphs))
@@ -561,7 +560,7 @@ def test_parse_tudataset_small_chunks_match_reference(tmp_path, monkeypatch, chu
 
 
 def test_parse_tudataset_1000_graphs_in_many_chunks_match_reference(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataio, "_CHUNK", 4096)
+    monkeypatch.setattr(dataio, "_KEY_ROWS", 4096)
     directory = write_synthetic_tud(tmp_path / "synth", 1000)
     assert (directory / "synth_A.txt").stat().st_size > 300 * 4096
     assert assert_parses_like_reference(directory).graphs == synthetic_graphs(1000)
@@ -579,7 +578,7 @@ def test_parse_tudataset_1000_graphs_in_many_chunks_match_reference(tmp_path, mo
     ],
 )
 def test_parse_tudataset_bad_line_in_any_chunk_names_it(tmp_path, monkeypatch, where, bad, error):
-    monkeypatch.setattr(dataio, "_CHUNK", 64)
+    monkeypatch.setattr(dataio, "_KEY_ROWS", 64)
     directory = write_synthetic_tud(tmp_path / "synth", 20)
     a_path = directory / "synth_A.txt"
     nodes = len((directory / "synth_graph_indicator.txt").read_text().split())
@@ -587,18 +586,76 @@ def test_parse_tudataset_bad_line_in_any_chunk_names_it(tmp_path, monkeypatch, w
     at = {"first": 0, "middle": len(lines) // 2, "last": len(lines)}[where]
     lines.insert(at, bad.format(last=nodes, beyond=nodes + 1))
     a_path.write_text("\n".join(lines) + "\n")
-    assert len(lines) * 8 > 20 * 64  # the file spans many chunks
+    assert len(lines) * 8 > 20 * 64  # the file spans many slices
     with pytest.raises(DatasetFormatError) as exc:
         parse_tudataset(directory, "synth")
     assert (exc.value.path, exc.value.line) == (a_path, at + 1)
     assert str(exc.value) == f"{a_path}:{at + 1}: {error.format(last=nodes, beyond=nodes + 1)}"
 
 
-def test_parse_tudataset_19_digit_token_goes_to_line_reader(tmp_path):
+@pytest.fixture
+def no_line_reader(monkeypatch):
+    """The per-line readers raise, so a parse passes only on numpy's reader."""
+    for name in ("_indicator_by_line", "_tu_edges_by_line", "_labels_by_line",
+                 "_edge_list_by_line"):
+        monkeypatch.setattr(dataio, name, mock.Mock(side_effect=AssertionError(name)))
+
+
+def test_written_and_usual_files_take_numpy_reader(tmp_path, no_line_reader):
+    # A silent fall back to the per-line reader keeps every equality test
+    # green and makes the parse ten times slower.
+    g = erdos_renyi(300, 4.0, seed=5)
+    write_edge_list(g, tmp_path / "g.txt")
+    assert parse_edge_list(tmp_path / "g.txt") == g
+    assert parse_tudataset(write_synthetic_tud(tmp_path / "synth", 30), "synth").graphs == (
+        synthetic_graphs(30)
+    )
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    (crlf / "crlf_graph_indicator.txt").write_bytes(b"1\r\n1\r\n1\r\n2\r\n2\r\n")
+    (crlf / "crlf_A.txt").write_bytes(b"1, 2\r\n2, 1\r\n2, 3\r\n3, 2\r\n4, 5\r\n5, 4\r\n")
+    (crlf / "crlf_graph_labels.txt").write_bytes(b"1\r\n-1\r\n")
+    bundle = parse_tudataset(crlf, "crlf")
+    assert bundle.graphs == [from_edge_list(3, [(0, 1), (1, 2)]), from_edge_list(2, [(0, 1)])]
+    assert bundle.graph_labels == [1, -1]
+    path = tmp_path / "commented.txt"
+    path.write_text("# a graph\n\n#n 2\nn 5\n# its edges\n  #\n\n0 1\n3 4\n")
+    assert parse_edge_list(path) == from_edge_list(5, [(0, 1), (3, 4)])
+    # numpy's reader skips the leading lines, whatever bytes they hold
+    path.write_bytes("# by Zoë\n".encode() + b"#\xff\xa0\nn 5\n0 1\n3 4\n")
+    assert parse_edge_list(path) == from_edge_list(5, [(0, 1), (3, 4)])
+
+
+def test_byte_numpy_strips_names_its_line(tmp_path):
+    # numpy's reader strips \x1f as whitespace; the grammar has no such blank
+    write_tud_fixture(tmp_path, labels=False)
+    (tmp_path / "tiny_A.txt").write_bytes(b"1, 2\n2, 3\n1,\x1f2\n")
+    with pytest.raises(DatasetFormatError) as exc:
+        parse_tudataset(tmp_path, "tiny")
+    assert str(exc.value) == f"{tmp_path / 'tiny_A.txt'}:3: non-integer token in '1,\\x1f2'"
+
+
+def test_parse_tudataset_19_digit_tokens(tmp_path):
     write_tud_fixture(tmp_path, labels=False)
     (tmp_path / "tiny_A.txt").write_text("0000000000000000001, 2\n3, 0000000000000000002\n4, 5\n")
     bundle = parse_tudataset(tmp_path, "tiny")
     assert bundle.graphs == [from_edge_list(3, [(0, 1), (2, 1)]), from_edge_list(2, [(0, 1)])]
+
+
+def test_parse_tudataset_label_beyond_int64_is_exact(tmp_path, monkeypatch):
+    write_tud_fixture(tmp_path)
+    (tmp_path / "tiny_graph_labels.txt").write_text("99999999999999999999\n-9223372036854775809\n")
+    exact = [99999999999999999999, -9223372036854775809]
+    assert parse_tudataset(tmp_path, "tiny").graph_labels == exact
+
+    # older numpy reads such a token as a float cast to int64, and only warns
+    def cast_and_warn(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.full((2, 1), np.iinfo(np.int64).min)
+
+    monkeypatch.setattr(dataio.np, "loadtxt", cast_and_warn)
+    assert parse_tudataset(tmp_path, "tiny").graph_labels == exact
 
 
 def test_parse_tudataset_rejects_more_nodes_than_max(tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gbgc import CoarsenConfig, Graph, GraphValidationError, coarsen, erdos_renyi, from_edge_list
-from gbgc.graph import MAX_NODES, GraphBlock
+from gbgc.graph import MAX_NODES, GraphBlock, csr_from_keys, edge_keys
 
 from helpers import (
     adjacency,
@@ -223,3 +224,20 @@ def test_a_block_pickles_as_its_three_arrays_narrowed():
     restored = pickle.loads(sent)
     assert type(restored) is GraphBlock and restored == block
     assert restored.indices.dtype == np.int64 and not restored.indices.flags.writeable
+
+
+def test_csr_from_keys_peak_memory_is_under_twice_its_output():
+    # each edge twice, as an A file lists it; the ends go straight into the
+    # output's two halves, so besides it only the unique keys are alive
+    g = erdos_renyi(200_000, 4.0, seed=3)
+    u, v = g.edge_arrays()
+    keys = np.concatenate([edge_keys(g.n, u, v), edge_keys(g.n, v, u)])
+    np.random.default_rng(0).shuffle(keys)
+    tracemalloc.start()
+    try:
+        indptr, indices = csr_from_keys(g.n, keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(indptr, g.indptr) and np.array_equal(indices, g.indices)
+    assert peak <= 2 * (indptr.nbytes + indices.nbytes)

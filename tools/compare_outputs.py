@@ -19,6 +19,11 @@ inputs are then used. Each checkout runs, in a fresh process each:
     the benchmark runs them);
   - `coarsen` at `--jobs 1` and `--jobs 2` on a copy of the 5,000-graph
     dataset whose A file has its lines shuffled (by --seed);
+  - `coarsen` at `--jobs 2` on copies of the 5,000-graph dataset that take
+    the parser's other paths (`parser_variants`): CRLF line ends, one
+    whitespace-only line in the A file, and a \x1f byte in the A file (an
+    error); and at `--jobs 1` on the first ER(30k) edge list with three
+    leading `#` lines and one `#` line halfway;
   - `evaluate` of the ER(3k) mapping, and of the 5,000-graph dataset's
     mapping (made by the parent's adaptive `coarsen --skip-sd`), in all
     four `--laplacian`/`--sd-mode` pairs;
@@ -123,6 +128,35 @@ def with_bad_rows(mapping: str) -> str:
     return "".join(lines)
 
 
+def parser_variants(synth: Path, edge_list: Path, inputs: Path):
+    """(label, input directory or file) of copies of the dataset `synth` and
+    of `edge_list` that numpy's reader does not read as a whole: blanks or
+    comments where the per-line reader must take the file, and a byte the
+    grammar rejects. The CRLF copy stays on numpy's reader."""
+    a_text = (synth / f"{synth.name}_A.txt").read_text()
+    indicator = (synth / f"{synth.name}_graph_indicator.txt").read_text()
+    lines = a_text.splitlines(keepends=True)
+    half = len(lines) // 2
+    datasets = {
+        "CRLF": (a_text.replace("\n", "\r\n"), indicator.replace("\n", "\r\n")),
+        "BLANK": ("".join([*lines[:half], " \t \n", *lines[half:]]), indicator),
+        "BADBYTE": ("".join([*lines[:half], lines[half].replace(",", ",\x1f"), *lines[half + 1:]]),
+                    indicator),
+    }
+    for name, (a, ind) in datasets.items():
+        directory = inputs / name
+        directory.mkdir()
+        (directory / f"{name}_A.txt").write_bytes(a.encode())
+        (directory / f"{name}_graph_indicator.txt").write_bytes(ind.encode())
+        yield f"tu-{name.lower()}", directory
+    lines = edge_list.read_text().splitlines(keepends=True)
+    half = len(lines) // 2
+    commented = inputs / "er-commented.txt"
+    commented.write_text("".join(["# an edge list\n", "#\n", "  # with comments\n",
+                                  *lines[:half], "# halfway\n", *lines[half:]]))
+    yield "er-commented", commented
+
+
 def write_inputs(root: Path, inputs: Path, seed: int) -> dict:
     """Writes the inputs with the set-up functions of the checkout at `root`,
     in a fresh process; returns each workload invocation's gbgc arguments
@@ -170,6 +204,15 @@ def runs(inputs: Path, seed: int, parent: Path, invocations: dict):
     (shuffled / "SHUF_A.txt").write_text("".join(lines))
     for jobs in ("1", "2"):
         yield f"tu-shuffled-jobs{jobs}", ["coarsen", "--input", str(shuffled), "--jobs", jobs], None
+
+    er = list(invocations["er-0"])
+    at = er.index("--input") + 1
+    for label, path in parser_variants(synth, Path(er[at]), inputs):
+        if label.startswith("tu-"):
+            yield label, ["coarsen", "--input", str(path), "--jobs", "2"], None
+        else:
+            er[at] = str(path)
+            yield label, [*er, "--jobs", "1"], None
 
     def run_cli(argv, log):
         proc = gbgc(parent, argv)
