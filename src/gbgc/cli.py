@@ -15,9 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 
@@ -277,23 +274,24 @@ def run_coarsen(args) -> int:
             sd.extend(block_sd)
             yield block_rows
 
-    try:
-        with ExitStack() as stack:
-            if jobs > 1 and len(blocks) > 1:
-                pool = stack.enter_context(
-                    ProcessPoolExecutor(max_workers=min(jobs, len(blocks)))
-                )
+    if jobs > 1 and len(blocks) > 1:
+        # imported only where a pool runs: it loads multiprocessing, which
+        # costs a process that starts no pool about 1.4 MB
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
                 # submits every block, so the workers start before any output is opened
-                outputs = pool.map(_run_block, blocks)
-            else:
-                outputs = map(_run_block, blocks)
-            write_result_blocks(rows(outputs), args.output)
-    except BrokenProcessPool:
-        print(
-            "error: a worker process died (killed, or out of memory); no output was written",
-            file=sys.stderr,
-        )
-        return 1
+                write_result_blocks(rows(pool.map(_run_block, blocks)), args.output)
+        except BrokenProcessPool:
+            print(
+                "error: a worker process died (killed, or out of memory); no output was written",
+                file=sys.stderr,
+            )
+            return 1
+    else:
+        write_result_blocks(rows(map(_run_block, blocks)), args.output)
     total = time.perf_counter() - t0
     finite_sd = [x for x in sd if not math.isnan(x)]
     mean_ra = sum(r_a) / len(r_a) if r_a else float("nan")

@@ -195,12 +195,16 @@ def _init_labels(
     remainder runs out. Labels number the balls in creation order, graph by
     graph; also returns the first label of every graph and one past the last.
     """
-    nodes = np.arange(g.n, dtype=np.int64)
     graph_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    by_degree = np.lexsort((nodes, -np.diff(g.indptr), graph_of)).tolist()
-    flat = g.indices.tolist()
-    ptr = g.indptr.tolist()
-    label = [0] * g.n
+    # graph by graph, by degree: lexsort is stable, so ties keep index order.
+    # The loop reads the arrays through memoryviews, each item a Python int
+    # made as it is read, so no Python object per node or edge is kept.
+    by_degree = memoryview(np.lexsort((-np.diff(g.indptr), graph_of)))
+    del graph_of
+    flat = memoryview(g.indices)
+    ptr = memoryview(g.indptr)
+    labels = np.empty(g.n, dtype=np.int64)
+    label = memoryview(labels)
     remaining = bytearray([1]) * g.n
     first_label = [0]
     count = 0
@@ -238,7 +242,8 @@ def _init_labels(
     if stats is not None:
         stats["nodes_visited"] = stats.get("nodes_visited", 0) + nodes_visited
         stats["edge_traversals"] = stats.get("edge_traversals", 0) + edge_traversals
-    return np.array(label, dtype=np.int64), first_label
+        stats["init_balls"] = stats.get("init_balls", 0) + count
+    return labels, first_label
 
 
 # not on the pipeline's path (blocks grow their balls in _init_labels), but
@@ -499,12 +504,13 @@ def _ratio_leaves(tree: _SplitTree, graph_roots, targets) -> np.ndarray:
     gain[parent] = tree.column("quality_a") + tree.column("quality_b") - quality[parent]
     child = np.full(tree.count, -1, dtype=np.int64)
     child[parent] = tree.column("child")
-    gain, size_list, smallest, child = gain.tolist(), size.tolist(), smallest.tolist(), child.tolist()
+    # read item by item through memoryviews: no Python list per tree node
+    gain, size, smallest, child = map(memoryview, (gain, size, smallest, child))
     final = np.zeros(tree.count, dtype=bool)
     for (lo, hi), target in zip(graph_roots, targets):
         final[lo:hi] = True
         count = hi - lo
-        heap = [(-gain[t], -size_list[t], smallest[t], t) for t in range(lo, hi) if size_list[t] >= 2]
+        heap = [(-gain[t], -size[t], smallest[t], t) for t in range(lo, hi) if size[t] >= 2]
         heapq.heapify(heap)
         while count < target and heap:
             t = heapq.heappop(heap)[3]
@@ -512,8 +518,8 @@ def _ratio_leaves(tree: _SplitTree, graph_roots, targets) -> np.ndarray:
             count += 1
             for c in (child[t], child[t] + 1):
                 final[c] = True
-                if size_list[c] >= 2:
-                    heapq.heappush(heap, (-gain[c], -size_list[c], smallest[c], c))
+                if size[c] >= 2:
+                    heapq.heappush(heap, (-gain[c], -size[c], smallest[c], c))
     return final
 
 

@@ -7,8 +7,9 @@ The graph kernels below (per-node neighbour tuples, induced subgraphs, BFS
 layers, components, triangle and wedge counts) are used only by the tests,
 and the reference engine keeps the recursive refinement as first written,
 recomputing every ball from the graph, as the oracle for the round-based
-engine. A `GranularBall` is a ball with its quality and internal edge count;
-the package itself keeps only a partition's assignment. `balls`,
+engine, and grows its start balls by a set-based BFS of its own. A
+`GranularBall` is a ball with its quality and internal edge count; the
+package itself keeps only a partition's assignment. `balls`,
 `make_ball`, `ball_quality` and `split_ball` are the exceptions to the
 independence: they score balls, or split one once, through the package's
 own kernels, so the tests can compare them with the oracles. The
@@ -47,7 +48,6 @@ from gbgc import (
     SplitDecision,
     default_init_target,
     from_edge_list,
-    init_balls,
 )
 from gbgc.engine import _ball_measures, _refine
 from gbgc.spectral import (
@@ -489,9 +489,36 @@ def reference_refine(g, start, decisions):
     return final
 
 
+def reference_init_balls(g, target):
+    """The start balls of `init_balls`' rule, as sorted member tuples in
+    creation order: the highest-degree node not yet in a ball (lowest index
+    on ties) is a centre, and BFS layers of nodes in no ball grow around it
+    until a layer larger than `target` (that layer included) or an empty
+    one. Plain sets over each node's neighbour set, one node at a time."""
+    adjacency = [neighbor_set(g, v) for v in range(g.n)]
+    taken = set()
+    start = []
+    for center in sorted(range(g.n), key=lambda v: (-len(adjacency[v]), v)):
+        if center in taken:
+            continue
+        taken.add(center)
+        ball = [center]
+        layer = {center}
+        while layer:
+            layer = {w for v in layer for w in adjacency[v] if w not in taken}
+            taken |= layer
+            ball.extend(layer)
+            if len(layer) > target:
+                break
+        start.append(tuple(sorted(ball)))
+    return start
+
+
 def _reference_init(g):
-    part = init_balls(g, default_init_target(g.n))
-    return [reference_make_ball(g, ball.members) for ball in balls(g, part)]
+    return [
+        reference_make_ball(g, members)
+        for members in reference_init_balls(g, default_init_target(g.n))
+    ]
 
 
 def reference_ratio_coarsen(g, r):

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import json
 import math
 import os
@@ -221,7 +222,7 @@ def test_jobs_capped_at_usable_cpus_and_tasks(tmp_path, monkeypatch, cpus, graph
             pools.append((self.max_workers, len(tasks)))
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     data = write_synthetic_tud(tmp_path / "synth", graph_count=graph_count)
     for jobs in (5000, cpus):
@@ -547,6 +548,46 @@ def test_dead_worker_is_an_error_and_keeps_previous_outputs(tmp_path, monkeypatc
     )
     assert captured.out == ""
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_output_that_is_a_file_is_an_error_with_or_without_a_pool(
+    tmp_path, monkeypatch, capsys, jobs
+):
+    # the write fails inside the pool's error handling at --jobs 2 and
+    # outside it at --jobs 1; either way the OSError reaches main's handler
+    data = write_synthetic_tud(tmp_path / "SYN", 40)
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    capsys.readouterr()
+    assert run(["coarsen", "--input", str(data), "--output", str(out), "--jobs", jobs,
+                "--skip-sd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_no_process_pool_is_loaded_unless_one_runs(tmp_path):
+    # importing multiprocessing costs a process about 1.4 MB of resident
+    # memory, so a run that starts no pool does not load it
+    root = Path(__file__).resolve().parents[1]
+    inp = write_barbell_edgelist(tmp_path / "barbell.txt")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = (
+        "import sys; from gbgc.cli import main; code = main(sys.argv[1:]); "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))); "
+        "sys.exit(code)"
+    )
+    # coarsen writes the mapping.jsonl that evaluate then reads back
+    for argv in (["coarsen", "--jobs", "1", "--skip-sd"], ["evaluate"]):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv,
+             "--input", str(inp), "--output", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

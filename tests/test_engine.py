@@ -95,6 +95,24 @@ def test_init_balls_cover_connected_and_work():
             assert layering.visited == allowed  # ball induces a connected subgraph
 
 
+def test_er_30k_work_counts():
+    # exact counts of the benchmark's ER(30k) graph, so a change to the
+    # growth or the rounds that keeps the partition valid still shows
+    g = erdos_renyi(30_000, 4.0, seed=30_000)
+    decisions, stats = [], {}
+    part = coarsen(g, CoarsenConfig(), decisions=decisions, stats=stats)
+    assert stats == {
+        "nodes_visited": 30_000,
+        "edge_traversals": 64_397,
+        "init_balls": 3_837,
+        "rounds": 42,
+        "bfs_levels": 437,
+    }
+    assert len(decisions) == 15_650
+    assert sum(d.accepted for d in decisions) == 7_269
+    assert part.ball_count == 11_106
+
+
 def test_split_barbell(barbell):
     child_a, child_b = split_ball(barbell, make_ball(barbell, range(6)))
     assert child_a.members == (0, 1, 2)

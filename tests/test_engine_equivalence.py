@@ -17,16 +17,18 @@ from gbgc import (
     Partition,
     coarsen,
     coarsen_many,
+    default_init_target,
     erdos_renyi,
     from_edge_list,
 )
-from gbgc.engine import coarsen_block
+from gbgc.engine import _init_labels, coarsen_block
 
 from helpers import (
     balls,
     make_ball,
     partition_of,
     reference_coarsen,
+    reference_init_balls,
     reference_make_ball,
     reference_split_ball,
     split_ball,
@@ -120,6 +122,27 @@ def test_block_output_is_a_dense_cover(suite_200, synthetic_1000, config):
             lo, hi = block.bounds[i : i + 2]
             assert_dense(part, g.n)
             assert part.assignment.tolist() == (ball[lo:hi] - first_ball[i]).tolist()
+
+
+def test_block_growth_matches_each_graph_alone(synthetic_1000):
+    # one growth over the whole block: graph i's balls are the reference's
+    # balls of graph i alone, numbered on from the balls of graphs 0..i-1
+    block = GraphBlock.join(synthetic_1000)
+    targets = [default_init_target(g.n) for g in synthetic_1000]
+    stats = {}
+    labels, first_label = _init_labels(block, block.bounds.tolist(), targets, stats)
+    expected = np.empty(block.n, dtype=np.int64)
+    expected_first = [0]
+    for g, lo, target in zip(synthetic_1000, block.bounds.tolist(), targets):
+        start = reference_init_balls(g, target)
+        for k, members in enumerate(start):
+            expected[lo + np.array(members)] = expected_first[-1] + k
+        expected_first.append(expected_first[-1] + len(start))
+    assert labels.dtype == np.int64 and labels.tolist() == expected.tolist()
+    assert list(first_label) == expected_first
+    assert stats["nodes_visited"] == block.n
+    assert stats["edge_traversals"] <= 2 * block.edge_count
+    assert stats["init_balls"] == expected_first[-1]
 
 
 def test_split_ball_matches_reference(suite_200):

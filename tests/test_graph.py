@@ -5,7 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbgc import CoarsenConfig, Graph, GraphValidationError, coarsen, erdos_renyi, from_edge_list
+from gbgc import (
+    CoarsenConfig,
+    Graph,
+    GraphValidationError,
+    coarsen,
+    default_init_target,
+    erdos_renyi,
+    from_edge_list,
+    init_balls,
+)
 from gbgc.graph import MAX_NODES, GraphBlock, csr_from_keys, edge_keys
 
 from helpers import (
@@ -226,18 +235,45 @@ def test_a_block_pickles_as_its_three_arrays_narrowed():
     assert restored.indices.dtype == np.int64 and not restored.indices.flags.writeable
 
 
-def test_csr_from_keys_peak_memory_is_under_twice_its_output():
+@pytest.fixture(scope="module")
+def er_200k():
+    return erdos_renyi(200_000, 4.0, seed=3)
+
+
+def traced(work):
+    """work()'s result and the traced heap's peak while it runs: what it
+    allocates, not what was alive before."""
+    tracemalloc.start()
+    try:
+        return work(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csr_from_keys_peak_memory_is_under_twice_its_output(er_200k):
     # each edge twice, as an A file lists it; the ends go straight into the
     # output's two halves, so besides it only the unique keys are alive
-    g = erdos_renyi(200_000, 4.0, seed=3)
+    g = er_200k
     u, v = g.edge_arrays()
     keys = np.concatenate([edge_keys(g.n, u, v), edge_keys(g.n, v, u)])
     np.random.default_rng(0).shuffle(keys)
-    tracemalloc.start()
-    try:
-        indptr, indices = csr_from_keys(g.n, keys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (indptr, indices), peak = traced(lambda: csr_from_keys(g.n, keys))
     assert np.array_equal(indptr, g.indptr) and np.array_equal(indices, g.indices)
     assert peak <= 2 * (indptr.nbytes + indices.nbytes)
+
+
+def test_initial_growth_peak_memory_is_under_twice_the_csr(er_200k):
+    # the growth reads the CSR through memoryviews and writes each label
+    # into the output array: no Python list per node or edge
+    g = er_200k
+    _, peak = traced(lambda: init_balls(g, default_init_target(g.n)))
+    assert peak <= 2 * (g.indptr.nbytes + g.indices.nbytes)
+
+
+@pytest.mark.parametrize(
+    "cfg", [CoarsenConfig(), CoarsenConfig(mode="ratio", ratio=0.3)], ids=["adaptive", "ratio"]
+)
+def test_coarsen_peak_memory_is_under_five_times_the_csr(er_200k, cfg):
+    g = er_200k
+    _, peak = traced(lambda: coarsen(g, cfg))
+    assert peak <= 5 * (g.indptr.nbytes + g.indices.nbytes)
