@@ -94,8 +94,8 @@ _TOKEN = re.compile(rb"[+-]?[0-9]+")
 _GRAMMAR_BYTES = b"0123456789+- \t\x0b\x0c\r\n"
 _GUARD_BYTES = 1 << 20  # bytes checked at once against _GRAMMAR_BYTES
 # Edge rows turned into keys at once, which bounds the temporaries beside
-# the rows and keys at about 64 bytes per row (about 4 MB).
-_KEY_ROWS = 1 << 16
+# the rows at about 64 bytes per row (about 1 MB).
+_KEY_ROWS = 1 << 14
 
 
 def _read_text(path: Path) -> bytes:
@@ -107,13 +107,18 @@ def _read_text(path: Path) -> bytes:
 
 
 def _rows(
-    path: Path, width: int, sep: str | None, skip: int = 0, start: int = 0
+    path: Path,
+    width: int,
+    sep: str | None,
+    skip: int = 0,
+    start: int = 0,
+    dtype: type[np.signedinteger] = np.int64,
 ) -> np.ndarray | None:
     """The file's non-blank lines after its first `skip` lines (`start`
-    bytes), read by numpy's reader as int64 rows of `width` tokens split by
-    `sep` (None: by blanks). None if a line breaks the grammar, holds
-    another number of tokens, or has a token beyond int64; the per-line
-    reader then names that line."""
+    bytes), read by numpy's reader as C-contiguous rows of `width` tokens
+    of `dtype` (int64 or int32) split by `sep` (None: by blanks). None if a
+    line breaks the grammar, holds another number of tokens, or has a token
+    beyond `dtype`; the per-line reader then names that line."""
     allowed = _GRAMMAR_BYTES + (sep or "").encode()
     with open(path, "rb") as fh:
         fh.seek(start)
@@ -123,10 +128,10 @@ def _rows(
     try:  # a file name, not an open file, takes numpy's fast C path
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # older numpy casts a token beyond int64 from a float, and only warns
+            # older numpy casts a token beyond `dtype` from a float, and only warns
             warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
             # latin-1 decodes any byte of the skipped lines; the guard checked the rest
-            rows = np.loadtxt(os.fspath(path), dtype=np.int64, delimiter=sep, comments=None,
+            rows = np.loadtxt(os.fspath(path), dtype=dtype, delimiter=sep, comments=None,
                               skiprows=skip, ndmin=2, encoding="latin-1")
     except (ValueError, DeprecationWarning):
         return None
@@ -237,14 +242,18 @@ def _graph_major_keys(pairs: np.ndarray, rank: np.ndarray) -> np.ndarray:
 def _tu_edge_keys(path: Path, graph_of_node: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Graph-major edge keys of every line of an A file, self-loops dropped.
 
-    The rows are checked and turned into keys _KEY_ROWS at a time. A file
-    numpy's reader rejects, or a row naming a node out of range or in
+    The rows are read as int32, which holds every node id up to MAX_NODES,
+    then checked and turned into int64 keys _KEY_ROWS at a time. A row of
+    two int32 is the size of one key, so each slice's keys are written over
+    the bytes of the rows they came from, which no later slice reads: the
+    keys are a view of the rows. A file numpy's reader rejects (a token
+    beyond int32 among them), or a row naming a node out of range or in
     another graph, sends the whole file to the per-line reader, which names
     the first bad line.
     """
-    pairs = _rows(path, 2, ",")
+    pairs = _rows(path, 2, ",", dtype=np.int32)
     if pairs is not None:
-        keys = np.empty(len(pairs), dtype=np.int64)
+        keys = pairs.view(np.int64).reshape(-1)
         filled = 0
         for start in range(0, len(pairs), _KEY_ROWS):
             part = pairs[start : start + _KEY_ROWS]

@@ -220,11 +220,16 @@ class GraphBlock(Graph):
 
 
 def edge_keys(node_count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Key min(u, v) * node_count + max(u, v) of every pair with u != v."""
+    """Key min(u, v) * node_count + max(u, v) of every pair with u != v, as
+    int64 whatever the dtype of the ends, so keys of int32 ends beyond 2**31
+    do not wrap."""
     loop = u == v
     if loop.any():
         u, v = u[~loop], v[~loop]
-    return np.minimum(u, v) * node_count + np.maximum(u, v)
+    keys = np.minimum(u, v, dtype=np.int64)
+    keys *= node_count
+    keys += np.maximum(u, v, dtype=np.int64)
+    return keys
 
 
 def csr_from_keys(node_count: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,26 +240,32 @@ def csr_from_keys(node_count: int, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     both orientations of the rest, sorted, are the rows in CSR order. The
     ends of each edge are taken into the two halves of the output array,
     which then hold the two orientations, so the unique keys are the only
-    other edge-sized array.
+    other edge-sized array. When `keys` has room for both orientations, as
+    when every edge is listed both ways, the output array is its first
+    slots and `keys` is kept alive by it; otherwise it is a new array.
     """
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    unique = keys[first]
     del first
-    m = len(keys)
-    both = np.empty(2 * m, dtype=np.int64)
+    m = len(unique)
+    if len(keys) >= 2 * m:
+        both = keys[: 2 * m]
+    else:
+        del keys
+        both = np.empty(2 * m, dtype=np.int64)
     low, high = both[:m], both[m:]
-    np.divmod(keys, node_count, out=(low, high))
+    np.divmod(unique, node_count, out=(low, high))
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     indptr[1:] = np.bincount(low, minlength=node_count)
     indptr[1:] += np.bincount(high, minlength=node_count)
     np.cumsum(indptr, out=indptr)
     high *= node_count
     high += low
-    low[:] = keys
-    del keys
+    low[:] = unique
+    del unique
     both.sort()
     np.remainder(both, node_count, out=both)
     return indptr, both

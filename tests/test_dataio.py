@@ -669,16 +669,68 @@ def test_parse_tudataset_rejects_more_nodes_than_max(tmp_path, monkeypatch):
     assert len(parse_tudataset(tmp_path, "tiny").graphs) == 2
 
 
-def test_parse_tudataset_peak_memory_is_a_few_times_the_edge_file(tmp_path):
-    directory = write_synthetic_tud(tmp_path / "synth", 5000)
-    a_bytes = (directory / "synth_A.txt").stat().st_size
+@pytest.fixture(scope="module")
+def traced_5000_parse(tmp_path_factory):
+    """The 5,000-graph dataset's A file size, its parse, and the parse's
+    traced peak."""
+    directory = write_synthetic_tud(tmp_path_factory.mktemp("parse") / "synth", 5000)
     tracemalloc.start()
     try:
-        parse_tudataset(directory, "synth")
+        bundle = parse_tudataset(directory, "synth")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * a_bytes  # one array per dataset, not whole-file copies per step
+    return (directory / "synth_A.txt").stat().st_size, bundle, peak
+
+
+def test_parse_tudataset_peak_memory_is_under_one_and_a_half_times_the_edge_file(
+    traced_5000_parse,
+):
+    # the rows are int32, their keys are written over them, and the CSR is
+    # laid out in the keys: one edge-sized buffer for the whole parse
+    a_bytes, _, peak = traced_5000_parse
+    assert peak <= 1.5 * a_bytes
+
+
+def test_parse_tudataset_peak_memory_is_under_twice_its_csr(traced_5000_parse):
+    _, bundle, peak = traced_5000_parse
+    block = bundle.block
+    assert block.indices.base is not None  # the CSR lives in the rows' buffer
+    assert peak < 2 * (block.indptr.nbytes + block.indices.nbytes)
+
+
+@pytest.mark.parametrize("older_numpy", [False, True], ids=["numpy", "older-numpy"])
+@pytest.mark.parametrize("token", ["2147483648", "-2147483649", "99999999999"])
+def test_a_token_beyond_int32_is_named_by_the_line_reader(tmp_path, monkeypatch, token,
+                                                           older_numpy):
+    # A rows are read as int32; a token beyond it makes numpy's reader
+    # raise, and the per-line reader names the line as it does for any node
+    # index out of range
+    write_tud_fixture(tmp_path, labels=False)
+    a_path = tmp_path / "tiny_A.txt"
+    a_path.write_text(f"1, 2\n2, 1\n{token}, 3\n3, 2\n")
+    if older_numpy:  # it reads such a token as a float cast to int32, and only warns
+        def cast_and_warn(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return np.full((4, 2), np.iinfo(np.int32).min, dtype=np.int32)
+
+        monkeypatch.setattr(dataio.np, "loadtxt", cast_and_warn)
+    with pytest.raises(DatasetFormatError) as exc:
+        parse_tudataset(tmp_path, "tiny")
+    assert str(exc.value) == f"{a_path}:3: node index out of range in edge ({token}, 3)"
+
+
+def test_rows_reads_int32_limits_and_rejects_tokens_beyond(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("2147483647, -2147483648\n1, 2\n")
+    rows = dataio._rows(path, 2, ",", dtype=np.int32)
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
+    assert rows.tolist() == [[2147483647, -2147483648], [1, 2]]
+    for token in ("2147483648", "-2147483649"):
+        path.write_text(f"1, 2\n{token}, 1\n")
+        assert dataio._rows(path, 2, ",", dtype=np.int32) is None
+        assert dataio._rows(path, 2, ",").tolist() == [[1, 2], [int(token), 1]]
 
 
 def test_parsed_graphs_are_views_of_one_csr(tmp_path):

@@ -250,6 +250,29 @@ def traced(work):
         tracemalloc.stop()
 
 
+def test_edge_keys_are_int64_whatever_the_ends_dtype():
+    # NumPy keeps int32 arithmetic in int32, where these keys would wrap
+    u = np.array([70_000, 99_999, 5], dtype=np.int32)
+    v = np.array([99_999, 70_000, 5], dtype=np.int32)
+    keys = edge_keys(100_000, u, v)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [70_000 * 100_000 + 99_999] * 2
+    assert keys.tolist() == edge_keys(100_000, u.astype(np.int64), v.astype(np.int64)).tolist()
+
+
+def test_csr_from_keys_lays_out_both_orientations_in_the_keys_only_when_they_fit():
+    # each edge listed both ways: the output is the sorted keys' own buffer
+    keys = edge_keys(4, np.array([0, 1, 1, 2, 2, 3]), np.array([1, 0, 2, 1, 3, 2]))
+    indptr, indices = csr_from_keys(4, keys)
+    assert np.shares_memory(indices, keys)
+    assert indptr.tolist() == [0, 1, 3, 5, 6] and indices.tolist() == [1, 0, 2, 1, 3, 2]
+    # each edge once: no room, so a new array
+    keys = edge_keys(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    indptr2, indices2 = csr_from_keys(4, keys)
+    assert not np.shares_memory(indices2, keys)
+    assert np.array_equal(indptr2, indptr) and np.array_equal(indices2, indices)
+
+
 def test_csr_from_keys_peak_memory_is_under_twice_its_output(er_200k):
     # each edge twice, as an A file lists it; the ends go straight into the
     # output's two halves, so besides it only the unique keys are alive

@@ -26,9 +26,11 @@ of each slice's `BlockResults`, streamed by `dataio.write_result_blocks`
 into a temporary directory; bytes_written is the three files' size). Two
 more stages time what `gbgc coarsen --jobs 2` does, without the pool:
 parse_s (`parse_tudataset` of the N graphs, written as perfbench's
-`write_tud` writes them) and blocks_s (`cli._run_block` on each of the
-`--jobs 2` tasks of the parsed dataset, from its pickle to the pickle of
-its output, run in this process one after another); send_s is the time
+`write_tud` writes them; parse_peak_mb is the traced heap's peak in MiB
+in a second parse, run under tracemalloc after the timed one) and
+blocks_s (`cli._run_block` on each of the `--jobs 2` tasks of the parsed
+dataset, from its pickle to the pickle of its output, run in this process
+one after another); send_s is the time
 to make and pickle those tasks, and task_bytes their size. Every checkout
 whose block is one CSR from the parse to the output text has these
 functions.
@@ -40,6 +42,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -171,6 +174,13 @@ def pooled_stages(graphs) -> dict:
         t0 = time.perf_counter()
         bundle = parse_tudataset(directory, "SYNTH")
         times["parse_s"] = time.perf_counter() - t0
+        del bundle
+        tracemalloc.start()
+        try:
+            bundle = parse_tudataset(directory, "SYNTH")
+            times["parse_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
     t0 = time.perf_counter()
     tasks = [cli._Block(0, bundle.block, run, settings) for run in cli._blocks(bundle.block, 2)]
     sent = [ForkingPickler.dumps(task) for task in tasks]

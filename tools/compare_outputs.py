@@ -21,8 +21,9 @@ inputs are then used. Each checkout runs, in a fresh process each:
     dataset whose A file has its lines shuffled (by --seed);
   - `coarsen` at `--jobs 2` on copies of the 5,000-graph dataset that take
     the parser's other paths (`parser_variants`): CRLF line ends, one
-    whitespace-only line in the A file, and a \x1f byte in the A file (an
-    error); and at `--jobs 1` on the first ER(30k) edge list with three
+    whitespace-only line in the A file, a \x1f byte in the A file (an
+    error), and one A-file token one beyond int32, 2147483648 (an error);
+    and at `--jobs 1` on the first ER(30k) edge list with three
     leading `#` lines and one `#` line halfway;
   - `evaluate` of the ER(3k) mapping, and of the 5,000-graph dataset's
     mapping (made by the parent's adaptive `coarsen --skip-sd`), in all
@@ -131,8 +132,9 @@ def with_bad_rows(mapping: str) -> str:
 def parser_variants(synth: Path, edge_list: Path, inputs: Path):
     """(label, input directory or file) of copies of the dataset `synth` and
     of `edge_list` that numpy's reader does not read as a whole: blanks or
-    comments where the per-line reader must take the file, and a byte the
-    grammar rejects. The CRLF copy stays on numpy's reader."""
+    comments where the per-line reader must take the file, a byte the
+    grammar rejects, and a node index beyond int32. The CRLF copy stays on
+    numpy's reader."""
     a_text = (synth / f"{synth.name}_A.txt").read_text()
     indicator = (synth / f"{synth.name}_graph_indicator.txt").read_text()
     lines = a_text.splitlines(keepends=True)
@@ -142,6 +144,7 @@ def parser_variants(synth: Path, edge_list: Path, inputs: Path):
         "BLANK": ("".join([*lines[:half], " \t \n", *lines[half:]]), indicator),
         "BADBYTE": ("".join([*lines[:half], lines[half].replace(",", ",\x1f"), *lines[half + 1:]]),
                     indicator),
+        "INT32": ("".join([*lines[:half], "2147483648, 1\n", *lines[half:]]), indicator),
     }
     for name, (a, ind) in datasets.items():
         directory = inputs / name
