@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
+import math
 import os
 import re
 
@@ -33,6 +34,9 @@ SYMMETRY_BLOCK_BYTES = 2 << 20
 # together; a larger matrix is a stack of one, and is built only if the
 # memory its solve needs is available
 STACK_BYTES = 64 << 20
+# a dense array of at least this many bytes is a private anonymous mapping
+# (see `_zeros`); numpy asks for huge pages from 4 MB up
+MAPPED_BYTES = 4 << 20
 
 
 @dataclass
@@ -164,24 +168,59 @@ def _projected_normalized_laplacians(cb: CoarseBlock) -> _Laplacians:
     return _Laplacians(first, 2 * np.searchsorted(keys, first * t), rows, cols, -sums, diag)
 
 
-def _dense_laplacian(laps: _Laplacians, mats: np.ndarray, size: int) -> np.ndarray:
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """np.zeros(shape) of floats whose pages are backed only where written,
+    when it is at least MAPPED_BYTES and the platform has private anonymous
+    mappings. A read of a page never written maps the kernel's shared zero
+    page, which no process's RSS counts, so LAPACK's working copy of a
+    sparse matrix's stack costs its full size but the stack itself only
+    the pages its entries land on. np.zeros would not do: numpy asks for
+    huge pages on large arrays, so one write backs a 2 MB region; nor would
+    mmap's default shared mapping, whose pages are backed when read. mmap
+    is imported only here, so a run that builds no such array does not
+    load it."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes >= MAPPED_BYTES:
+        import mmap
+
+        if hasattr(mmap, "MAP_PRIVATE"):
+            pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                pages.madvise(mmap.MADV_NOHUGEPAGE)
+            return np.frombuffer(pages).reshape(shape)
+    return np.zeros(shape)
+
+
+def _dense_laplacian(
+    laps: _Laplacians, mats: np.ndarray, size: int, lower: bool = False
+) -> np.ndarray:
     """Matrices `mats` of laps, each of `size` rows, as one dense
-    (len(mats), size, size) stack built in place: the entries go in by one
+    (len(mats), size, size) stack from `_zeros`: the entries go in by one
     flat scatter at slot * size^2 + row * size + col, the diagonals by one
-    strided write, and the normalized kind is scaled in place."""
+    strided write. With `lower`, only the entries below the diagonal are
+    written, the triangle LAPACK reads under UPLO="L", and the upper
+    triangle stays zero and unbacked. The normalized kind scales each value
+    before the scatter, by its row's factor and then its column's, the
+    order in which scaling a full stack's rows and then its columns in
+    place does: the lower triangle gets the same bits either way."""
     lo = laps.entry_ptr[mats]
     counts = laps.entry_ptr[mats + 1] - lo
     entries = _ranges(lo, counts)
     slot = np.repeat(np.arange(len(mats)), counts)
-    stack = np.zeros((len(mats), size, size))
+    rows, cols = laps.rows[entries], laps.cols[entries]
     values = laps.values if isinstance(laps.values, float) else laps.values[entries]
-    stack.reshape(-1)[(slot * size + laps.rows[entries]) * size + laps.cols[entries]] = values
+    if lower:
+        below = rows > cols
+        slot, rows, cols = slot[below], rows[below], cols[below]
+        values = values if isinstance(values, float) else values[below]
     diag = laps.diag[laps.first[mats][:, None] + np.arange(size)]
-    stack.reshape(len(mats), size * size)[:, :: size + 1] = diag
     if laps.normalized:
         scale = np.where(diag > 0, 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0)), 0.0)
-        stack *= scale[:, :, None]
-        stack *= scale[:, None, :]
+        values = values * scale[slot, rows] * scale[slot, cols]
+        diag = diag * scale * scale
+    stack = _zeros((len(mats), size, size))
+    stack.reshape(-1)[(slot * size + rows) * size + cols] = values
+    stack.reshape(len(mats), size * size)[:, :: size + 1] = diag
     return stack
 
 
@@ -248,7 +287,11 @@ def _eigensolve(m: np.ndarray, with_vectors: bool):
     if not m.size:
         values = np.zeros(m.shape[:-1])
         return (values, np.zeros(m.shape)) if with_vectors else values
-    return np.linalg.eigh(m) if with_vectors else np.linalg.eigvalsh(m)
+    # the stacks `_solved` builds hold only the lower triangle and the
+    # diagonal, so LAPACK must read that triangle
+    if with_vectors:
+        return np.linalg.eigh(m, UPLO="L")
+    return np.linalg.eigvalsh(m, UPLO="L")
 
 
 def eigenvalues_symmetric(
@@ -340,7 +383,9 @@ def _check_fits(n: int, with_vectors: bool) -> None:
         return
     # the matrix, LAPACK's copy of it and the eigenvalues, then the
     # workspace of its divide-and-conquer solver (syevd), and under eigh
-    # the eigenvector output
+    # the eigenvector output. The package's matrix is counted in full,
+    # though only the pages its lower triangle's entries land on are
+    # backed: a dense graph's are all of them
     need = 16 * n * n + 8 * n
     if with_vectors:
         need += 8 * (1 + 6 * n + 2 * n * n) + 4 * (3 + 5 * n) + 8 * n * n
@@ -365,14 +410,17 @@ def _solved(laps: _Laplacians, with_vectors: bool = False):
     for each stack of same-size matrices of laps, in chunks of at most
     STACK_BYTES; a larger matrix is a chunk of one, built only when its
     solve fits in memory. Each stack is dropped before the next is built.
-    The stacks are symmetric by construction, and go to LAPACK unchecked."""
+    The stacks are symmetric by construction, and go to LAPACK unchecked;
+    each holds only its lower triangle and diagonal, which is all LAPACK
+    reads, so a sparse matrix's stack is backed only where those entries
+    land (see `_zeros`)."""
     for size, members in _groups(laps.sizes):
         per = max(1, STACK_BYTES // (8 * max(1, size * size)))
         for i in range(0, len(members), per):
             mats = members[i : i + per]
             if 8 * size * size > STACK_BYTES:
                 _check_fits(size, with_vectors)
-            yield mats, _eigensolve(_dense_laplacian(laps, mats, size), with_vectors)
+            yield mats, _eigensolve(_dense_laplacian(laps, mats, size, lower=True), with_vectors)
 
 
 def _spectra(laps: _Laplacians) -> np.ndarray:

@@ -1,6 +1,11 @@
 import math
+import mmap
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,10 +353,12 @@ def test_evaluate_holds_one_dense_original_matrix(kind, mode, probes):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one n x n Laplacian, built in place as a stack of one, plus the
-    # symmetry check's blocks; a copy of it would read about 2x. LAPACK's
-    # working copy is allocated outside numpy and is not traced
-    assert peak < 1.5 * 8 * g.n**2
+    # the n x n Laplacian, a stack of one, is a mapping that tracemalloc
+    # does not see, and LAPACK's working copy is allocated outside numpy;
+    # what is traced is the smaller coarse side (0.14x, or 0.28x with the
+    # probes' eigenvectors), so a numpy copy of the n x n matrix would read
+    # above 1x
+    assert peak < 0.5 * 8 * g.n**2
 
 
 def test_finishing_a_block_of_small_graphs_holds_one_stack():
@@ -472,20 +479,24 @@ def coarse_blocks():
     return blocks
 
 
+def _laplacian_descriptions(cb):
+    return (
+        spectral._graph_laplacians(cb.block, "combinatorial"),
+        spectral._graph_laplacians(cb.block, "normalized"),
+        spectral._projected_laplacians(cb),
+        spectral._superedge_laplacians(cb, "combinatorial"),
+        spectral._superedge_laplacians(cb, "normalized"),
+        spectral._projected_normalized_laplacians(cb),
+    )
+
+
 def test_every_stack_the_package_builds_is_symmetric(coarse_blocks):
     # the stacks _dense_laplacian builds go to LAPACK without the symmetry
     # check that eigenvalues_symmetric makes on a caller's matrix; this is
     # the check, for every description the package builds them from
     stacks = 0
     for cb in coarse_blocks:
-        for laps in (
-            spectral._graph_laplacians(cb.block, "combinatorial"),
-            spectral._graph_laplacians(cb.block, "normalized"),
-            spectral._projected_laplacians(cb),
-            spectral._superedge_laplacians(cb, "combinatorial"),
-            spectral._superedge_laplacians(cb, "normalized"),
-            spectral._projected_normalized_laplacians(cb),
-        ):
+        for laps in _laplacian_descriptions(cb):
             for size, members in spectral._groups(laps.sizes):
                 stack = spectral._dense_laplacian(laps, members, size)
                 stacks += 1
@@ -498,6 +509,84 @@ def test_every_stack_the_package_builds_is_symmetric(coarse_blocks):
                 else:
                     assert np.array_equal(stack, stack.transpose(0, 2, 1))
     assert stacks > 1000
+
+
+def test_lapack_sees_the_same_bits_in_the_lower_stacks(coarse_blocks):
+    # _solved hands LAPACK stacks of only the lower triangle and diagonal;
+    # they are the full stacks' own bits there (-0.0 included), zero above,
+    # and solve to the same eigenvalues and eigenvectors
+    stacks = 0
+    for cb in coarse_blocks:
+        for laps in _laplacian_descriptions(cb):
+            for size, members in spectral._groups(laps.sizes):
+                full = spectral._dense_laplacian(laps, members, size)
+                lower = spectral._dense_laplacian(laps, members, size, lower=True)
+                stacks += 1
+                assert lower.tobytes() == np.tril(full).tobytes()
+                if laps.normalized:
+                    # a full stack scaled in place, rows and then columns
+                    plain = laps._replace(normalized=False)
+                    scaled = spectral._dense_laplacian(plain, members, size)
+                    degree = np.diagonal(scaled, axis1=1, axis2=2)
+                    positive = np.where(degree > 0, degree, 1.0)
+                    scale = np.where(degree > 0, 1.0 / np.sqrt(positive), 0.0)
+                    scaled *= scale[:, :, None]
+                    scaled *= scale[:, None, :]
+                    assert lower.tobytes() == np.tril(scaled).tobytes()
+                assert np.array_equal(
+                    spectral._eigensolve(lower, False), spectral._eigensolve(full, False)
+                )
+                for got, want in zip(
+                    spectral._eigensolve(lower, True), spectral._eigensolve(full, True)
+                ):
+                    assert np.array_equal(got, want)
+    assert stacks > 1000
+
+
+_LONE_STACK_RSS = """
+import numpy as np
+import gbgc.spectral as spectral
+from gbgc import GraphBlock, erdos_renyi
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+laps = spectral._graph_laplacians(GraphBlock.join([erdos_renyi(3000, 4.0, seed=3000)]), "{kind}")
+rises = []
+
+def read_all(m, with_vectors):
+    float(m.sum())  # reads every page of the stack, as numpy's copy for LAPACK does
+    rises.append(rss() - before)
+    return np.zeros(m.shape[:-1])
+
+spectral._eigensolve = read_all
+before = rss()
+spectral._spectra(laps)
+print(*rises)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status") or not hasattr(mmap, "MAP_PRIVATE"),
+    reason="needs /proc/self/status and private mappings",
+)
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+def test_a_lone_stack_is_backed_only_where_its_entries_land(kind):
+    # ER(3000)'s Laplacian is one 72 MB stack. Its lower triangle's entries
+    # land on about 0.39 of its pages; a read of the others maps the zero
+    # page. A shared mapping (backed when read), huge pages (one write backs
+    # 2 MB) or a full build would all come near or above half of it
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _LONE_STACK_RSS.format(kind=kind)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rise = int(done.stdout)
+    assert 8 * 3000**2 > STACK_BYTES  # a stack of one, mapped
+    assert rise < 0.5 * 8 * 3000**2
 
 
 def test_a_lone_matrix_that_cannot_fit_fails_before_it_is_built(monkeypatch):

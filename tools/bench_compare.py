@@ -29,6 +29,7 @@ CASES = [
     "path-2000", "path-4000", "path-8000",
     "grid-100", "grid-200",
     "ratio-0.3-er-30000",
+    "eval-3000",
 ]
 WORKLOADS = ["er_coarsen", "tu_many_small", "eval_sweep"]
 

@@ -3,8 +3,9 @@
 Usage:
     python tools/bench_stages.py SRC CASE
         SRC   the `src` directory of the gbgc checkout to import
-        CASE  er-N | path-N | grid-K | ratio-R-er-N | tu-N   (for example
-              er-50000, grid-200, ratio-0.3-er-30000, tu-5000)
+        CASE  er-N | path-N | grid-K | ratio-R-er-N | tu-N | eval-N   (for
+              example er-50000, grid-200, ratio-0.3-er-30000, tu-5000,
+              eval-3000)
 
 Prints one JSON object: the seconds of each stage and the process's peak
 RSS. It uses only public API that every checkout has since
@@ -34,6 +35,14 @@ one after another); send_s is the time
 to make and pickle those tasks, and task_bytes their size. Every checkout
 whose block is one CSR from the parse to the output text has these
 functions.
+
+eval-N is the work of the benchmark's `eval_sweep`, in one process: ER(N,
+mean degree 4, seed N) as a `GraphBlock` of one, coarsened by
+`engine.coarsen_block` and `coarse.coarse_block` (coarsen_s), then
+`spectral.evaluate_block` with its 16 Rayleigh probes in each of the
+workload's three modes, timed as comb_proj_sd_s, norm_proj_sd_s and
+comb_unw_sd_s, each with its SD. peak_rss_mb is the peak over all three,
+set by the largest dense eigensolve.
 """
 
 import json
@@ -63,6 +72,8 @@ def main() -> int:
     kind, *rest = case.split("-")
     if kind == "tu":
         return many_small(int(rest[0]))
+    if kind == "eval":
+        return eval_modes(int(rest[0]))
     cfg = CoarsenConfig()
     if kind == "ratio":
         cfg = CoarsenConfig(mode="ratio", ratio=float(rest[0]))
@@ -151,6 +162,37 @@ def many_small(count: int) -> int:
     times["supernodes"] = sum(int(cb.first_ball[-1]) for cb in cbs)
     times["superedges"] = sum(len(cb.superedges) for cb in cbs)
     times["sd_sum"] = sum(x for sd in sds for x in sd.tolist())
+    times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps(times))
+    return 0
+
+
+EVAL_MODES = {
+    "comb_proj": ("combinatorial", "projected"),
+    "norm_proj": ("normalized", "projected"),
+    "comb_unw": ("combinatorial", "unweighted"),
+}
+
+
+def eval_modes(size: int) -> int:
+    from gbgc import CoarsenConfig, EvalConfig, GraphBlock, erdos_renyi
+    from gbgc.coarse import coarse_block
+    from gbgc.engine import coarsen_block
+    from gbgc.spectral import evaluate_block
+
+    times = {}
+    t0 = time.perf_counter()
+    block = GraphBlock.join([erdos_renyi(size, 4.0, seed=size)])
+    times["generate_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    cb = coarse_block(block, *coarsen_block(block, CoarsenConfig()))
+    times["coarsen_s"] = time.perf_counter() - t0
+    times["supernodes"] = int(cb.first_ball[-1])
+    for label, (kind, mode) in EVAL_MODES.items():
+        t0 = time.perf_counter()
+        sds, _ = evaluate_block(cb, EvalConfig(kind, mode))
+        times[f"{label}_sd_s"] = time.perf_counter() - t0
+        times[f"{label}_sd"] = float(sds[0])
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(times))
     return 0
